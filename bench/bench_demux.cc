@@ -248,7 +248,7 @@ int main() {
   w.field("demux_ns_per_cell", ns_at_1e4);
   w.field("demux_flatness", flatness);
   w.field("demux_speedup_1e4", speedup);
-  benchjson::perf_fields(w, wall.seconds(), total_cells, 1);
+  benchjson::perf_fields(w, wall.seconds(), total_cells);
   w.close_object();
 
   std::printf("\nns/cell @1e4 %.2f   flatness %.2fx   speedup @1e4 %.2fx\n",

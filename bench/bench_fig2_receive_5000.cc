@@ -68,7 +68,7 @@ int main() {
   w.close_array();
 
   const double secs = wall.seconds();
-  benchjson::perf_fields(w, secs, events, /*threads=*/1);
+  benchjson::perf_fields(w, secs, events);
   w.close_object();
   w.dump("fig2_receive_5000");
 

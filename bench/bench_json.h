@@ -41,10 +41,8 @@ class Writer;
 
 /// The standard perf-trajectory fields every bench emits, so
 /// tools/bench_trend.py can fold all BENCH_*.json files into one table:
-/// wall_seconds, engine_events, events_per_sec, threads (worker threads the
-/// simulation ran on; 1 for serial benches).
-void perf_fields(Writer& w, double wall_seconds, std::uint64_t events,
-                 std::uint64_t threads);
+/// wall_seconds, engine_events, events_per_sec.
+void perf_fields(Writer& w, double wall_seconds, std::uint64_t events);
 
 /// Incremental JSON builder; the caller supplies structure via the
 /// open/close calls and the builder handles commas.
@@ -107,13 +105,11 @@ class Writer {
   bool fresh_ = true;
 };
 
-inline void perf_fields(Writer& w, double wall_seconds, std::uint64_t events,
-                        std::uint64_t threads) {
+inline void perf_fields(Writer& w, double wall_seconds, std::uint64_t events) {
   w.field("wall_seconds", wall_seconds);
   w.field("engine_events", events);
   w.field("events_per_sec",
           wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0);
-  w.field("threads", threads);
 }
 
 }  // namespace benchjson

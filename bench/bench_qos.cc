@@ -237,7 +237,7 @@ int main() {
   if (!w.goodput_mbps.empty() && w.goodput_mbps[3] > 0) {
     json.field("weighted_ratio_4_to_1", w.goodput_mbps[0] / w.goodput_mbps[3]);
   }
-  benchjson::perf_fields(json, wall.seconds(), events, 1);
+  benchjson::perf_fields(json, wall.seconds(), events);
   json.close_object();
 
   std::printf("\n  10x incast: Jain=%.4f (want >= 0.9), goodput retention vs"

@@ -14,6 +14,7 @@
 #include <cstdio>
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "chaos/runner.h"
@@ -84,9 +85,15 @@ int run_chaos_mode(const harness::ChaosFlags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::ChaosFlags chaos_flags =
+  const std::optional<harness::ChaosFlags> chaos_flags =
       harness::parse_chaos_flags(argc, argv);
-  if (chaos_flags.active()) return run_chaos_mode(chaos_flags);
+  if (!chaos_flags) {
+    std::fputs("usage: quickstart [--stats-json=<path>] [--trace-out=<path>]"
+               " [--chaos-seed=<n> | --chaos-replay=<file>]\n",
+               stderr);
+    return 2;
+  }
+  if (chaos_flags->active()) return run_chaos_mode(*chaos_flags);
 
   const harness::OutputFlags out = harness::parse_output_flags(argc, argv);
 

@@ -9,7 +9,7 @@
 //
 // Iteration order is a deterministic function of the operation history
 // (hash of keys inserted, in insertion-resolved probe order), identical
-// across serial and threaded runs of the same per-node event sequence.
+// across runs of the same event sequence.
 // Callers that need history-independent order (none today) must sort.
 #pragma once
 

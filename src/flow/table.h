@@ -26,7 +26,7 @@
 //
 // Iteration (for_each) walks the slab in slot order — a deterministic
 // order that depends only on the operation history, never on hashing —
-// which is what keeps serial and multi-threaded simulations bit-identical.
+// which is what keeps repeated simulations bit-identical.
 #pragma once
 
 #include <cassert>

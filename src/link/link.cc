@@ -88,22 +88,6 @@ sim::Tick StripedLink::submit(sim::Tick from, const atm::Cell& c) {
   }
 
   if (!sink_) throw std::logic_error("StripedLink: no sink registered");
-  if (group_ != nullptr) {
-    // Export across the partition boundary. The envelope carries the cell
-    // by value (RemoteEvent's inline budget is sized for exactly this), so
-    // the sink runs on the destination partition with no shared state but
-    // the immutable sink itself.
-    Sink* sinkp = &sink_;
-    auto deliver_fn = [sinkp, lane, delivered] { (*sinkp)(lane, delivered); };
-    // The cell's observability sidecar (t_origin/t_depart, 16 bytes) is
-    // budgeted into RemoteEvent's inline capacity; growing Cell further
-    // would silently heap-box every exported cell.
-    static_assert(sizeof(deliver_fn) <= sim::RemoteEvent::kInlineBytes,
-                  "exported cell envelope must stay inline");
-    group_->schedule_remote(src_, dst_, arrival,
-                            sim::RemoteEvent(std::move(deliver_fn)));
-    return departed;
-  }
   const std::uint32_t slot = acquire_slot(lane, delivered);
   eng_->schedule_at(arrival, [this, slot] { deliver(slot); });
   return departed;

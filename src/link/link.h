@@ -26,7 +26,6 @@
 
 #include "atm/cell.h"
 #include "sim/engine.h"
-#include "sim/group.h"
 #include "sim/rng.h"
 #include "sim/time.h"
 
@@ -60,24 +59,6 @@ class StripedLink {
   StripedLink(sim::Engine& eng, LinkConfig cfg);
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
-
-  /// Switches delivery to partition-boundary export: arrivals are handed to
-  /// partition `dst` of `group` through EngineGroup::schedule_remote instead
-  /// of the local engine, carrying the delivered cell by value in the
-  /// envelope. The caller must have declared the channel with a lookahead
-  /// no larger than min_latency(). Wire before the first submit().
-  void set_remote(sim::EngineGroup& group, std::size_t src, std::size_t dst) {
-    group_ = &group;
-    src_ = src;
-    dst_ = dst;
-  }
-
-  /// Lower bound on submit-to-arrival latency: one cell serialization time
-  /// plus the fixed propagation delay (jitter and per-lane offsets only add
-  /// to it). This is the conservative lookahead for the link's channel.
-  [[nodiscard]] sim::Duration min_latency() const {
-    return cell_time_ + sim::us(cfg_.base_delay_us);
-  }
 
   /// Time to clock one cell onto a lane.
   [[nodiscard]] sim::Duration cell_time() const { return cell_time_; }
@@ -114,9 +95,6 @@ class StripedLink {
   void deliver(std::uint32_t slot);
 
   sim::Engine* eng_;
-  sim::EngineGroup* group_ = nullptr;  // non-null: deliveries cross partitions
-  std::size_t src_ = 0;
-  std::size_t dst_ = 0;
   LinkConfig cfg_;
   sim::Duration cell_time_;
   Sink sink_;

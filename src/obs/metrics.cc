@@ -158,10 +158,6 @@ void Registry::histogram_ref(std::string name, const sim::Log2Histogram* h,
 }
 
 Snapshot Registry::snapshot() const {
-  return aggregate({this});
-}
-
-Snapshot aggregate(const std::vector<const Registry*>& shards) {
   // std::map keeps the output sorted by name, which makes snapshots
   // diffable across runs regardless of registration order.
   std::map<std::string, std::uint64_t> counters;
@@ -171,15 +167,12 @@ Snapshot aggregate(const std::vector<const Registry*>& shards) {
     sim::Log2Histogram h;
   };
   std::map<std::string, MergedHist> hists;
-  for (const Registry* r : shards) {
-    if (r == nullptr) continue;
-    for (const auto& c : r->counters()) counters[c.name] += *c.source;
-    for (const auto& g : r->gauges()) gauges[g.name] += g.fn ? g.fn() : 0.0;
-    for (const auto& h : r->hists()) {
-      auto& m = hists[h.name];
-      if (m.unit.empty()) m.unit = h.unit;
-      m.h.merge(h.get());
-    }
+  for (const auto& c : counters_) counters[c.name] = *c.source;
+  for (const auto& g : gauges_) gauges[g.name] = g.fn ? g.fn() : 0.0;
+  for (const auto& h : hists_) {
+    auto& m = hists[h.name];
+    if (m.unit.empty()) m.unit = h.unit;
+    m.h.merge(h.get());
   }
   Snapshot out;
   out.counters.reserve(counters.size());

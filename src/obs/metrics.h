@@ -5,13 +5,8 @@
 // registry holds pointers it reads only at snapshot() time.  Histograms can
 // either be owned by the registry (histogram() returns a stable pointer the
 // caller records into, allocation-free) or referenced (histogram_ref(), for
-// histograms owned elsewhere, e.g. PduSpans stages).
-//
-// Sharding: under sim::EngineGroup every node's state — including its
-// metrics — is thread-confined to the partition that owns it.  Give each
-// node its own Registry and aggregate on read with obs::aggregate(), which
-// sums counters/gauges and merges histogram buckets by name.  No locks, no
-// atomics, no cross-thread writes.
+// histograms owned elsewhere, e.g. PduSpans stages).  One registry can name
+// a whole testbed: prefix each node's names ("a.", "b.").
 #pragma once
 
 #include <cstdint>
@@ -24,7 +19,7 @@
 
 namespace osiris::obs {
 
-/// Point-in-time rendering of a Registry (or an aggregate of several).
+/// Point-in-time rendering of a Registry.
 struct Snapshot {
   struct Counter {
     std::string name;
@@ -83,9 +78,11 @@ class Registry {
   void histogram_ref(std::string name, const sim::Log2Histogram* h,
                      std::string unit = "ticks");
 
+  /// Reads every instrument, sorted by name.  Histograms registered twice
+  /// under one name (owned and referenced) are merged bucket-wise.
   [[nodiscard]] Snapshot snapshot() const;
 
-  // Entry introspection for aggregate(); values read lazily.
+ private:
   struct CounterEntry {
     std::string name;
     const std::uint64_t* source;
@@ -103,22 +100,9 @@ class Registry {
       return owned ? *owned : *source;
     }
   };
-  [[nodiscard]] const std::vector<CounterEntry>& counters() const {
-    return counters_;
-  }
-  [[nodiscard]] const std::vector<GaugeEntry>& gauges() const {
-    return gauges_;
-  }
-  [[nodiscard]] const std::vector<HistEntry>& hists() const { return hists_; }
-
- private:
   std::vector<CounterEntry> counters_;
   std::vector<GaugeEntry> gauges_;
   std::vector<HistEntry> hists_;
 };
-
-/// Aggregates per-shard registries by name: counters and gauges sum,
-/// histograms merge bucket-wise (so quantiles reflect the union of samples).
-[[nodiscard]] Snapshot aggregate(const std::vector<const Registry*>& shards);
 
 }  // namespace osiris::obs

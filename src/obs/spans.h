@@ -5,7 +5,7 @@
 // simulation's own data path — atm::Cell carries the origin tick through
 // segmentation, the wire and reassembly — so spans measure exactly what the
 // zero-copy cell path does, and the stamps are simulated ticks (never wall
-// clock), which keeps parallel runs bit-identical to serial ones.
+// clock), so repeated runs record bit-identical spans.
 //
 // Stage boundaries (all durations in ticks):
 //   enqueue_to_dpram  driver send()            -> firmware starts the PDU
@@ -16,8 +16,8 @@
 //   deliver           Rx descriptor pushed     -> driver delivers the PDU
 //   e2e               driver send()            -> peer driver delivers
 //
-// A PduSpans instance is thread-confined, like sim::Trace: attach one per
-// node (NodeConfig::spans) and aggregate on read.  All lookups are guarded —
+// Attach one PduSpans per node (NodeConfig::spans) and merge them on read
+// (merge_stages).  All lookups are guarded —
 // unmatched or partially-stamped PDUs (generator traffic, aborted or evicted
 // PDUs, adaptor resets) simply contribute nothing to the affected stages.
 #pragma once

@@ -1,7 +1,7 @@
 #include "osiris/harness.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -199,14 +199,39 @@ ThroughputResult transmit_throughput(Testbed& tb, Node& sender,
   return r;
 }
 
-std::string parse_string_flag(int argc, char** argv, const std::string& flag) {
+namespace {
+
+/// Value of `--<flag> V` / `--<flag>=V`: nullopt when the flag is absent, ""
+/// when it is the last argument with no value.
+std::optional<std::string> flag_value(int argc, char** argv,
+                                      const std::string& flag) {
   const std::string eq = flag + "=";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == flag && i + 1 < argc) return argv[i + 1];
+    if (arg == flag) return i + 1 < argc ? argv[i + 1] : "";
     if (arg.rfind(eq, 0) == 0) return arg.substr(eq.size());
   }
-  return "";
+  return std::nullopt;
+}
+
+}  // namespace
+
+std::string parse_string_flag(int argc, char** argv, const std::string& flag) {
+  return flag_value(argc, argv, flag).value_or("");
+}
+
+std::optional<std::uint64_t> parse_uint_flag(int argc, char** argv,
+                                             const std::string& flag,
+                                             std::uint64_t fallback) {
+  const std::optional<std::string> v = flag_value(argc, argv, flag);
+  if (!v) return fallback;
+  // from_chars rejects signs and whitespace; the end check rejects trailing
+  // junk and the empty string.
+  std::uint64_t n = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, n);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return n;
 }
 
 OutputFlags parse_output_flags(int argc, char** argv) {
@@ -216,13 +241,13 @@ OutputFlags parse_output_flags(int argc, char** argv) {
   return f;
 }
 
-ChaosFlags parse_chaos_flags(int argc, char** argv) {
+std::optional<ChaosFlags> parse_chaos_flags(int argc, char** argv) {
+  const std::optional<std::uint64_t> seed =
+      parse_uint_flag(argc, argv, "--chaos-seed", 0);
+  if (!seed) return std::nullopt;
   ChaosFlags f;
-  const std::string seed = parse_string_flag(argc, argv, "--chaos-seed");
-  if (!seed.empty()) {
-    f.seed = std::strtoull(seed.c_str(), nullptr, 10);
-    f.seed_set = true;
-  }
+  f.seed = *seed;
+  f.seed_set = flag_value(argc, argv, "--chaos-seed").has_value();
   f.replay = parse_string_flag(argc, argv, "--chaos-replay");
   return f;
 }
@@ -248,26 +273,6 @@ bool write_trace_json(const std::string& path, const sim::Trace* trace_a,
   srcs.push_back(obs::TraceSource{"a", trace_a, spans_a});
   srcs.push_back(obs::TraceSource{"b", trace_b, spans_b});
   return obs::write_chrome_trace_file(path, srcs);
-}
-
-int parse_threads(int argc, char** argv, int fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string val;
-    if (arg == "--threads" && i + 1 < argc) {
-      val = argv[i + 1];
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      val = arg.substr(10);
-    } else {
-      continue;
-    }
-    try {
-      return std::stoi(val);
-    } catch (const std::exception&) {
-      return fallback;
-    }
-  }
-  return fallback;
 }
 
 }  // namespace osiris::harness

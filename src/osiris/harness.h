@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,13 +63,17 @@ ThroughputResult transmit_throughput(Testbed& tb, Node& sender,
                                      atm::Vci vci, std::uint32_t msg_bytes,
                                      std::uint64_t n_msgs);
 
-/// Parses a `--threads N` / `--threads=N` flag from a bench or example
-/// command line; returns `fallback` when absent or malformed.
-int parse_threads(int argc, char** argv, int fallback = 1);
-
 /// Parses a string-valued `--<flag> V` / `--<flag>=V` option; returns ""
 /// when absent. `flag` includes the dashes ("--stats-json").
 std::string parse_string_flag(int argc, char** argv, const std::string& flag);
+
+/// Parses an unsigned decimal `--<flag> N` / `--<flag>=N` option. Returns
+/// `fallback` when the flag is absent, and nullopt when its value is
+/// missing, is not all decimal digits (no sign, no spaces), or does not fit
+/// in 64 bits.
+std::optional<std::uint64_t> parse_uint_flag(int argc, char** argv,
+                                             const std::string& flag,
+                                             std::uint64_t fallback);
 
 /// Output sinks requested on an example/soak command line:
 ///   --stats-json=<path>  write a metrics snapshot of both nodes as JSON
@@ -88,13 +93,14 @@ OutputFlags parse_output_flags(int argc, char** argv);
 ///                          run exactly that
 /// Pure flag parsing: executing a schedule is the caller's job (via
 /// osiris_chaos), so binaries that never use chaos mode don't link it.
+/// Returns nullopt when --chaos-seed is not an unsigned decimal.
 struct ChaosFlags {
   std::uint64_t seed = 0;
   bool seed_set = false;
   std::string replay;
   [[nodiscard]] bool active() const { return seed_set || !replay.empty(); }
 };
-ChaosFlags parse_chaos_flags(int argc, char** argv);
+std::optional<ChaosFlags> parse_chaos_flags(int argc, char** argv);
 
 /// Writes a metrics snapshot covering both testbed nodes (prefixes "a."
 /// and "b.", plus any spans' stage histograms) to `path` as JSON. Returns

@@ -1,6 +1,5 @@
 #include "osiris/node.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace osiris {
@@ -91,41 +90,10 @@ std::unique_ptr<proto::ProtoStack> Node::make_stack(proto::StackConfig scfg) {
   return s;
 }
 
-Testbed::Testbed(NodeConfig ca, NodeConfig cb, int threads)
-    : a(group.partition(0), std::move(ca)),
-      b(group.partition(1), std::move(cb)) {
-  // Each direction of the wire is a conservative channel: nothing submitted
-  // on one node can reach the other sooner than one cell time plus the
-  // fixed propagation delay, so that is the lookahead bound.
-  group.connect(0, 1, a.out.min_latency());
-  group.connect(1, 0, b.out.min_latency());
-  a.out.set_remote(group, 0, 1);
-  b.out.set_remote(group, 1, 0);
-  // The sinks run on the *destination* partition, so each touches only its
-  // own node's state.
+Testbed::Testbed(NodeConfig ca, NodeConfig cb)
+    : a(eng, std::move(ca)), b(eng, std::move(cb)) {
   a.out.set_sink([this](int lane, const atm::Cell& cell) { b.rxp.on_cell(lane, cell); });
   b.out.set_sink([this](int lane, const atm::Cell& cell) { a.rxp.on_cell(lane, cell); });
-  set_threads(threads);
-}
-
-void Testbed::set_threads(int threads) {
-  if (threads > 1) {
-    if (a.cfg.trace != nullptr && a.cfg.trace == b.cfg.trace) {
-      throw std::logic_error(
-          "Testbed: nodes share a Trace; multi-thread runs need one per node");
-    }
-    if (a.cfg.faults != nullptr && a.cfg.faults == b.cfg.faults) {
-      throw std::logic_error(
-          "Testbed: nodes share a FaultPlane; multi-thread runs need one per "
-          "node");
-    }
-    if (a.cfg.spans != nullptr && a.cfg.spans == b.cfg.spans) {
-      throw std::logic_error(
-          "Testbed: nodes share a PduSpans; multi-thread runs need one per "
-          "node");
-    }
-  }
-  threads_ = std::clamp(threads, 1, static_cast<int>(group.partitions()));
 }
 
 atm::Vci Testbed::open_kernel_path() {

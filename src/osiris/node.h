@@ -40,9 +40,9 @@ struct NodeConfig {
   /// and the driver. Null disables every hook.
   fault::FaultPlane* faults = nullptr;
   /// Optional PDU lifecycle spans (not owned): wired into the driver, both
-  /// board processors, and (through the cell stamps) the link. Like the
-  /// trace, a spans object is thread-confined — one per node under
-  /// multi-threaded runs.
+  /// board processors, and (through the cell stamps) the link. Give each
+  /// node its own: the ledger matches transmit stamps per channel, and both
+  /// nodes number their channels from 0.
   obs::PduSpans* spans = nullptr;
 };
 
@@ -104,45 +104,28 @@ class Node {
   int next_fbuf_tag_ = 1;
 };
 
-/// Two nodes with their boards linked back-to-back.
-///
-/// Each node is one partition of an EngineGroup (DESIGN.md §9 and §14):
-/// node `a` runs on partition 0, node `b` on partition 1, and the two
-/// StripedLinks deliver through cross-partition channels whose lookahead
-/// is the link's minimum cell latency. run() executes the asynchronous
-/// EOT protocol on `threads` OS threads; dispatch order — and therefore
-/// every stat and trace — is identical for any thread count.
+/// Two nodes with their boards linked back-to-back, driven by one engine.
 class Testbed {
  public:
-  Testbed(NodeConfig ca, NodeConfig cb, int threads = 1);
+  Testbed(NodeConfig ca, NodeConfig cb);
 
   /// Allocates a fresh VCI and maps it into both nodes' kernel channels
   /// (the x-kernel binds each path to an unused VCI, §3.1).
   atm::Vci open_kernel_path();
 
-  /// Sets the worker-thread count for subsequent run() calls (clamped to
-  /// [1, 2]). Rejected when the two nodes share a Trace, FaultPlane or
-  /// PduSpans: those sinks are not synchronized across partitions.
-  void set_threads(int threads);
-  [[nodiscard]] int threads() const { return threads_; }
+  /// Runs until the event queue drains; returns the final time.
+  sim::Tick run() { return eng.run(); }
 
-  /// Runs both partitions to completion; returns the final time.
-  sim::Tick run() { return group.run(threads_); }
+  [[nodiscard]] sim::Tick now() const { return eng.now(); }
 
-  /// Simulated time (the partitions agree whenever the testbed is idle).
-  [[nodiscard]] sim::Tick now() const { return group.now(); }
+  /// Events dispatched for both nodes since construction.
+  [[nodiscard]] std::uint64_t dispatched() const { return eng.dispatched(); }
 
-  /// Events dispatched, summed over both nodes' engines.
-  [[nodiscard]] std::uint64_t dispatched() const {
-    return group.stats().dispatched;
-  }
-
-  sim::EngineGroup group{2};
+  sim::Engine eng;  // declared before the nodes, which hold references to it
   Node a;
   Node b;
 
  private:
-  int threads_ = 1;
   atm::Vci next_vci_ = 100;
 };
 

@@ -201,12 +201,6 @@ std::size_t Engine::step_tick() {
   return fired;
 }
 
-std::optional<Tick> Engine::next_event_time() {
-  Node* n = peek_live();
-  if (n == nullptr) return std::nullopt;
-  return n->at;
-}
-
 Tick Engine::run() {
   while (step_tick() != 0) {
   }

@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -38,36 +37,23 @@
 
 namespace osiris::sim {
 
-namespace detail {
-/// Process-wide boxing counter shared by every BasicEvent instantiation.
-struct EventMeter {
-  static inline std::uint64_t boxed_allocs = 0;
-};
-}  // namespace detail
-
 /// One-shot type-erased callable with small-buffer optimization. Unlike
-/// std::function, captures up to Inline bytes are stored inline (no heap
+/// std::function, captures up to kInlineBytes are stored inline (no heap
 /// allocation) and invocation destroys the callable — an event fires once.
-///
-/// The inline budget is a template parameter because different carriers
-/// want different trade-offs: queue nodes (Event) stay lean for cache
-/// density, while cross-partition envelopes (RemoteEvent) are sized to
-/// carry a delivered ATM cell by value without boxing.
-template <std::size_t Inline>
-class BasicEvent {
+class Event {
  public:
-  /// Inline capture budget. For Event it is sized for the engine's common
-  /// case: a `this` pointer plus a handful of scalars (epoch, serial,
-  /// tick), with room for a small descriptor. Larger captures are boxed on
-  /// the heap (and counted; see boxed_allocations()).
-  static constexpr std::size_t kInlineBytes = Inline;
+  /// Inline capture budget, sized for the engine's common case: a `this`
+  /// pointer plus a handful of scalars (epoch, serial, tick), with room for
+  /// a small descriptor. Larger captures are boxed on the heap (and
+  /// counted; see boxed_allocations()).
+  static constexpr std::size_t kInlineBytes = 48;
 
-  BasicEvent() noexcept = default;
+  Event() noexcept = default;
 
   template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, BasicEvent> &&
+            typename = std::enable_if_t<!std::is_same_v<D, Event> &&
                                         std::is_invocable_r_v<void, D&>>>
-  BasicEvent(F&& f) {  // NOLINT(google-explicit-constructor): callable adapter
+  Event(F&& f) {  // NOLINT(google-explicit-constructor): callable adapter
     if constexpr (sizeof(D) <= kInlineBytes &&
                   alignof(D) <= alignof(std::max_align_t) &&
                   std::is_nothrow_move_constructible_v<D>) {
@@ -75,19 +61,19 @@ class BasicEvent {
       ops_ = &kInlineOps<D>;
     } else {
       ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ++detail::EventMeter::boxed_allocs;
+      ++boxed_allocs_;
       ops_ = &kBoxedOps<D>;
     }
   }
 
-  BasicEvent(BasicEvent&& o) noexcept : ops_(o.ops_) {
+  Event(Event&& o) noexcept : ops_(o.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(buf_, o.buf_);
       o.ops_ = nullptr;
     }
   }
 
-  BasicEvent& operator=(BasicEvent&& o) noexcept {
+  Event& operator=(Event&& o) noexcept {
     if (this != &o) {
       reset();
       ops_ = o.ops_;
@@ -99,10 +85,10 @@ class BasicEvent {
     return *this;
   }
 
-  BasicEvent(const BasicEvent&) = delete;
-  BasicEvent& operator=(const BasicEvent&) = delete;
+  Event(const Event&) = delete;
+  Event& operator=(const Event&) = delete;
 
-  ~BasicEvent() { reset(); }
+  ~Event() { reset(); }
 
   [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
 
@@ -118,7 +104,7 @@ class BasicEvent {
   /// inline buffer and were heap-boxed. The engine snapshots this to meter
   /// residual allocations.
   [[nodiscard]] static std::uint64_t boxed_allocations() noexcept {
-    return detail::EventMeter::boxed_allocs;
+    return boxed_allocs_;
   }
 
  private:
@@ -166,17 +152,11 @@ class BasicEvent {
       [](void* self) { delete *stored<D*>(self); },
   };
 
+  static inline std::uint64_t boxed_allocs_ = 0;
+
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
-
-/// The engine's queue-node event type.
-using Event = BasicEvent<48>;
-
-/// Cross-partition envelope event (see EngineGroup in group.h): sized so a
-/// link delivery — sink pointer, lane, and a 53-byte ATM cell by value —
-/// travels inline through the export ring without touching the heap.
-using RemoteEvent = BasicEvent<88>;
 
 namespace detail {
 /// Arena-backed queue node. Nodes are never freed individually; fired and
@@ -260,9 +240,7 @@ class Engine {
   Tick run_until(Tick deadline);
 
   /// Advances now() to `t` without dispatching anything (no-op when `t` is
-  /// in the past). The partitioned group uses it to equalize the partition
-  /// clocks once a parallel run drains, so follow-up scheduling against
-  /// any partition sees one consistent time.
+  /// in the past).
   void advance_to(Tick t) {
     if (t > now_) now_ = t;
   }
@@ -278,12 +256,6 @@ class Engine {
   /// work (e.g. the board receive path's burst handling) step the clock
   /// one tick-batch at a time with it.
   std::size_t step_tick();
-
-  /// Timestamp of the earliest live pending event, or nullopt when the
-  /// queue is drained. Non-const: looking ahead purges cancelled
-  /// tombstones (which is invisible to dispatch order). This is the
-  /// per-partition clock a conservative parallel run synchronizes on.
-  [[nodiscard]] std::optional<Tick> next_event_time();
 
   /// Number of live (uncancelled) events currently queued.
   [[nodiscard]] std::size_t pending() const { return size_; }

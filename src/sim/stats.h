@@ -147,7 +147,7 @@ class Log2Histogram {
     return static_cast<double>(max_);
   }
 
-  /// Folds `other` into this histogram (aggregate-on-read for sharded use).
+  /// Folds `other` into this histogram (e.g. one node's spans into another's).
   void merge(const Log2Histogram& other) {
     if (other.count_ == 0) return;
     for (std::size_t b = 0; b < kBuckets; ++b) counts_[b] += other.counts_[b];

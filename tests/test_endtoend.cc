@@ -20,6 +20,13 @@ struct SkewCase {
   double skew_us;
 };
 
+// ctest names each case by this print. Without it gtest prints the raw
+// bytes, strategy pointer included, and the names change with the load
+// address from run to run.
+void PrintTo(const SkewCase& c, std::ostream* os) {
+  *os << c.strategy << '_' << c.skew_us << "us";
+}
+
 class SkewE2E : public ::testing::TestWithParam<SkewCase> {};
 
 TEST_P(SkewE2E, IntegrityUnderSkew) {

@@ -90,7 +90,7 @@ TEST(FlowTable, EntryFlagsSurviveRehash) {
 
 TEST(FlowTable, ForEachWalksSlabOrderAndSupportsErase) {
   // Iteration order is slab (insertion) order, independent of the hash —
-  // the determinism anchor for serial-vs-threaded fingerprints.
+  // the determinism anchor for the pinned chaos fingerprints.
   flow::FlowTable<Val> t;
   const std::uint32_t keys[] = {900001, 3, 500, 123456, 42};
   for (const std::uint32_t k : keys) t.insert(k);
@@ -214,11 +214,11 @@ TEST(FlowBoard, UnmapDuringReassemblyDropsCleanlyAndReleasesState) {
   EXPECT_EQ(n.rxp.vci_buffers_held(vci), 0u);
 }
 
-TEST(FlowBoard, FingerprintStableAcrossThreadsWithHundredThousandVcis) {
+TEST(FlowBoard, FingerprintPinnedWithHundredThousandVcis) {
   // The chaos runner's end-to-end fingerprint, with the flow tables grown
-  // to 10^5 mapped VCIs, must be bit-identical between serial and
-  // 2-thread runs: growth, incremental migration and iteration order are
-  // all schedule-deterministic.
+  // to 10^5 mapped VCIs, must repeat and match the recorded value:
+  // growth, incremental migration and iteration order are all
+  // schedule-deterministic.
   chaos::Schedule s;  // no faults; the population is the stressor
   s.seed = 12;
   chaos::RunnerConfig cfg;
@@ -228,15 +228,13 @@ TEST(FlowBoard, FingerprintStableAcrossThreadsWithHundredThousandVcis) {
   cfg.rpc_calls = 4;
   cfg.adc_msgs = 6;
   cfg.bulk_vcis = 100000;
-  const chaos::Report serial = chaos::run_schedule(s, cfg);
-  EXPECT_TRUE(serial.ok()) << (serial.violations.empty()
-                                   ? ""
-                                   : serial.violations[0]);
-  chaos::RunnerConfig threaded = cfg;
-  threaded.threads = 2;
-  const chaos::Report t2 = chaos::run_schedule(s, threaded);
-  EXPECT_TRUE(t2.ok());
-  EXPECT_EQ(serial.fingerprint, t2.fingerprint);
+  const chaos::Report first = chaos::run_schedule(s, cfg);
+  EXPECT_TRUE(first.ok()) << (first.violations.empty()
+                                  ? ""
+                                  : first.violations[0]);
+  const chaos::Report again = chaos::run_schedule(s, cfg);
+  EXPECT_EQ(first.fingerprint, again.fingerprint);
+  EXPECT_EQ(first.fingerprint, 0xc346df55298bd25cULL);
 }
 
 }  // namespace

@@ -1,7 +1,11 @@
 // Harness self-tests: the synthetic fragment builder must be
 // byte-compatible with what the real protocol stack emits, and the
-// measurement helpers must behave.
+// measurement helpers and command-line flag parsers must behave.
 #include <gtest/gtest.h>
+
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "atm/sar.h"
 #include "osiris/harness.h"
@@ -102,6 +106,50 @@ TEST(Harness, TransmitThroughputConservesMessages) {
       harness::transmit_throughput(tb, tb.a, *sa, *sb, vci, 8 * 1024, 100);
   EXPECT_EQ(r.messages, 100u);
   EXPECT_GT(r.mbps, 0.0);
+}
+
+// Runs parse_uint_flag over a literal command line (argv[0] included).
+std::optional<std::uint64_t> uint_flag(std::vector<std::string> args,
+                                       std::uint64_t fallback = 7) {
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  return harness::parse_uint_flag(static_cast<int>(argv.size()), argv.data(),
+                                  "--seeds", fallback);
+}
+
+TEST(Harness, UintFlagAcceptsBothSpellingsAndFallsBack) {
+  EXPECT_EQ(uint_flag({"prog"}), 7u);
+  EXPECT_EQ(uint_flag({"prog", "--other", "3"}), 7u);
+  EXPECT_EQ(uint_flag({"prog", "--seeds", "40"}), 40u);
+  EXPECT_EQ(uint_flag({"prog", "--seeds=40"}), 40u);
+  EXPECT_EQ(uint_flag({"prog", "--seeds=0"}), 0u);
+  EXPECT_EQ(uint_flag({"prog", "--seeds", "18446744073709551615"}),
+            18446744073709551615u);
+}
+
+TEST(Harness, UintFlagRejectsMalformedValues) {
+  for (const char* bad : {"x", "-3", "+3", "", " 4", "4 ", "12abc", "0x10",
+                          "18446744073709551616"}) {
+    EXPECT_EQ(uint_flag({"prog", "--seeds", bad}), std::nullopt) << bad;
+    EXPECT_EQ(uint_flag({"prog", std::string("--seeds=") + bad}), std::nullopt)
+        << bad;
+  }
+  EXPECT_EQ(uint_flag({"prog", "--seeds"}), std::nullopt);  // value missing
+}
+
+TEST(Harness, ChaosSeedFlagIsChecked) {
+  std::string prog = "quickstart", ok = "--chaos-seed=33", bad = "--chaos-seed=3x";
+  char* good_argv[] = {prog.data(), ok.data()};
+  const auto flags = harness::parse_chaos_flags(2, good_argv);
+  ASSERT_TRUE(flags.has_value());
+  EXPECT_TRUE(flags->active());
+  EXPECT_EQ(flags->seed, 33u);
+  char* bad_argv[] = {prog.data(), bad.data()};
+  EXPECT_FALSE(harness::parse_chaos_flags(2, bad_argv).has_value());
+  char* none_argv[] = {prog.data()};
+  const auto none = harness::parse_chaos_flags(1, none_argv);
+  ASSERT_TRUE(none.has_value());
+  EXPECT_FALSE(none->active());
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Observability subsystem: Log2Histogram edges, the metrics registry and
-// sharded aggregation, PDU lifecycle spans end to end (including under ARQ
-// retransmission), Chrome trace export, and the cross-counter audit.
+// Observability subsystem: Log2Histogram edges, the metrics registry, PDU
+// lifecycle spans end to end (including under ARQ retransmission), Chrome
+// trace export, and the cross-counter audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "obs/export.h"
@@ -140,57 +139,6 @@ TEST(Registry, ReRegisteringANameReplaces) {
   EXPECT_EQ(s.counters[0].value, 2u);
 }
 
-TEST(Registry, AggregateSumsCountersAndMergesHistograms) {
-  obs::Registry shard0, shard1;
-  std::uint64_t c0 = 10, c1 = 32;
-  shard0.counter("events", &c0);
-  shard1.counter("events", &c1);
-  shard0.histogram("lat")->record(8);
-  shard1.histogram("lat")->record(1024);
-  shard0.gauge("util", [] { return 0.25; });
-  shard1.gauge("util", [] { return 0.50; });
-
-  const obs::Snapshot s = obs::aggregate({&shard0, &shard1});
-  ASSERT_EQ(s.counters.size(), 1u);
-  EXPECT_EQ(s.counters[0].value, 42u);
-  ASSERT_EQ(s.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(s.gauges[0].value, 0.75);
-  ASSERT_EQ(s.hists.size(), 1u);
-  EXPECT_EQ(s.hists[0].count, 2u);
-  EXPECT_EQ(s.hists[0].min, 8u);
-  EXPECT_EQ(s.hists[0].max, 1024u);
-}
-
-TEST(Registry, ShardedRecordingUnderTwoThreadsAggregatesCleanly) {
-  // The sharding contract: one registry per thread, no cross-thread
-  // writes, aggregate on read after joining. (test_parallel_des covers the
-  // same shape under TSan with real engine partitions.)
-  obs::Registry shards[2];
-  std::uint64_t counts[2] = {0, 0};
-  shards[0].counter("n", &counts[0]);
-  shards[1].counter("n", &counts[1]);
-  sim::Log2Histogram* hists[2] = {shards[0].histogram("v"),
-                                  shards[1].histogram("v")};
-  std::thread workers[2];
-  for (int w = 0; w < 2; ++w) {
-    workers[w] = std::thread([w, &counts, &hists] {
-      for (std::uint64_t i = 1; i <= 10000; ++i) {
-        ++counts[w];
-        hists[w]->record(i);
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-
-  const obs::Snapshot s = obs::aggregate({&shards[0], &shards[1]});
-  ASSERT_EQ(s.counters.size(), 1u);
-  EXPECT_EQ(s.counters[0].value, 20000u);
-  ASSERT_EQ(s.hists.size(), 1u);
-  EXPECT_EQ(s.hists[0].count, 20000u);
-  EXPECT_EQ(s.hists[0].min, 1u);
-  EXPECT_EQ(s.hists[0].max, 10000u);
-}
-
 // ----------------------------------------------------------------- spans
 
 TEST(PduSpans, PingPongStampsEveryStage) {
@@ -292,16 +240,6 @@ TEST(PduSpans, ArqRetransmissionsKeepLedgerConsistent) {
   // Loss means some tx stamps never completed; the ledger stays bounded
   // (7-bit tag space per VCI) instead of growing with the loss count.
   EXPECT_EQ(spans_b.stage(obs::Stage::kDeliver).count(), e2e_b.count());
-}
-
-TEST(PduSpans, SharedSpansRejectedForMultiThreadRuns) {
-  obs::PduSpans shared;
-  NodeConfig ca = make_3000_600_config();
-  NodeConfig cb = make_3000_600_config();
-  ca.spans = &shared;
-  cb.spans = &shared;
-  Testbed tb(ca, cb);
-  EXPECT_THROW(tb.set_threads(2), std::logic_error);
 }
 
 // ---------------------------------------------------------------- export

@@ -84,6 +84,25 @@ TEST(Engine, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(eng.step());
 }
 
+TEST(StepTick, FiresWholeTickIncludingSameTickFollowups) {
+  Engine eng;
+  std::vector<int> order;
+  eng.schedule_at(100, [&] {
+    order.push_back(1);
+    // Scheduled *during* the batch, at the same tick: still part of it.
+    eng.schedule_at(100, [&] { order.push_back(3); });
+  });
+  eng.schedule_at(100, [&] { order.push_back(2); });
+  eng.schedule_at(200, [&] { order.push_back(4); });
+
+  EXPECT_EQ(eng.step_tick(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.now(), 100u);
+  EXPECT_EQ(eng.step_tick(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(eng.step_tick(), 0u);
+}
+
 TEST(Resource, SerializesReservations) {
   Engine eng;
   Resource r(eng, "r");

@@ -2,6 +2,8 @@
 // bookkeeping, and checksum interaction with fragmentation.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "osiris/node.h"
 #include "proto/message.h"
 #include "proto/stack.h"
@@ -15,24 +17,30 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   return v;
 }
 
+// gtest prints a parameter type that has no printer as its raw bytes, and
+// ctest names each case by that print. The padding is therefore spelled
+// out and zeroed: left implicit, it holds stale stack bytes and the case
+// names change from run to run.
 struct MtuCase {
   std::uint32_t mtu;
   std::uint32_t msg;
   bool cksum;
+  std::uint8_t pad[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<MtuCase>);
 
 class MtuSweep : public ::testing::TestWithParam<MtuCase> {};
 
 TEST_P(MtuSweep, IntegrityAcrossFragmentationRegimes) {
-  const auto [mtu, msg, cksum] = GetParam();
+  const MtuCase& p = GetParam();
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
-  sc.ip_mtu = mtu;
-  sc.udp_checksum = cksum;
+  sc.ip_mtu = p.mtu;
+  sc.udp_checksum = p.cksum;
   auto sa = tb.a.make_stack(sc);
   auto sb = tb.b.make_stack(sc);
-  const auto want = pattern(msg, static_cast<std::uint8_t>(mtu));
+  const auto want = pattern(p.msg, static_cast<std::uint8_t>(p.mtu));
   std::uint64_t ok = 0;
   sb->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&& d) {
     EXPECT_EQ(d, want);

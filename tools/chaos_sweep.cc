@@ -2,20 +2,21 @@
 // testbeds, and on the first invariant violation shrinks the schedule to a
 // minimal action set and writes a replayable artifact.
 //
-//   $ ./chaos_sweep --seeds 200 --threads 2
+//   $ ./chaos_sweep --seeds 200
 //   $ ./chaos_sweep --replay build/chaos_repro.txt
 //
 // Flags:
-//   --seeds N        number of schedules to run (default 25)
+//   --seeds N        number of schedules to run, at least 1 (default 25)
 //   --base-seed N    first seed (default 1; seeds are base..base+N-1)
-//   --threads N      testbed worker threads, 1 or 2 (default 1)
 //   --repro-out P    artifact path on failure (default chaos_repro.txt)
 //   --replay P       run one schedule from an artifact instead of sweeping
 //
-// Exit status: 0 when every run's invariants held, 1 otherwise.
+// Exit status: 0 when every run's invariants held, 1 otherwise, 2 on a
+// malformed flag or an unreadable replay file.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -53,16 +54,21 @@ int fail_and_shrink(const chaos::Schedule& sch, const chaos::RunnerConfig& cfg,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int threads = harness::parse_threads(argc, argv, 1);
   const std::string replay = harness::parse_string_flag(argc, argv, "--replay");
-  const std::string seeds_s = harness::parse_string_flag(argc, argv, "--seeds");
-  const std::string base_s =
-      harness::parse_string_flag(argc, argv, "--base-seed");
+  const std::optional<std::uint64_t> seeds =
+      harness::parse_uint_flag(argc, argv, "--seeds", 25);
+  const std::optional<std::uint64_t> base =
+      harness::parse_uint_flag(argc, argv, "--base-seed", 1);
+  if (!seeds || *seeds == 0 || !base) {
+    std::fputs("usage: chaos_sweep [--seeds N>=1] [--base-seed N] "
+               "[--repro-out P] | --replay P\n",
+               stderr);
+    return 2;
+  }
   std::string repro_out = harness::parse_string_flag(argc, argv, "--repro-out");
   if (repro_out.empty()) repro_out = "chaos_repro.txt";
 
   chaos::RunnerConfig cfg;
-  cfg.threads = threads;
 
   if (!replay.empty()) {
     std::ifstream in(replay);
@@ -91,12 +97,9 @@ int main(int argc, char** argv) {
     return rep.ok() ? 0 : 1;
   }
 
-  const int seeds = seeds_s.empty() ? 25 : std::atoi(seeds_s.c_str());
-  const std::uint64_t base =
-      base_s.empty() ? 1 : std::strtoull(base_s.c_str(), nullptr, 10);
   std::uint64_t total_faults = 0, total_resets = 0, total_resyncs = 0;
-  for (int i = 0; i < seeds; ++i) {
-    const chaos::Schedule sch = chaos::generate(base + static_cast<std::uint64_t>(i));
+  for (std::uint64_t i = 0; i < *seeds; ++i) {
+    const chaos::Schedule sch = chaos::generate(*base + i);
     const chaos::Report rep = chaos::run_schedule(sch, cfg);
     total_faults += rep.faults_fired;
     total_resets += rep.resets_a + rep.resets_b;
@@ -104,9 +107,10 @@ int main(int argc, char** argv) {
     if (!rep.ok()) return fail_and_shrink(sch, cfg, rep, repro_out);
   }
   std::printf(
-      "chaos sweep: %d seeds clean (threads=%d, %llu faults fired, "
+      "chaos sweep: %llu seeds clean (%llu faults fired, "
       "%llu resets, %llu arq resyncs)\n",
-      seeds, threads, static_cast<unsigned long long>(total_faults),
+      static_cast<unsigned long long>(*seeds),
+      static_cast<unsigned long long>(total_faults),
       static_cast<unsigned long long>(total_resets),
       static_cast<unsigned long long>(total_resyncs));
   return 0;
