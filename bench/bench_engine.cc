@@ -238,7 +238,7 @@ int main() {
   w.field("baseline_wall_seconds", legacy.secs);
   w.field("baseline_events", legacy.events);
   w.field("baseline_events_per_sec", base_eps);
-  benchjson::perf_fields(w, fast1.secs, fast1.events);
+  benchjson::perf_fields(w, /*setup_seconds=*/0, fast1.secs, fast1.events);
   w.field("speedup", speedup);
   w.field("determinism_ok", determinism_ok);
   w.field("baseline_order_match", baseline_match);

@@ -41,8 +41,11 @@ class Writer;
 
 /// The standard perf-trajectory fields every bench emits, so
 /// tools/bench_trend.py can fold all BENCH_*.json files into one table:
-/// wall_seconds, engine_events, events_per_sec.
-void perf_fields(Writer& w, double wall_seconds, std::uint64_t events);
+/// setup_seconds (building testbeds and nodes), run_seconds (everything
+/// else), wall_seconds (their sum), engine_events, and events_per_sec
+/// (events / run_seconds, so it measures the simulator, not the builds).
+void perf_fields(Writer& w, double setup_seconds, double run_seconds,
+                 std::uint64_t events);
 
 /// Incremental JSON builder; the caller supplies structure via the
 /// open/close calls and the builder handles commas.
@@ -105,11 +108,14 @@ class Writer {
   bool fresh_ = true;
 };
 
-inline void perf_fields(Writer& w, double wall_seconds, std::uint64_t events) {
-  w.field("wall_seconds", wall_seconds);
+inline void perf_fields(Writer& w, double setup_seconds, double run_seconds,
+                        std::uint64_t events) {
+  w.field("setup_seconds", setup_seconds);
+  w.field("run_seconds", run_seconds);
+  w.field("wall_seconds", setup_seconds + run_seconds);
   w.field("engine_events", events);
   w.field("events_per_sec",
-          wall_seconds > 0 ? static_cast<double>(events) / wall_seconds : 0.0);
+          run_seconds > 0 ? static_cast<double>(events) / run_seconds : 0.0);
 }
 
 }  // namespace benchjson

@@ -50,6 +50,7 @@ struct RunResult {
   std::uint64_t rate_deferrals = 0;
   std::uint64_t rx_drops = 0;
   std::uint64_t events = 0;
+  double setup_s = 0;  // wall time spent building the testbed
 };
 
 double jain_index(const std::vector<double>& x) {
@@ -77,7 +78,9 @@ RunResult run_incast(double multiplier, const std::vector<std::uint32_t>& weight
   NodeConfig cb = make_3000_600_config();
   ca.spans = &spans_a;
   cb.spans = &spans_b;
+  const benchjson::WallTimer build;
   Testbed tb(ca, cb);
+  const double setup_s = build.seconds();
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
 
@@ -151,6 +154,7 @@ RunResult run_incast(double multiplier, const std::vector<std::uint32_t>& weight
   r.rate_deferrals = tb.a.txp.rate_deferrals();
   r.rx_drops = tb.b.rxp.pdus_dropped_nobuf() + tb.b.rxp.pdus_dropped_quota();
   r.events = tb.dispatched();
+  r.setup_s = setup_s;
   return r;
 }
 
@@ -210,10 +214,12 @@ int main() {
 
   double baseline_agg = 0.0, incast_agg = 0.0, incast_jain = 0.0;
   std::uint64_t events = 0;
+  double setup = 0;
   for (const double m : sweep) {
     const RunResult r = run_incast(m, equal);
     emit_row("equal", m, r, json);
     events += r.events;
+    setup += r.setup_s;
     if (m == 0.9) baseline_agg = r.aggregate_mbps;
     if (m == 10.0) {
       incast_agg = r.aggregate_mbps;
@@ -229,6 +235,7 @@ int main() {
   const RunResult w = run_incast(2.0, {4, 2, 1, 1}, /*bytes=*/8000);
   emit_row("weighted", 2.0, w, json);
   events += w.events;
+  setup += w.setup_s;
 
   json.close_array();
   const double retention = baseline_agg > 0 ? incast_agg / baseline_agg : 0.0;
@@ -237,7 +244,7 @@ int main() {
   if (!w.goodput_mbps.empty() && w.goodput_mbps[3] > 0) {
     json.field("weighted_ratio_4_to_1", w.goodput_mbps[0] / w.goodput_mbps[3]);
   }
-  benchjson::perf_fields(json, wall.seconds(), events);
+  benchjson::perf_fields(json, setup, wall.seconds() - setup, events);
   json.close_object();
 
   std::printf("\n  10x incast: Jain=%.4f (want >= 0.9), goodput retention vs"

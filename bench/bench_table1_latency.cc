@@ -4,8 +4,8 @@
 // the paper's setup.
 //
 // Emits BENCH_table1_latency.json: one row per machine/protocol pair plus
-// the standard perf-trajectory fields (wall_seconds, engine_events,
-// events_per_sec).
+// the standard perf-trajectory fields (benchjson::perf_fields); building
+// each testbed counts as setup, everything else as run.
 #include <cstdio>
 
 #include "bench_json.h"
@@ -20,18 +20,21 @@ using namespace osiris;
 struct RunOut {
   double rtt_us = 0;
   std::uint64_t events = 0;  // engine events dispatched by this run
+  double setup_s = 0;        // wall time spent building the testbed
 };
 
 RunOut rtt(bool alpha, bool udp, std::uint32_t bytes) {
+  const benchjson::WallTimer build;
   Testbed tb(alpha ? make_3000_600_config() : make_5000_200_config(),
              alpha ? make_3000_600_config() : make_5000_200_config());
+  const double setup_s = build.seconds();
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
   sc.mode = udp ? proto::StackMode::kUdpIp : proto::StackMode::kRawAtm;
   auto sa = tb.a.make_stack(sc);
   auto sb = tb.b.make_stack(sc);
   const double us = harness::ping_pong(tb, *sa, *sb, vci, bytes, 12).rtt_us_mean;
-  return RunOut{us, tb.dispatched()};
+  return RunOut{us, tb.dispatched(), setup_s};
 }
 
 double us_of(double ticks) { return ticks / 1e6; }  // Tick = picoseconds
@@ -39,13 +42,15 @@ double us_of(double ticks) { return ticks / 1e6; }  // Tick = picoseconds
 /// One span-instrumented ping-pong (raw ATM, 1024 B, 5000/200) feeding the
 /// per-stage latency histograms; both directions merged so the
 /// distribution covers every PDU of the run.
-std::uint64_t span_run(benchjson::Writer& w) {
+RunOut span_run(benchjson::Writer& w) {
   obs::PduSpans spans_a, spans_b;  // one per node
   NodeConfig ca = make_5000_200_config();
   NodeConfig cb = make_5000_200_config();
   ca.spans = &spans_a;
   cb.spans = &spans_b;
+  const benchjson::WallTimer build;
   Testbed tb(ca, cb);
+  const double setup_s = build.seconds();
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
@@ -78,7 +83,7 @@ std::uint64_t span_run(benchjson::Writer& w) {
               static_cast<unsigned long long>(e2e.count()),
               us_of(e2e.quantile(0.50)), us_of(e2e.quantile(0.99)),
               us_of(e2e.quantile(0.999)));
-  return tb.dispatched();
+  return RunOut{0, tb.dispatched(), setup_s};
 }
 
 }  // namespace
@@ -86,6 +91,7 @@ std::uint64_t span_run(benchjson::Writer& w) {
 int main() {
   const benchjson::WallTimer wall;
   std::uint64_t events = 0;
+  double setup = 0;
 
   std::puts("Table 1: Round-Trip Latencies (us)  [paper value in brackets]");
   std::puts("");
@@ -119,6 +125,7 @@ int main() {
     for (int i = 0; i < 4; ++i) {
       const RunOut out = rtt(r.alpha, r.udp, sizes[i]);
       events += out.events;
+      setup += out.setup_s;
       std::printf("  %5.0f [%4d]", out.rtt_us, r.paper[i]);
       w.field(size_keys[i], out.rtt_us);
     }
@@ -127,10 +134,11 @@ int main() {
   }
   w.close_array();
 
-  events += span_run(w);
+  const RunOut spans = span_run(w);
+  events += spans.events;
+  setup += spans.setup_s;
 
-  const double secs = wall.seconds();
-  benchjson::perf_fields(w, secs, events);
+  benchjson::perf_fields(w, setup, wall.seconds() - setup, events);
   w.close_object();
   w.dump("table1_latency");
 

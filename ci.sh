@@ -14,15 +14,24 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== bench smoke (machine-readable output) =="
 # The robustness benches must run to completion and emit their JSON result
 # files (goodput + latency quantiles per row/tenant) for downstream plots.
+# The paper benches (Table 1, Figures 2-4) run too, so their whole-system
+# events/sec meets the floors below (about 5 s together).
 ( cd build/bench \
   && ./bench_fault --benchmark_min_time=0.01s >/dev/null \
   && ./bench_adc_isolation >/dev/null \
   && ./bench_qos >/dev/null \
   && ./bench_chaos >/dev/null \
-  && ./bench_demux >/dev/null )
+  && ./bench_demux >/dev/null \
+  && ./bench_table1_latency >/dev/null \
+  && ./bench_fig2_receive_5000 >/dev/null \
+  && ./bench_fig3_receive_3000 >/dev/null \
+  && ./bench_fig4_transmit >/dev/null )
 for f in build/bench/BENCH_fault.json build/bench/BENCH_adc_isolation.json \
          build/bench/BENCH_qos.json build/bench/BENCH_chaos.json \
-         build/bench/BENCH_demux.json; do
+         build/bench/BENCH_demux.json build/bench/BENCH_table1_latency.json \
+         build/bench/BENCH_fig2_receive_5000.json \
+         build/bench/BENCH_fig3_receive_3000.json \
+         build/bench/BENCH_fig4_transmit.json; do
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
 
@@ -40,10 +49,11 @@ echo "== engine determinism smoke =="
 ( cd build/bench && ./bench_engine )
 
 echo "== perf trend table + per-bench floors =="
-# Fold every BENCH_*.json's common perf fields (wall_seconds, engine_events,
-# events_per_sec) into one table so throughput trajectories across benches
-# are visible in a single CI artifact.  --floors then gates on
-# bench/floors.tsv: engine events/sec (perf floor, skipped under
+# Fold every BENCH_*.json's common perf fields (setup_seconds, run_seconds,
+# wall_seconds, engine_events, events_per_sec) into one table so throughput
+# trajectories across benches are visible in a single CI artifact.
+# --floors then gates on bench/floors.tsv: engine and whole-system paper
+# bench events/sec and chaos scenarios/sec (perf floors, skipped under
 # OSIRIS_SANITIZE), the demux flow-table gates (single-probe speedup floor
 # plus ns/cell and flatness ceilings), and the QoS and chaos quality
 # floors, which apply to every build flavor.  --html renders the

@@ -11,7 +11,7 @@ DataCache::DataCache(PhysicalMemory& pm, CacheConfig cfg) : pm_(&pm), cfg_(cfg) 
     throw std::invalid_argument("DataCache: size not a multiple of line size");
   }
   lines_.resize(cfg_.size_bytes / cfg_.line_bytes);
-  for (auto& l : lines_) l.data.resize(cfg_.line_bytes);
+  data_.resize(cfg_.size_bytes);
 }
 
 AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
@@ -23,14 +23,16 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
     const std::uint32_t off = a - line_base;
     const std::uint32_t n = std::min<std::uint32_t>(
         cfg_.line_bytes - off, static_cast<std::uint32_t>(dst.size() - done));
-    Line& line = lines_[index_of(a)];
+    const std::uint32_t index = index_of(a);
+    Line& line = lines_[index];
+    const auto data = data_of(index);
     const std::uint32_t tag = tag_of(a);
     if (line.valid && line.tag == tag) {
       ++cost.hits;
       // Possibly stale: compare with memory for statistics only; the data
       // we return is the cached copy, as the real hardware would.
       const auto truth = pm_->view(line_base, cfg_.line_bytes);
-      if (!std::equal(line.data.begin(), line.data.end(), truth.begin())) {
+      if (!std::equal(data.begin(), data.end(), truth.begin())) {
         ++stale_reads_;
       }
     } else {
@@ -38,9 +40,9 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
       cost.mem_words += cfg_.line_bytes / 4;
       line.valid = true;
       line.tag = tag;
-      pm_->read(line_base, line.data);
+      pm_->read(line_base, data);
     }
-    std::copy_n(line.data.begin() + off, n, dst.begin() + done);
+    std::copy_n(data.begin() + off, n, dst.begin() + done);
     done += n;
   }
   return cost;
@@ -58,10 +60,11 @@ AccessCost DataCache::cpu_write(PhysAddr addr, std::span<const std::uint8_t> src
     const std::uint32_t off = a - line_base;
     const std::uint32_t n = std::min<std::uint32_t>(
         cfg_.line_bytes - off, static_cast<std::uint32_t>(src.size() - done));
-    Line& line = lines_[index_of(a)];
+    const std::uint32_t index = index_of(a);
+    const Line& line = lines_[index];
     if (line.valid && line.tag == tag_of(a)) {
       ++cost.hits;
-      std::copy_n(src.begin() + done, n, line.data.begin() + off);
+      std::copy_n(src.begin() + done, n, data_of(index).begin() + off);
     }
     done += n;
   }
@@ -74,10 +77,11 @@ bool DataCache::dma_write(PhysAddr addr, std::span<const std::uint8_t> src) {
   const PhysAddr first = addr - (addr % cfg_.line_bytes);
   const PhysAddr end = addr + static_cast<PhysAddr>(src.size());
   for (PhysAddr base = first; base < end; base += cfg_.line_bytes) {
-    Line& line = lines_[index_of(base)];
+    const std::uint32_t index = index_of(base);
+    const Line& line = lines_[index];
     if (!line.valid || line.tag != tag_of(base)) continue;
     if (cfg_.coherence == DmaCoherence::kUpdate) {
-      pm_->read(base, line.data);  // hardware refreshes the cached copy
+      pm_->read(base, data_of(index));  // hardware refreshes the cached copy
     } else {
       ++dma_stale_lines_;  // line now holds stale data
     }
@@ -119,10 +123,12 @@ bool DataCache::is_stale(PhysAddr addr, std::uint32_t len) const {
   const PhysAddr first = addr - (addr % cfg_.line_bytes);
   const PhysAddr end = addr + len;
   for (PhysAddr base = first; base < end; base += cfg_.line_bytes) {
-    const Line& line = lines_[(base / cfg_.line_bytes) % lines_.size()];
-    if (!line.valid || line.tag != base / cfg_.line_bytes / lines_.size()) continue;
+    const std::uint32_t index = index_of(base);
+    const Line& line = lines_[index];
+    if (!line.valid || line.tag != tag_of(base)) continue;
+    const auto data = data_of(index);
     const auto truth = pm_->view(base, cfg_.line_bytes);
-    if (!std::equal(line.data.begin(), line.data.end(), truth.begin())) return true;
+    if (!std::equal(data.begin(), data.end(), truth.begin())) return true;
   }
   return false;
 }

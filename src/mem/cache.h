@@ -95,7 +95,6 @@ class DataCache {
   struct Line {
     bool valid = false;
     std::uint32_t tag = 0;
-    std::vector<std::uint8_t> data;
   };
 
   [[nodiscard]] std::uint32_t index_of(PhysAddr addr) const {
@@ -105,9 +104,18 @@ class DataCache {
     return addr / cfg_.line_bytes / static_cast<std::uint32_t>(lines_.size());
   }
 
+  /// The cached bytes of line `index`.
+  [[nodiscard]] std::span<std::uint8_t> data_of(std::uint32_t index) {
+    return {data_.data() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
+  }
+  [[nodiscard]] std::span<const std::uint8_t> data_of(std::uint32_t index) const {
+    return {data_.data() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
+  }
+
   PhysicalMemory* pm_;
   CacheConfig cfg_;
   std::vector<Line> lines_;
+  std::vector<std::uint8_t> data_;  // size_bytes: every line's bytes, by index
   std::uint64_t stale_reads_ = 0;      // CPU reads that returned stale bytes
   std::uint64_t dma_stale_lines_ = 0;  // lines made stale by DMA writes
 };

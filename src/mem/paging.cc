@@ -11,6 +11,8 @@ namespace osiris::mem {
 FrameAllocator::FrameAllocator(std::size_t mem_bytes, bool interleave,
                                std::uint64_t seed)
     : total_frames_(mem_bytes / kPageSize),
+      next_(total_frames_),
+      prev_(total_frames_),
       allocated_(total_frames_, false) {
   std::vector<std::uint32_t> order(total_frames_);
   for (std::size_t i = 0; i < total_frames_; ++i) order[i] = static_cast<std::uint32_t>(i);
@@ -22,13 +24,29 @@ FrameAllocator::FrameAllocator(std::size_t mem_bytes, bool interleave,
       std::swap(order[i - 1], order[rng.below(i)]);
     }
   }
-  free_.assign(order.begin(), order.end());
+  for (const std::uint32_t frame : order) push_back(frame);
+}
+
+void FrameAllocator::push_back(std::uint32_t frame) {
+  next_[frame] = kNil;
+  prev_[frame] = tail_;
+  (tail_ == kNil ? head_ : next_[tail_]) = frame;
+  tail_ = frame;
+  ++free_count_;
+}
+
+void FrameAllocator::unlink(std::uint32_t frame) {
+  const std::uint32_t next = next_[frame];
+  const std::uint32_t prev = prev_[frame];
+  (prev == kNil ? head_ : next_[prev]) = next;
+  (next == kNil ? tail_ : prev_[next]) = prev;
+  --free_count_;
 }
 
 PhysAddr FrameAllocator::alloc() {
-  if (free_.empty()) throw std::runtime_error("FrameAllocator: out of frames");
-  const std::uint32_t frame = free_.front();
-  free_.pop_front();
+  if (head_ == kNil) throw std::runtime_error("FrameAllocator: out of frames");
+  const std::uint32_t frame = head_;
+  unlink(frame);
   allocated_[frame] = true;
   return frame * kPageSize;
 }
@@ -45,7 +63,7 @@ std::optional<PhysAddr> FrameAllocator::alloc_contiguous(std::uint32_t n) {
       const std::uint32_t first = f + 1 - n;
       for (std::uint32_t g = first; g <= f; ++g) {
         allocated_[g] = true;
-        free_.erase(std::find(free_.begin(), free_.end(), g));
+        unlink(g);
       }
       return first * kPageSize;
     }
@@ -59,7 +77,7 @@ void FrameAllocator::free(PhysAddr frame_base) {
     throw std::logic_error("FrameAllocator: bad free");
   }
   allocated_[frame] = false;
-  free_.push_back(frame);
+  push_back(frame);
 }
 
 AddressSpace::AddressSpace(PhysicalMemory& pm, FrameAllocator& fa, std::string name)

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 #include <string>
@@ -29,7 +28,9 @@ constexpr std::uint32_t page_of(std::uint32_t addr) { return addr >> kPageShift;
 constexpr std::uint32_t page_offset(std::uint32_t addr) { return addr & (kPageSize - 1); }
 constexpr std::uint32_t page_base(std::uint32_t addr) { return addr & ~(kPageSize - 1); }
 
-/// Allocates physical page frames from a shared pool.
+/// Allocates physical page frames from a shared pool. The free list is a
+/// FIFO: alloc() takes the oldest free frame and free() queues a frame
+/// behind every other, so a freed frame is re-issued only after the rest.
 class FrameAllocator {
  public:
   /// `interleave`: if true (default), the free list is shuffled so that
@@ -47,13 +48,24 @@ class FrameAllocator {
 
   void free(PhysAddr frame_base);
 
-  [[nodiscard]] std::size_t free_frames() const { return free_.size(); }
+  [[nodiscard]] std::size_t free_frames() const { return free_count_; }
   [[nodiscard]] std::size_t total_frames() const { return total_frames_; }
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  void push_back(std::uint32_t frame);
+  void unlink(std::uint32_t frame);  // O(1), from anywhere in the list
+
   std::size_t total_frames_;
-  std::deque<std::uint32_t> free_;            // frame numbers
-  std::vector<bool> allocated_;               // by frame number
+  std::size_t free_count_ = 0;
+  // The free list, threaded through per-frame links (frame numbers; kNil
+  // ends it). An allocated frame's links are meaningless.
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> prev_;
+  std::uint32_t head_ = kNil;
+  std::uint32_t tail_ = kNil;
+  std::vector<bool> allocated_;  // by frame number
 };
 
 /// A protection domain's virtual address space: a page table mapping

@@ -4,11 +4,15 @@
 // payload in the simulation is real data stored here: DMA engines copy
 // bytes in and out of this array, protocol checksums are computed over it,
 // and tests verify end-to-end integrity through it.
+//
+// The bytes live in an anonymous private mapping, which the host kernel
+// zero-fills one page at a time on first touch: a node pays only for the
+// simulated memory its run actually touches (DESIGN.md §8).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
-#include <vector>
 
 #include "fault/fault.h"
 
@@ -25,11 +29,17 @@ struct PhysBuffer {
   friend bool operator==(const PhysBuffer&, const PhysBuffer&) = default;
 };
 
+/// Move-only: the mapping has exactly one owner, and a moved-from memory
+/// has size 0, so every access to it fails its bounds check.
 class PhysicalMemory {
  public:
-  explicit PhysicalMemory(std::size_t bytes) : data_(bytes, 0) {}
+  /// Reserves `bytes` of zeroed memory. Throws std::bad_alloc when the
+  /// host cannot map it.
+  explicit PhysicalMemory(std::size_t bytes);
 
-  [[nodiscard]] std::size_t size() const { return data_.size(); }
+  [[nodiscard]] std::size_t size() const {
+    return data_ ? data_.get_deleter().bytes : 0;
+  }
 
   /// Reads `dst.size()` bytes starting at `addr`. Bounds-checked.
   void read(PhysAddr addr, std::span<std::uint8_t> dst) const;
@@ -74,10 +84,16 @@ class PhysicalMemory {
   [[nodiscard]] std::span<std::uint8_t> view_mut(PhysAddr addr, std::size_t len);
 
  private:
+  /// Deleter of the mapping; it also records the mapping's length.
+  struct Unmap {
+    std::size_t bytes = 0;
+    void operator()(std::uint8_t* p) const;
+  };
+
   void check(PhysAddr addr, std::size_t len) const;
   bool dma_ok(PhysAddr addr, std::size_t len);
 
-  std::vector<std::uint8_t> data_;
+  std::unique_ptr<std::uint8_t, Unmap> data_;  // null when size() is 0
   fault::FaultPlane* faults_ = nullptr;
   std::uint64_t dma_errors_ = 0;
 };

@@ -1,6 +1,8 @@
-// Facade-level tests: path management (abundant VCIs), statistics
-// snapshots, and the RPC protocol configured above the stack.
+// Facade-level tests: testbed construction cost, path management
+// (abundant VCIs), statistics snapshots, and the RPC protocol configured
+// above the stack.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "osiris/paths.h"
 #include "osiris/stats.h"
@@ -8,6 +10,23 @@
 
 namespace osiris {
 namespace {
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+TEST(Testbed, BuildTouchesFewHostPages) {
+  // Each node's 64 MiB of simulated memory is backed lazily, so a build
+  // faults in only the pages it writes: one eagerly zeroed node alone
+  // would take 16,384. A count, not a time, so it cannot flake.
+  const long before = minor_faults();
+  Testbed tb(NodeConfig{}, NodeConfig{});
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, 4096) << "minor page faults to build a testbed";
+  EXPECT_EQ(tb.a.pm.size(), NodeConfig{}.mem_bytes);
+}
 
 TEST(Paths, OpenBindsBothEnds) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());

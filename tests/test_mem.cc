@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <type_traits>
 
 #include "mem/cache.h"
 #include "mem/paging.h"
@@ -27,6 +28,28 @@ TEST(PhysicalMemory, BoundsChecked) {
   EXPECT_THROW(pm.read(4090, buf), std::out_of_range);
   EXPECT_THROW(pm.write(4096, buf), std::out_of_range);
   EXPECT_NO_THROW(pm.read(4086, buf));
+}
+
+static_assert(!std::is_copy_constructible_v<PhysicalMemory>);
+static_assert(std::is_nothrow_move_constructible_v<PhysicalMemory>);
+
+TEST(PhysicalMemory, FreshMemoryReadsZero) {
+  // Backed lazily: untouched pages must still read as zeroed memory.
+  constexpr std::size_t kBytes = 64u << 20;
+  PhysicalMemory pm(kBytes);
+  EXPECT_EQ(pm.size(), kBytes);
+  EXPECT_EQ(pm.byte(0), 0);
+  EXPECT_EQ(pm.byte(kBytes / 2), 0);
+  EXPECT_EQ(pm.byte(kBytes - 1), 0);
+}
+
+TEST(PhysicalMemory, MovedFromHoldsNothing) {
+  PhysicalMemory a(1 << 16);
+  a.set_byte(7, 42);
+  PhysicalMemory b(std::move(a));
+  EXPECT_EQ(b.byte(7), 42);
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_THROW((void)a.byte(0), std::out_of_range);
 }
 
 TEST(FrameAllocator, InterleavedFramesAreDiscontiguous) {
@@ -75,6 +98,41 @@ TEST(FrameAllocator, FreeAndReuse) {
   fa.free(all[5]);
   EXPECT_EQ(fa.alloc(), all[5]);
   EXPECT_THROW(fa.free(123456u * 0 + all[0] + kPageSize * 100), std::logic_error);
+}
+
+TEST(FrameAllocator, IssueOrderPinned) {
+  // Frame addresses feed DMA splits and cache indices, so the order frames
+  // come out in is part of every fingerprint. The hash below was recorded
+  // with the original deque free list.
+  FrameAllocator fa(64u << 20, /*interleave=*/true, /*seed=*/1);
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFFu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto note = [&](PhysAddr a) {
+    mix(a);
+    mix(fa.free_frames());
+  };
+  for (int i = 0; i < 64; ++i) {
+    const auto base = fa.alloc_contiguous(4);
+    ASSERT_TRUE(base.has_value());
+    note(*base);
+  }
+  std::vector<PhysAddr> singles;
+  for (int i = 0; i < 200; ++i) {
+    singles.push_back(fa.alloc());
+    note(singles.back());
+  }
+  for (std::size_t i = 0; i < singles.size(); i += 3) {
+    fa.free(singles[i]);
+    mix(fa.free_frames());
+  }
+  for (int i = 0; i < 100; ++i) note(fa.alloc());
+  EXPECT_EQ(fa.free_frames(), 16384u - 256 - 200 + 67 - 100);
+  EXPECT_EQ(h, 0xb57f8db0d69596b5ULL);
 }
 
 TEST(AddressSpace, TranslateAndScatter) {

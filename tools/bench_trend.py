@@ -2,7 +2,8 @@
 """Fold BENCH_*.json perf fields into a single trend table.
 
 Every throughput-style bench emits the common perf-trajectory fields
-(wall_seconds, engine_events, events_per_sec) via benchjson::perf_fields.
+(setup_seconds, run_seconds, wall_seconds, engine_events, events_per_sec)
+via benchjson::perf_fields; events_per_sec is events / run_seconds.
 This script sweeps one or more directories (or explicit files) for
 BENCH_*.json, prints an aligned table of those fields, and optionally
 appends the rows to a TSV history file so successive CI runs accumulate a
@@ -81,6 +82,8 @@ def load_rows(files):
             continue
         rows.append({
             "bench": name,
+            "setup_seconds": data.get("setup_seconds"),
+            "run_seconds": data.get("run_seconds"),
             "wall_seconds": data.get("wall_seconds"),
             "engine_events": data.get("engine_events"),
             "events_per_sec": data.get("events_per_sec"),
@@ -98,21 +101,21 @@ def fmt(value, spec):
 
 
 def print_table(rows):
-    header = ("bench", "wall_s", "events", "events/sec")
-    widths = [max(len(header[0]), max((len(r["bench"]) for r in rows), default=0)),
-              9, 12, 13]
-    line = "%-*s  %*s  %*s  %*s"
-    print(line % (widths[0], header[0], widths[1], header[1], widths[2],
-                  header[2], widths[3], header[3]))
+    header = ("bench", "setup_s", "run_s", "wall_s", "events", "events/sec")
+    width = max([len(header[0])] + [len(r["bench"]) for r in rows])
+    line = "%-" + str(width) + "s  %9s  %9s  %9s  %12s  %13s"
+    print(line % header)
     for r in rows:
         if "error" in r:
-            print("%-*s  unreadable: %s" % (widths[0], r["bench"], r["error"]))
+            print("%-*s  unreadable: %s" % (width, r["bench"], r["error"]))
             continue
         print(line % (
-            widths[0], r["bench"],
-            widths[1], fmt(r["wall_seconds"], "%.3f"),
-            widths[2], fmt(r["engine_events"], "%d"),
-            widths[3], fmt(r["events_per_sec"], "%.0f"),
+            r["bench"],
+            fmt(r["setup_seconds"], "%.3f"),
+            fmt(r["run_seconds"], "%.3f"),
+            fmt(r["wall_seconds"], "%.3f"),
+            fmt(r["engine_events"], "%d"),
+            fmt(r["events_per_sec"], "%.0f"),
         ))
 
 
@@ -197,22 +200,26 @@ def run_label():
     return "%s@%s" % (rev, time.strftime("%Y-%m-%dT%H:%M:%S"))
 
 
-HISTORY_COLUMNS = ("run", "bench", "wall_seconds", "engine_events",
-                   "events_per_sec")
+HISTORY_COLUMNS = ("run", "bench", "setup_seconds", "run_seconds",
+                   "wall_seconds", "engine_events", "events_per_sec")
 
 
 def append_history(rows, path, label):
     # Rows follow the file's own header, so a history written with older
-    # columns (threads, speedup, stall) keeps growing consistently; columns
-    # a row lacks are written as "-".
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    columns = HISTORY_COLUMNS
-    if not fresh:
+    # columns (threads, speedup, stall) keeps growing consistently. A
+    # column the file lacks is added to its header, with "-" in its older
+    # rows; columns a row lacks are written as "-".
+    columns, old = list(HISTORY_COLUMNS), []
+    if os.path.exists(path) and os.path.getsize(path) > 0:
         with open(path, "r", encoding="utf-8") as fh:
             columns = fh.readline().rstrip("\n").split("\t")
-    with open(path, "a", encoding="utf-8") as fh:
-        if fresh:
-            fh.write("\t".join(columns) + "\n")
+            old = [line.rstrip("\n") for line in fh if line.strip()]
+    added = [c for c in HISTORY_COLUMNS if c not in columns]
+    columns += added
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(columns) + "\n")
+        for line in old:
+            fh.write("\t".join([line] + ["-"] * len(added)) + "\n")
         for r in rows:
             if "error" in r or r.get("events_per_sec") is None:
                 continue
@@ -463,13 +470,16 @@ def write_dashboard(path, files, rows, history_path, floors):
         parts.append(_gate_bullets(data_by_bench, floors))
 
     parts.append("<h2>Latest run</h2>")
-    parts.append("<table><tr><th>bench</th><th>wall s</th>"
-                 "<th>events</th><th>events/sec</th></tr>")
+    parts.append("<table><tr><th>bench</th><th>setup s</th><th>run s</th>"
+                 "<th>wall s</th><th>events</th><th>events/sec</th></tr>")
     for r in rows:
         if "error" in r:
             continue
-        parts.append("<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td></tr>"
+        parts.append("<tr><td>%s</td><td>%s</td><td>%s</td><td>%s</td>"
+                     "<td>%s</td><td>%s</td></tr>"
                      % (html_escape(r["bench"]),
+                        fmt(r["setup_seconds"], "%.3f"),
+                        fmt(r["run_seconds"], "%.3f"),
                         fmt(r["wall_seconds"], "%.3f"),
                         fmt(r["engine_events"], "%d"),
                         fmt(r["events_per_sec"], "%.0f")))
