@@ -1,13 +1,14 @@
 #!/bin/sh
-# Builds and tests the tree twice: a plain RelWithDebInfo pass, then an
-# AddressSanitizer+UBSan pass (build-asan/). Either failing fails the script.
+# Builds and tests the tree twice: a plain RelWithDebInfo pass, in which
+# every -Wall -Wextra warning is an error, then an AddressSanitizer+UBSan
+# pass (build-asan/). Either failing fails the script.
 set -eu
 
 cd "$(dirname "$0")"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== plain build =="
-cmake -B build -S . >/dev/null
+echo "== plain build (warnings are errors) =="
+cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 

@@ -297,13 +297,20 @@ void RxProcessor::accept_cell(int lane, const atm::Cell& c) {
     sim::trace_event(trace_, eng_->now(), "rx", "sar_drop", c.vci, c.seq);
     return;
   }
-  std::vector<atm::Placement> places;
-  std::vector<atm::Completion> dones;
+  // The member scratch vectors keep their capacity from cell to cell; they
+  // are moved out for the call, so a re-entrant call would allocate afresh
+  // rather than alias them.
+  std::vector<atm::Placement> places = std::move(scratch_places_);
+  std::vector<atm::Completion> dones = std::move(scratch_dones_);
+  places.clear();
+  dones.clear();
   // The router object is heap-owned, so this reference stays valid even
   // if flow-table inserts below move the VciState slab.
   router_for(*st).on_cell(lane, c, places, dones);
   for (const auto& pl : places) handle_placement(c.vci, pl);
   for (const auto& dn : dones) handle_completion(c.vci, dn);
+  scratch_places_ = std::move(places);
+  scratch_dones_ = std::move(dones);
 }
 
 RxProcessor::RxPdu* RxProcessor::pdu_for(atm::Vci vci, std::uint64_t pdu,

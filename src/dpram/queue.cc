@@ -46,8 +46,10 @@ OpResult QueueWriter::push(const Descriptor& d) {
   ++r.ram_accesses;
   if ((head_ + 1) % lay_.capacity == tail) return r;  // full
   Descriptor sealed = d;
-  sealed.flags = static_cast<std::uint16_t>(
-      (sealed.flags & ~kDescLapSeal) | (lap_odd_ ? 0u : kDescLapSeal));
+  const std::uint32_t seal =
+      lap_odd_ ? 0u : static_cast<std::uint32_t>(kDescLapSeal);
+  sealed.flags =
+      static_cast<std::uint16_t>((sealed.flags & ~kDescLapSeal) | seal);
   write_descriptor(*ram_, side_, lay_, head_, sealed);
   ram_->maybe_corrupt(side_, lay_.slot_word(head_), kDescriptorWords);
   r.ram_accesses += kDescriptorWords;

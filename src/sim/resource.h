@@ -14,8 +14,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
+#include <iterator>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/engine.h"
 #include "sim/time.h"
@@ -31,22 +33,41 @@ class Resource {
   Tick reserve(Duration hold) { return reserve_at(eng_->now(), hold); }
 
   /// Reserves the earliest interval of length `hold` starting at or after
-  /// `from`. Returns the completion time.
+  /// `from`. Returns the completion time. Throws std::logic_error when
+  /// `from` is in the past.
   Tick reserve_at(Tick from, Duration hold) {
+    if (from < eng_->now()) {
+      throw std::logic_error("Resource::reserve_at: time in the past");
+    }
     prune();
     Tick start = from;
     if (hold > 0) {
       // Walk intervals overlapping or following `start` until a gap fits.
-      auto it = busy_.upper_bound(start);
-      if (it != busy_.begin()) {
-        auto prev = std::prev(it);
-        if (prev->second > start) start = prev->second;
+      auto it = std::upper_bound(
+          busy_.begin(), busy_.end(), start,
+          [](Tick t, const Interval& iv) { return t < iv.start; });
+      if (it != busy_.begin() && std::prev(it)->end > start) {
+        start = std::prev(it)->end;
       }
-      while (it != busy_.end() && it->first < start + hold) {
-        start = std::max(start, it->second);
+      while (it != busy_.end() && it->start < start + hold) {
+        start = std::max(start, it->end);
         ++it;
       }
-      busy_.emplace(start, start + hold);
+      // Everything before `it` ends by `start`; `it` begins at or after
+      // start + hold. Join whichever neighbours touch, else insert.
+      const Tick end = start + hold;
+      const bool left = it != busy_.begin() && std::prev(it)->end == start;
+      const bool right = it != busy_.end() && it->start == end;
+      if (left && right) {
+        std::prev(it)->end = it->end;
+        busy_.erase(it);
+      } else if (left) {
+        std::prev(it)->end = end;
+      } else if (right) {
+        it->start = start;
+      } else {
+        busy_.insert(it, Interval{start, end});
+      }
     }
     busy_until_ = std::max(busy_until_, start + hold);
     busy_total_ += hold;
@@ -87,18 +108,31 @@ class Resource {
   }
 
  private:
+  /// A busy interval [start, end).
+  struct Interval {
+    Tick start;
+    Tick end;
+  };
+
   /// Drops intervals that ended before the current simulated time: new
-  /// requests always carry from >= the issuing event's time, so nothing
-  /// can ever be booked there again.
+  /// requests always carry from >= now (reserve_at checks), so nothing can
+  /// ever be booked there again. Ends ascend with starts, so the dead
+  /// intervals form a prefix.
   void prune() {
     const Tick now = eng_->now();
-    auto it = busy_.begin();
-    while (it != busy_.end() && it->second < now) it = busy_.erase(it);
+    busy_.erase(busy_.begin(),
+                std::find_if(busy_.begin(), busy_.end(),
+                             [now](const Interval& iv) { return iv.end >= now; }));
   }
 
   Engine* eng_;
   std::string name_;
-  std::map<Tick, Tick> busy_;  // start -> end
+  /// The busy calendar: sorted by start, disjoint and never touching
+  /// (touching intervals are merged on insert), so a gap search steps over
+  /// real gaps only. Merging cannot change a result: a gap of length zero
+  /// never fits a reservation with hold > 0, so the earliest fit depends
+  /// only on the set of busy instants, which merging preserves.
+  std::vector<Interval> busy_;
   Tick busy_until_ = 0;
   Duration busy_total_ = 0;
   Duration wait_total_ = 0;

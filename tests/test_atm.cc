@@ -94,6 +94,68 @@ TEST(InternetChecksum, LeadingZerosDoNotChangeSum) {
   EXPECT_EQ(InternetChecksum::of(padded), InternetChecksum::of(data));
 }
 
+/// Bytewise Internet checksum: the definition the word-at-a-time kernel
+/// must match (big-endian 16-bit words, one's-complement fold).
+std::uint16_t inet_bytewise(std::span<const std::uint8_t> data) {
+  std::uint64_t s = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    s += i % 2 == 0 ? std::uint64_t{data[i]} << 8 : std::uint64_t{data[i]};
+  }
+  while ((s >> 16) != 0) s = (s & 0xFFFFu) + (s >> 16);
+  return static_cast<std::uint16_t>(~s & 0xFFFFu);
+}
+
+TEST(InternetChecksum, MatchesBytewiseReferenceAtEveryLengthAndSplit) {
+  // Every length from 0 to 300 covers each 8-byte block count with every
+  // bytewise tail. Two-piece splits at every 5th offset start the second
+  // update at both stream parities and every alignment of the 8-byte loop;
+  // a one-byte middle piece exercises carry-in and carry-out in one call.
+  sim::Rng rng(13);
+  std::vector<std::uint8_t> data(300);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const std::span<const std::uint8_t> whole(data.data(), len);
+    const std::uint16_t want = inet_bytewise(whole);
+    ASSERT_EQ(InternetChecksum::of(whole), want) << "len " << len;
+    for (std::size_t split = 0; split <= len; split += 5) {
+      InternetChecksum two;
+      two.update(whole.first(split));
+      two.update(whole.subspan(split));
+      ASSERT_EQ(two.value(), want) << "len " << len << " split " << split;
+      if (split < len) {
+        InternetChecksum three;
+        three.update(whole.first(split));
+        three.update(whole.subspan(split, 1));
+        three.update(whole.subspan(split + 1));
+        ASSERT_EQ(three.value(), want) << "len " << len << " split " << split;
+      }
+    }
+  }
+}
+
+TEST(InternetChecksum, AllZeroAndAllOnesPinTheFoldEdges) {
+  // A zero sum folds to 0x0000 (checksum 0xFFFF); a nonzero multiple of
+  // 0xFFFF folds to 0xFFFF (checksum 0x0000). The word-at-a-time sum must
+  // land on the same side of that edge as the bytewise one.
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::vector<std::uint8_t> zeros(len, 0x00);
+    const std::vector<std::uint8_t> ones(len, 0xFF);
+    EXPECT_EQ(InternetChecksum::of(zeros), 0xFFFF) << "len " << len;
+    EXPECT_EQ(InternetChecksum::of(ones), inet_bytewise(ones)) << "len " << len;
+    if (len >= 2 && len % 2 == 0) {
+      EXPECT_EQ(InternetChecksum::of(ones), 0x0000) << "len " << len;
+    }
+  }
+}
+
+TEST(InternetChecksum, Rfc1071WorkedExample) {
+  // RFC 1071 §3: the words 0001 f203 f4f5 f6f7 sum to 0xddf2.
+  const std::vector<std::uint8_t> d{0x00, 0x01, 0xf2, 0x03,
+                                    0xf4, 0xf5, 0xf6, 0xf7};
+  EXPECT_EQ(InternetChecksum::of(d), 0x220d);
+  EXPECT_EQ(inet_bytewise(d), 0x220d);
+}
+
 TEST(Cell, SealAndVerify) {
   Cell c;
   c.vci = 42;

@@ -125,7 +125,9 @@ TEST(LockFreeQueue, ConcurrentInterleavingIsConsistent) {
     if (i % 3 != 0) {
       if (!w.full()) w.push({pushed++, 1, 0, 0, 0});
     } else {
-      if (const auto d = r.pop()) EXPECT_EQ(d->addr, popped++);
+      if (const auto d = r.pop()) {
+        EXPECT_EQ(d->addr, popped++);
+      }
     }
   }
   while (const auto d = r.pop()) EXPECT_EQ(d->addr, popped++);

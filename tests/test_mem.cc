@@ -185,7 +185,7 @@ TEST(AddressSpace, UnmappedTranslateThrows) {
   PhysicalMemory pm(1 << 20);
   FrameAllocator fa(1 << 20);
   AddressSpace as(pm, fa, "t");
-  EXPECT_THROW(as.translate(0x100), std::out_of_range);
+  EXPECT_THROW((void)as.translate(0x100), std::out_of_range);
   EXPECT_FALSE(as.mapped(0x100));
 }
 

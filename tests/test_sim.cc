@@ -1,6 +1,12 @@
 // Unit tests for the discrete-event engine, resources, RNG and stats.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <stdexcept>
+#include <vector>
+
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "sim/rng.h"
@@ -142,6 +148,115 @@ TEST(Resource, UtilizationTracksBusyFraction) {
   eng.schedule(us(20), [] {});
   eng.run();
   EXPECT_DOUBLE_EQ(r.utilization(), 0.5);
+}
+
+TEST(Resource, BookingInThePastThrows) {
+  Engine eng;
+  Resource r(eng, "r");
+  eng.run_until(us(10));
+  EXPECT_THROW(r.reserve_at(us(5), us(1)), std::logic_error);
+  EXPECT_THROW(r.reserve_at(us(5), 0), std::logic_error);
+  EXPECT_EQ(r.reservations(), 0u);
+  EXPECT_EQ(r.reserve_at(us(10), us(1)), us(11));  // now itself is fine
+}
+
+/// Reference busy calendar: a std::map of start -> end with one node per
+/// reservation and no merging. The flat, merging calendar must give the
+/// same answer for every booking.
+class ReferenceCalendar {
+ public:
+  explicit ReferenceCalendar(const Engine& eng) : eng_(&eng) {}
+
+  Tick reserve_at(Tick from, Duration hold) {
+    for (auto it = busy.begin(); it != busy.end() && it->second < eng_->now();) {
+      it = busy.erase(it);
+    }
+    Tick start = from;
+    if (hold > 0) {
+      auto it = busy.upper_bound(start);
+      if (it != busy.begin()) {
+        auto prev = std::prev(it);
+        if (prev->second > start) start = prev->second;
+      }
+      while (it != busy.end() && it->first < start + hold) {
+        start = std::max(start, it->second);
+        ++it;
+      }
+      busy.emplace(start, start + hold);
+    }
+    busy_until = std::max(busy_until, start + hold);
+    busy_total += hold;
+    wait_total += start - from;
+    ++reservations;
+    return start + hold;
+  }
+
+  std::map<Tick, Tick> busy;  // start -> end
+  Tick busy_until = 0;
+  Duration busy_total = 0;
+  Duration wait_total = 0;
+  std::uint64_t reservations = 0;
+
+ private:
+  const Engine* eng_;
+};
+
+TEST(Resource, MatchesReferenceCalendarUnderRandomLoad) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Engine eng;
+    Resource r(eng, "r");
+    ReferenceCalendar ref(eng);
+    Rng rng(seed);
+    std::uint64_t gap_fills = 0;
+    for (int op = 0; op < 20000; ++op) {
+      const Tick now = eng.now();
+      Tick from = now + rng.below(200);
+      Duration hold = rng.chance(0.1) ? 0 : rng.between(1, 20);
+      const std::uint64_t kind = rng.below(10);
+      if (kind < 2) {
+        eng.run_until(now + rng.below(200));  // prunes on the next booking
+        continue;
+      }
+      if (kind < 5) {
+        // Aim at a live gap between two reference intervals: touch its
+        // left neighbour, its right one, or fill it exactly.
+        std::vector<std::pair<Tick, Tick>> gaps;
+        for (auto it = ref.busy.begin(); it != ref.busy.end(); ++it) {
+          const auto next = std::next(it);
+          if (next != ref.busy.end() && it->second >= now &&
+              next->first > it->second) {
+            gaps.emplace_back(it->second, next->first);
+          }
+        }
+        if (!gaps.empty()) {
+          const auto [lo, hi] = gaps[rng.below(gaps.size())];
+          const Duration len = hi - lo;
+          switch (rng.below(3)) {
+            case 0:  // touches the left neighbour
+              from = lo;
+              hold = len > 1 ? rng.between(1, len - 1) : len;
+              break;
+            case 1:  // touches the right neighbour
+              hold = len > 1 ? rng.between(1, len - 1) : len;
+              from = hi - hold;
+              break;
+            default:  // touches both
+              from = lo;
+              hold = len;
+              break;
+          }
+          ++gap_fills;
+        }
+      }
+      ASSERT_EQ(r.reserve_at(from, hold), ref.reserve_at(from, hold))
+          << "seed " << seed << " op " << op;
+      ASSERT_EQ(r.busy_total(), ref.busy_total) << "seed " << seed << " op " << op;
+      ASSERT_EQ(r.wait_total(), ref.wait_total) << "seed " << seed << " op " << op;
+      ASSERT_EQ(r.free_at(), ref.busy_until) << "seed " << seed << " op " << op;
+      ASSERT_EQ(r.reservations(), ref.reservations) << "seed " << seed << " op " << op;
+    }
+    EXPECT_GT(gap_fills, 1000u) << "seed " << seed;
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
