@@ -35,6 +35,18 @@ for f in build/bench/BENCH_fault.json build/bench/BENCH_adc_isolation.json \
          build/bench/BENCH_fig4_transmit.json; do
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
+# The --stats-json dump must parse, both nodes must expose the same counter
+# names, and every counter must be an exact integer.
+./build/examples/quickstart --stats-json=build/stats.json >/dev/null
+python3 - build/stats.json <<'EOF'
+import json, sys
+counters = json.load(open(sys.argv[1]))["counters"]
+names = {n: {k[2:] for k in counters if k.startswith(n + ".")} for n in "ab"}
+assert names["a"], "no node counters in " + sys.argv[1]
+assert names["a"] == names["b"], names["a"] ^ names["b"]
+bad = [k for k, v in counters.items() if type(v) is not int]
+assert not bad, "non-integer counters: %s" % bad
+EOF
 
 echo "== chaos sweep (fixed seeds) =="
 # Deterministic fault-injection sweep over generated schedules: every run

@@ -58,7 +58,7 @@ int main() {
 
   std::puts("");
   std::puts("--- receiver statistics ---");
-  std::fputs(format_stats(snapshot(tb.b)).c_str(), stdout);
+  std::fputs(stats(tb.b).to_text().c_str(), stdout);
 
   std::puts("");
   std::printf("fbuf pools on B: hot paths are %s; early demux decided the\n",

@@ -74,7 +74,6 @@ void AdcSupervisor::quarantine(int pair_index) {
   if (chp == nullptr || chp->quarantined) return;
   Channel& ch = *chp;
   ch.quarantined = true;
-  ++quarantines_;
   txp_->remove_queue(pair_index);
   for (const atm::Vci vci : ch.adc->vcis()) rxp_->quarantine_vci(vci);
   sim::trace_event(trace_, eng_->now(), "sup", "quarantine",

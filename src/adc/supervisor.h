@@ -78,7 +78,6 @@ class AdcSupervisor {
   [[nodiscard]] bool quarantined(int pair_index) const;
   /// Typed violations charged to the channel since watch().
   [[nodiscard]] std::uint64_t violations(int pair_index) const;
-  [[nodiscard]] std::uint64_t quarantines() const { return quarantines_; }
   /// All violations seen, by type (both processors).
   [[nodiscard]] std::uint64_t seen(board::Violation v) const {
     return seen_[static_cast<std::size_t>(v)];
@@ -108,7 +107,6 @@ class AdcSupervisor {
   flow::FlowTable<Channel> channels_;
   std::array<std::uint64_t, static_cast<std::size_t>(board::Violation::kCount)>
       seen_{};
-  std::uint64_t quarantines_ = 0;
   bool polling_ = false;
   sim::Duration poll_period_ = 0;
   sim::Tick poll_until_ = 0;

@@ -384,8 +384,8 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
     os << "[node a tenant]\n" << tenant_a.summary();
     os << "[node b tenant]\n" << tenant_b.summary();
     os << "== node stats ==\n";
-    os << format_stats(osiris::snapshot(tb.a));
-    os << format_stats(osiris::snapshot(tb.b));
+    os << "[node a]\n" << osiris::stats(tb.a).to_text();
+    os << "[node b]\n" << osiris::stats(tb.b).to_text();
     os << "== trace tail (node a) ==\n" << trace_a.dump(40);
     os << "== trace tail (node b) ==\n" << trace_b.dump(40);
     rep.postmortem = os.str();

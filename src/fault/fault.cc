@@ -32,11 +32,7 @@ bool FaultPlane::fires(Point p) {
   if (hit) {
     ++s.fired;
     ++s.lifetime_fired;
-    if (ledger_.size() < kLedgerCap) {
-      ledger_.push_back(Firing{p, s.consulted});
-    } else {
-      ++ledger_dropped_;
-    }
+    if (ledger_.size() < kLedgerCap) ledger_.push_back(Firing{p, s.consulted});
   }
   return hit;
 }
@@ -49,7 +45,6 @@ void FaultPlane::reset_stats() {
     s.lifetime_fired = 0;
   }
   ledger_.clear();
-  ledger_dropped_ = 0;
 }
 
 FaultPlane::PlaneState FaultPlane::save() const {

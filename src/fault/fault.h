@@ -147,27 +147,17 @@ class FaultPlane {
   [[nodiscard]] std::uint64_t total_fired() const;
 
   // Lifetime statistics: monotone across arm()/disarm() cycles, cleared
-  // only by reset_stats(). The *_cell accessors return stable addresses
-  // (the plane's slot array never reallocates) for pull-model metrics
-  // registration (obs::Registry::counter).
+  // only by reset_stats().
   [[nodiscard]] std::uint64_t lifetime_consulted(Point p) const {
     return slot(p).lifetime_consulted;
   }
   [[nodiscard]] std::uint64_t lifetime_fired(Point p) const {
     return slot(p).lifetime_fired;
   }
-  [[nodiscard]] const std::uint64_t* lifetime_consulted_cell(Point p) const {
-    return &slot(p).lifetime_consulted;
-  }
-  [[nodiscard]] const std::uint64_t* lifetime_fired_cell(Point p) const {
-    return &slot(p).lifetime_fired;
-  }
 
-  /// Chronological record of every firing (bounded; see ledger_dropped()).
+  /// Chronological record of every firing, up to kLedgerCap entries.
   /// arm() and disarm() leave it intact.
   [[nodiscard]] const std::vector<Firing>& ledger() const { return ledger_; }
-  /// Firings not recorded because the ledger hit its cap.
-  [[nodiscard]] std::uint64_t ledger_dropped() const { return ledger_dropped_; }
 
   /// Clears every statistic — per-spec and lifetime counters, the firing
   /// ledger — while leaving armed specs armed. This is the between-phases
@@ -210,7 +200,6 @@ class FaultPlane {
 
   std::array<Slot, static_cast<std::size_t>(Point::kCount)> slots_{};
   std::vector<Firing> ledger_;
-  std::uint64_t ledger_dropped_ = 0;
   sim::Rng rng_;
 };
 

@@ -78,7 +78,6 @@ std::pair<Fbuf, sim::Tick> FbufPool::alloc(sim::Tick at, int path) {
     if (!p.free.empty()) {
       const mem::PhysAddr a = p.free.front();
       p.free.pop_front();
-      ++cached_allocs_;
       return {Fbuf{a, mem::kPageSize, path, true}, t};
     }
     // Cached pool exhausted: fall through to the uncached queue.
@@ -89,7 +88,6 @@ std::pair<Fbuf, sim::Tick> FbufPool::alloc(sim::Tick at, int path) {
   if (uncached_free_.empty()) throw std::runtime_error("FbufPool: exhausted");
   const mem::PhysAddr a = uncached_free_.front();
   uncached_free_.pop_front();
-  ++uncached_allocs_;
   return {Fbuf{a, mem::kPageSize, path, false}, t};
 }
 

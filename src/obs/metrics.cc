@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 namespace osiris::obs {
@@ -31,6 +31,18 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+template <typename Entry>
+auto find_value(const std::vector<Entry>& entries, const std::string& name,
+                const char* kind) {
+  const auto it = std::find_if(entries.begin(), entries.end(),
+                               [&name](const Entry& e) { return e.name == name; });
+  if (it == entries.end()) {
+    throw std::out_of_range(std::string("obs::Snapshot: no ") + kind + " named '" +
+                            name + "'");
+  }
+  return it->value;
+}
+
 }  // namespace
 
 Snapshot::Hist summarize(const std::string& name, const std::string& unit,
@@ -48,6 +60,14 @@ Snapshot::Hist summarize(const std::string& name, const std::string& unit,
   out.p99 = h.quantile(0.99);
   out.p999 = h.quantile(0.999);
   return out;
+}
+
+std::uint64_t Snapshot::counter(const std::string& name) const {
+  return find_value(counters, name, "counter");
+}
+
+double Snapshot::gauge(const std::string& name) const {
+  return find_value(gauges, name, "gauge");
 }
 
 std::string Snapshot::to_text() const {
@@ -107,81 +127,28 @@ std::string Snapshot::to_json() const {
   return os.str();
 }
 
-void Registry::counter(std::string name, const std::uint64_t* source) {
-  for (auto& e : counters_) {
-    if (e.name == name) {
-      e.source = source;
-      return;
-    }
-  }
-  counters_.push_back({std::move(name), source});
+void Registry::counter(std::string name, std::function<std::uint64_t()> read) {
+  counters_[std::move(name)] = std::move(read);
 }
 
 void Registry::gauge(std::string name, std::function<double()> fn) {
-  for (auto& e : gauges_) {
-    if (e.name == name) {
-      e.fn = std::move(fn);
-      return;
-    }
-  }
-  gauges_.push_back({std::move(name), std::move(fn)});
-}
-
-sim::Log2Histogram* Registry::histogram(std::string name, std::string unit) {
-  for (auto& e : hists_) {
-    if (e.name == name && e.owned) return e.owned.get();
-  }
-  HistEntry e;
-  e.name = std::move(name);
-  e.unit = std::move(unit);
-  e.source = nullptr;
-  e.owned = std::make_unique<sim::Log2Histogram>();
-  hists_.push_back(std::move(e));
-  return hists_.back().owned.get();
+  gauges_[std::move(name)] = std::move(fn);
 }
 
 void Registry::histogram_ref(std::string name, const sim::Log2Histogram* h,
                              std::string unit) {
-  for (auto& e : hists_) {
-    if (e.name == name) {
-      e.source = h;
-      e.owned.reset();
-      e.unit = std::move(unit);
-      return;
-    }
-  }
-  HistEntry e;
-  e.name = std::move(name);
-  e.unit = std::move(unit);
-  e.source = h;
-  hists_.push_back(std::move(e));
+  hists_[std::move(name)] = HistRef{h, std::move(unit)};
 }
 
 Snapshot Registry::snapshot() const {
-  // std::map keeps the output sorted by name, which makes snapshots
-  // diffable across runs regardless of registration order.
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
-  struct MergedHist {
-    std::string unit;
-    sim::Log2Histogram h;
-  };
-  std::map<std::string, MergedHist> hists;
-  for (const auto& c : counters_) counters[c.name] = *c.source;
-  for (const auto& g : gauges_) gauges[g.name] = g.fn ? g.fn() : 0.0;
-  for (const auto& h : hists_) {
-    auto& m = hists[h.name];
-    if (m.unit.empty()) m.unit = h.unit;
-    m.h.merge(h.get());
-  }
   Snapshot out;
-  out.counters.reserve(counters.size());
-  for (const auto& [name, v] : counters) out.counters.push_back({name, v});
-  out.gauges.reserve(gauges.size());
-  for (const auto& [name, v] : gauges) out.gauges.push_back({name, v});
-  out.hists.reserve(hists.size());
-  for (const auto& [name, m] : hists) {
-    out.hists.push_back(summarize(name, m.unit, m.h));
+  out.counters.reserve(counters_.size());
+  for (const auto& [name, read] : counters_) out.counters.push_back({name, read()});
+  out.gauges.reserve(gauges_.size());
+  for (const auto& [name, fn] : gauges_) out.gauges.push_back({name, fn()});
+  out.hists.reserve(hists_.size());
+  for (const auto& [name, h] : hists_) {
+    out.hists.push_back(summarize(name, h.unit, *h.source));
   }
   return out;
 }

@@ -2,16 +2,15 @@
 //
 // The registry is a *naming* layer, not a storage layer: hot paths keep
 // owning their own counters (a `++member_` stays a `++member_`), and the
-// registry holds pointers it reads only at snapshot() time.  Histograms can
-// either be owned by the registry (histogram() returns a stable pointer the
-// caller records into, allocation-free) or referenced (histogram_ref(), for
-// histograms owned elsewhere, e.g. PduSpans stages).  One registry can name
-// a whole testbed: prefix each node's names ("a.", "b.").
+// registry holds readers it calls only at snapshot() time: exact uint64
+// counter readers, double gauges, and histograms owned elsewhere (e.g.
+// PduSpans stages).  One registry can name a whole testbed: prefix each
+// node's names ("a.", "b.").
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,6 +46,11 @@ struct Snapshot {
   std::vector<Gauge> gauges;
   std::vector<Hist> hists;
 
+  /// The named counter's or gauge's value. Both throw std::out_of_range on
+  /// an unknown name, so a misspelt name fails loudly.
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+  [[nodiscard]] double gauge(const std::string& name) const;
+
   /// Aligned human-readable table.
   [[nodiscard]] std::string to_text() const;
   /// Single JSON object: {"counters":{...},"gauges":{...},"histograms":{...}}.
@@ -63,46 +67,31 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  /// Registers a pull-model counter: the pointee is read at snapshot time
-  /// and must outlive the registry.  Re-registering a name replaces it.
-  void counter(std::string name, const std::uint64_t* source);
+  /// Registers a pull-model counter: `read` is called at snapshot time,
+  /// and whatever it reads must outlive the registry.  Re-registering a
+  /// name replaces it (likewise for gauges and histograms).
+  void counter(std::string name, std::function<std::uint64_t()> read);
 
   /// Registers a computed gauge (evaluated at snapshot time).
   void gauge(std::string name, std::function<double()> fn);
-
-  /// Creates (or finds) a registry-owned histogram; the returned pointer is
-  /// stable for the registry's lifetime and is what hot paths record into.
-  sim::Log2Histogram* histogram(std::string name, std::string unit = "ticks");
 
   /// Registers a histogram owned elsewhere; it must outlive the registry.
   void histogram_ref(std::string name, const sim::Log2Histogram* h,
                      std::string unit = "ticks");
 
-  /// Reads every instrument, sorted by name.  Histograms registered twice
-  /// under one name (owned and referenced) are merged bucket-wise.
+  /// Reads every instrument, sorted by name.
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
-  struct CounterEntry {
-    std::string name;
-    const std::uint64_t* source;
-  };
-  struct GaugeEntry {
-    std::string name;
-    std::function<double()> fn;
-  };
-  struct HistEntry {
-    std::string name;
+  struct HistRef {
+    const sim::Log2Histogram* source;
     std::string unit;
-    const sim::Log2Histogram* source;       // set for refs
-    std::unique_ptr<sim::Log2Histogram> owned;  // set for owned
-    [[nodiscard]] const sim::Log2Histogram& get() const {
-      return owned ? *owned : *source;
-    }
   };
-  std::vector<CounterEntry> counters_;
-  std::vector<GaugeEntry> gauges_;
-  std::vector<HistEntry> hists_;
+  // Keyed by name, so a snapshot comes out sorted and diffable across runs
+  // regardless of registration order.
+  std::map<std::string, std::function<std::uint64_t()>> counters_;
+  std::map<std::string, std::function<double()>> gauges_;
+  std::map<std::string, HistRef> hists_;
 };
 
 }  // namespace osiris::obs

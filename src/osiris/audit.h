@@ -15,7 +15,9 @@
 namespace osiris::obs {
 
 /// Checks conservation identities across the testbed after a completed
-/// run(). Returns one human-readable string per violated identity; an empty
+/// run(), reading both nodes' counters by their schema names
+/// (osiris/stats.h). Returns one string per violated identity, e.g.
+/// "a->b: tx.cells_sent vs link.cells_sent: 12 != 11"; an empty
 /// vector means the books balance. Safe on faulty runs: every identity
 /// already accounts for loss, corruption and drops through their own
 /// counters.

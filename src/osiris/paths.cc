@@ -20,7 +20,6 @@ atm::Vci PathManager::open() {
   tb_->a.map_kernel_vci(vci);
   tb_->b.map_kernel_vci(vci);
   paths_[vci] = PathInfo{false};
-  ++total_opened_;
   return vci;
 }
 
@@ -31,7 +30,6 @@ atm::Vci PathManager::open_fbuf(fbuf::FbufPool& pool_a,
   tb_->a.open_fbuf_path(pool_a, vci, domains);
   tb_->b.open_fbuf_path(pool_b, vci, domains);
   paths_[vci] = PathInfo{true};
-  ++total_opened_;
   return vci;
 }
 

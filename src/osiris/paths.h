@@ -41,7 +41,6 @@ class PathManager {
     return paths_.contains(vci);
   }
   [[nodiscard]] std::size_t open_count() const { return paths_.size(); }
-  [[nodiscard]] std::uint64_t total_opened() const { return total_opened_; }
 
  private:
   struct PathInfo {
@@ -53,7 +52,6 @@ class PathManager {
   Testbed* tb_;
   atm::Vci next_vci_;
   std::map<atm::Vci, PathInfo> paths_;
-  std::uint64_t total_opened_ = 0;
 };
 
 }  // namespace osiris

@@ -1,216 +1,188 @@
 #include "osiris/stats.h"
 
-#include <functional>
-#include <sstream>
-#include <utility>
+#include <cstdint>
 
 namespace osiris {
+namespace {
 
-NodeStats snapshot(Node& n) {
-  NodeStats s;
-  s.machine = n.cfg.machine.name;
+using Count = std::uint64_t;
 
-  s.pdus_sent = n.txp.pdus_sent();
-  s.cells_sent = n.txp.cells_sent();
-  s.tx_dma_ops = n.txp.dma_ops();
-  s.tx_dma_splits = n.txp.dma_splits();
-  s.tx_suspensions = n.driver.tx_suspensions();
-  s.tx_auth_violations = n.txp.auth_violations();
+/// One row of the node counter table: a schema name and its reader.
+template <typename T>
+struct Row {
+  const char* name;
+  T (*read)(Node&);
+};
 
-  s.cells_received = n.rxp.cells_received();
-  s.cells_generated = n.rxp.cells_generated();
-  s.cells_bad_header = n.rxp.cells_bad_header();
-  s.cells_fifo_dropped = n.rxp.cells_fifo_dropped();
-  s.rx_dma_ops = n.rxp.dma_ops();
-  s.combine_fraction = n.rxp.combine_fraction();
-  s.pdus_completed = n.rxp.pdus_completed();
-  s.pdus_dropped_nobuf = n.rxp.pdus_dropped_nobuf();
-  s.pdus_dropped_recvfull = n.rxp.pdus_dropped_recvfull();
-  s.rx_auth_violations = n.rxp.auth_violations();
-
-  s.pdus_dropped_quota = n.rxp.pdus_dropped_quota();
-  s.pdus_evicted = n.rxp.pdus_evicted();
-  s.backpressure_irqs = n.rxp.backpressure_irqs();
-  s.rate_deferrals = n.txp.rate_deferrals();
-  s.wedge_skips = n.txp.wedge_skips();
-  s.quarantine_drops = n.rxp.quarantine_drops();
-  s.dead_channel_drops = n.rxp.dead_channel_drops();
-
-  s.interrupts = n.intc.raised();
-  s.driver_pdus_received = n.driver.pdus_received();
-  s.stale_partial_pdus = n.driver.stale_partial_pdus();
-  s.wired_frames = n.driver.wiring().wired_frames();
-  s.bus_utilization = n.bus.bus().utilization();
-  s.cpu_utilization = n.cpu.resource().utilization();
-  s.dpram_host_accesses = n.ram.host_accesses();
-  s.dpram_board_accesses = n.ram.board_accesses();
-  s.cache_stale_reads = n.cache.stale_reads();
-  s.cache_dma_stale_lines = n.cache.dma_stale_lines();
-
-  s.board_stalls = n.txp.stalls() + n.rxp.stalls();
-  s.cells_sar_dropped = n.rxp.cells_sar_dropped();
-  s.dma_errors = n.txp.dma_errors() + n.rxp.dma_errors();
-  s.bad_chains = n.txp.bad_chains();
-  s.bad_descriptors = n.driver.bad_descriptors();
-  s.dpram_stale_reads = n.ram.stale_reads();
-  s.dpram_corrupted_words = n.ram.corrupted_words();
-  s.irqs_lost = n.intc.lost();
-  s.spurious_irqs = n.driver.spurious_irqs();
-  s.watchdog_polls = n.driver.watchdog_polls();
-  s.watchdog_resets = n.driver.watchdog_resets();
-  s.generation = n.driver.generation();
-  return s;
+double per_pdu(Count n, Count pdus) {
+  return pdus == 0 ? 0.0 : static_cast<double>(n) / static_cast<double>(pdus);
 }
 
-std::string format_stats(const NodeStats& s) {
-  std::ostringstream os;
-  os << s.machine << "\n";
-  os << "  tx: " << s.pdus_sent << " PDUs, " << s.cells_sent << " cells, "
-     << s.tx_dma_ops << " DMA reads (" << s.tx_dma_splits
-     << " boundary splits), " << s.tx_suspensions << " queue-full suspensions\n";
-  os << "  rx: " << s.cells_received << " cells in, " << s.pdus_completed
-     << " PDUs reassembled via " << s.rx_dma_ops << " DMA writes ("
-     << static_cast<int>(s.combine_fraction * 100) << "% double-cell)\n";
-  if (s.cells_bad_header + s.cells_fifo_dropped + s.pdus_dropped_nobuf +
-          s.pdus_dropped_recvfull >
-      0) {
-    os << "  drops: " << s.cells_bad_header << " bad-header cells, "
-       << s.cells_fifo_dropped << " fifo cells, " << s.pdus_dropped_nobuf
-       << " PDUs (no buffer), " << s.pdus_dropped_recvfull
-       << " PDUs (recv queue full)\n";
-  }
-  os << "  host: " << s.interrupts << " interrupts ("
-     << s.interrupts_per_pdu() << "/PDU), " << s.driver_pdus_received
-     << " PDUs delivered, " << s.dpram_host_accesses
-     << " dual-port RAM accesses (" << s.host_accesses_per_pdu()
-     << "/PDU)\n";
-  os << "  bus util " << s.bus_utilization << ", cpu util "
-     << s.cpu_utilization << ", wired frames " << s.wired_frames << "\n";
-  if (s.cache_dma_stale_lines > 0) {
-    os << "  cache: " << s.cache_dma_stale_lines << " lines made stale by DMA, "
-       << s.cache_stale_reads << " stale reads observed\n";
-  }
-  if (s.pdus_dropped_quota + s.pdus_evicted + s.backpressure_irqs +
-          s.rate_deferrals + s.wedge_skips + s.quarantine_drops +
-          s.dead_channel_drops >
-      0) {
-    os << "  qos: " << s.pdus_dropped_quota << " quota drops, "
-       << s.pdus_evicted << " evictions, " << s.backpressure_irqs
-       << " backpressure irqs, " << s.rate_deferrals << " rate deferrals, "
-       << s.wedge_skips << " wedge skips, " << s.quarantine_drops
-       << " quarantine drops, " << s.dead_channel_drops
-       << " dead-channel drops\n";
-  }
-  if (s.board_stalls + s.cells_sar_dropped + s.dma_errors + s.bad_chains +
-          s.bad_descriptors + s.dpram_stale_reads + s.dpram_corrupted_words +
-          s.irqs_lost + s.spurious_irqs + s.watchdog_polls +
-          s.watchdog_resets >
-      0) {
-    os << "  faults: " << s.board_stalls << " stalls, " << s.cells_sar_dropped
-       << " SAR drops, " << s.dma_errors << " DMA errors, " << s.bad_chains
-       << " bad chains, " << s.bad_descriptors << " bad descriptors, "
-       << s.dpram_corrupted_words << " corrupted words, "
-       << s.dpram_stale_reads << " stale RAM reads, " << s.irqs_lost
-       << " lost irqs, " << s.spurious_irqs << " spurious irqs\n";
-    os << "  recovery: " << s.watchdog_polls << " watchdog polls, "
-       << s.watchdog_resets << " adaptor resets (generation " << s.generation
-       << ")\n";
-  }
-  return os.str();
-}
+// Every uint64 counter on a node. Adding a counter takes one row.
+constexpr Row<Count> kCounters[] = {
+    // Transmit half: firmware, then the driver's descriptor books.
+    {"tx.pdus_sent", [](Node& n) -> Count { return n.txp.pdus_sent(); }},
+    {"tx.cells_sent", [](Node& n) -> Count { return n.txp.cells_sent(); }},
+    {"tx.dma_ops", [](Node& n) -> Count { return n.txp.dma_ops(); }},
+    {"tx.dma_splits", [](Node& n) -> Count { return n.txp.dma_splits(); }},
+    {"tx.suspensions", [](Node& n) -> Count { return n.driver.tx_suspensions(); }},
+    {"tx.auth_violations",
+     [](Node& n) -> Count { return n.txp.auth_violations(); }},
+    {"tx.descs_accepted",
+     [](Node& n) -> Count { return n.driver.tx_descs_accepted(); }},
+    {"tx.descs_retired",
+     [](Node& n) -> Count { return n.driver.tx_descs_retired(); }},
+
+    // Receive half. cells_generated are board-local generator cells, a
+    // subset of cells_received.
+    {"rx.cells_received", [](Node& n) -> Count { return n.rxp.cells_received(); }},
+    {"rx.cells_generated",
+     [](Node& n) -> Count { return n.rxp.cells_generated(); }},
+    {"rx.cells_bad_header",
+     [](Node& n) -> Count { return n.rxp.cells_bad_header(); }},
+    {"rx.cells_fifo_dropped",
+     [](Node& n) -> Count { return n.rxp.cells_fifo_dropped(); }},
+    {"rx.dma_ops", [](Node& n) -> Count { return n.rxp.dma_ops(); }},
+    {"rx.combined_dma_ops",
+     [](Node& n) -> Count { return n.rxp.combined_dma_ops(); }},
+    {"rx.pdus_completed", [](Node& n) -> Count { return n.rxp.pdus_completed(); }},
+    {"rx.pdus_dropped_nobuf",
+     [](Node& n) -> Count { return n.rxp.pdus_dropped_nobuf(); }},
+    {"rx.pdus_dropped_recvfull",
+     [](Node& n) -> Count { return n.rxp.pdus_dropped_recvfull(); }},
+    {"rx.auth_violations",
+     [](Node& n) -> Count { return n.rxp.auth_violations(); }},
+    {"rx.push_batches", [](Node& n) -> Count { return n.rxp.push_batches(); }},
+    {"rx.pushes_coalesced",
+     [](Node& n) -> Count { return n.rxp.pushes_coalesced(); }},
+
+    // QoS and overload management (DESIGN.md §10).
+    {"qos.pdus_dropped_quota",
+     [](Node& n) -> Count { return n.rxp.pdus_dropped_quota(); }},
+    {"qos.pdus_evicted", [](Node& n) -> Count { return n.rxp.pdus_evicted(); }},
+    {"qos.backpressure_irqs",
+     [](Node& n) -> Count { return n.rxp.backpressure_irqs(); }},
+    {"qos.rate_deferrals", [](Node& n) -> Count { return n.txp.rate_deferrals(); }},
+    {"qos.wedge_skips", [](Node& n) -> Count { return n.txp.wedge_skips(); }},
+    {"qos.quarantine_drops",
+     [](Node& n) -> Count { return n.rxp.quarantine_drops(); }},
+    {"qos.dead_channel_drops",
+     [](Node& n) -> Count { return n.rxp.dead_channel_drops(); }},
+
+    // Early-demultiplexing flow table (per-VCI state on the Rx fast path).
+    {"flow.occupancy", [](Node& n) -> Count { return n.rxp.flow_occupancy(); }},
+    {"flow.capacity", [](Node& n) -> Count { return n.rxp.flow_capacity(); }},
+    {"flow.lookups", [](Node& n) -> Count { return n.rxp.flow_stats().lookups; }},
+    {"flow.probed_buckets",
+     [](Node& n) -> Count { return n.rxp.flow_stats().probed_buckets; }},
+    {"flow.max_probe",
+     [](Node& n) -> Count { return n.rxp.flow_stats().max_probe; }},
+    {"flow.rehashes", [](Node& n) -> Count { return n.rxp.flow_stats().rehashes; }},
+    {"flow.migrated_buckets",
+     [](Node& n) -> Count { return n.rxp.flow_stats().migrated_buckets; }},
+    {"flow.overflow_peak",
+     [](Node& n) -> Count { return n.rxp.flow_stats().overflow_peak; }},
+
+    // The node's outgoing link: every submitted cell is lost, dropped by
+    // the receiver's HEC check or delivered; corrupted cells may be either.
+    {"link.cells_sent", [](Node& n) -> Count { return n.out.cells_sent(); }},
+    {"link.cells_lost", [](Node& n) -> Count { return n.out.cells_lost(); }},
+    {"link.cells_corrupted",
+     [](Node& n) -> Count { return n.out.cells_corrupted(); }},
+    {"link.cells_hec_dropped",
+     [](Node& n) -> Count { return n.out.cells_hec_dropped(); }},
+
+    // Host: interrupts, driver deliveries, memory system.
+    {"host.interrupts", [](Node& n) -> Count { return n.intc.raised(); }},
+    {"host.pdus_received",
+     [](Node& n) -> Count { return n.driver.pdus_received(); }},
+    {"host.stale_partial_pdus",
+     [](Node& n) -> Count { return n.driver.stale_partial_pdus(); }},
+    {"host.wired_frames",
+     [](Node& n) -> Count { return n.driver.wiring().wired_frames(); }},
+    {"host.dpram_host_accesses",
+     [](Node& n) -> Count { return n.ram.host_accesses(); }},
+    {"host.dpram_board_accesses",
+     [](Node& n) -> Count { return n.ram.board_accesses(); }},
+    {"host.cache_stale_reads",
+     [](Node& n) -> Count { return n.cache.stale_reads(); }},
+    {"host.cache_dma_stale_lines",
+     [](Node& n) -> Count { return n.cache.dma_stale_lines(); }},
+
+    // Faults observed and recovery actions taken.
+    {"fault.board_stalls",
+     [](Node& n) -> Count { return n.txp.stalls() + n.rxp.stalls(); }},
+    {"fault.cells_sar_dropped",
+     [](Node& n) -> Count { return n.rxp.cells_sar_dropped(); }},
+    {"fault.dma_errors",
+     [](Node& n) -> Count { return n.txp.dma_errors() + n.rxp.dma_errors(); }},
+    {"fault.bad_chains", [](Node& n) -> Count { return n.txp.bad_chains(); }},
+    {"fault.bad_descriptors",
+     [](Node& n) -> Count { return n.driver.bad_descriptors(); }},
+    {"fault.dpram_stale_reads",
+     [](Node& n) -> Count { return n.ram.stale_reads(); }},
+    {"fault.dpram_corrupted_words",
+     [](Node& n) -> Count { return n.ram.corrupted_words(); }},
+    {"fault.irqs_lost", [](Node& n) -> Count { return n.intc.lost(); }},
+    {"fault.spurious_irqs",
+     [](Node& n) -> Count { return n.driver.spurious_irqs(); }},
+    {"fault.crc_failures",
+     [](Node& n) -> Count { return n.driver.crc_failures(); }},
+    {"fault.resyncs_observed",
+     [](Node& n) -> Count { return n.driver.resyncs_observed(); }},
+    {"fault.watchdog_polls",
+     [](Node& n) -> Count { return n.driver.watchdog_polls(); }},
+    {"fault.watchdog_resets",
+     [](Node& n) -> Count { return n.driver.watchdog_resets(); }},
+    {"fault.generation", [](Node& n) -> Count { return n.driver.generation(); }},
+};
+
+// The ratios, which are not counters.
+constexpr Row<double> kGauges[] = {
+    {"host.bus_utilization", [](Node& n) { return n.bus.bus().utilization(); }},
+    {"host.cpu_utilization",
+     [](Node& n) { return n.cpu.resource().utilization(); }},
+    {"rx.combine_fraction", [](Node& n) { return n.rxp.combine_fraction(); }},
+    // Dual-port RAM accesses per PDU sent or delivered (§2.1 goal 1).
+    {"host.dpram_accesses_per_pdu",
+     [](Node& n) {
+       return per_pdu(n.ram.host_accesses(),
+                      n.txp.pdus_sent() + n.driver.pdus_received());
+     }},
+    // Interrupts per reassembled PDU (§2.1.2).
+    {"host.interrupts_per_pdu",
+     [](Node& n) { return per_pdu(n.intc.raised(), n.rxp.pdus_completed()); }},
+};
+
+}  // namespace
 
 void register_metrics(obs::Registry& r, Node& n, const std::string& prefix) {
   Node* np = &n;
-  // Pull-model gauges: each reads the live counter at snapshot() time, so
-  // registration happens once and the hot paths are untouched.
-  auto add = [&r, &prefix](const char* name, std::function<std::uint64_t()> f) {
-    r.gauge(prefix + name,
-            [f = std::move(f)] { return static_cast<double>(f()); });
-  };
+  for (const auto& [name, read] : kCounters) {
+    r.counter(prefix + name, [np, read = read] { return read(*np); });
+  }
+  for (const auto& [name, read] : kGauges) {
+    r.gauge(prefix + name, [np, read = read] { return read(*np); });
+  }
 
-  add("tx.pdus_sent", [np] { return np->txp.pdus_sent(); });
-  add("tx.cells_sent", [np] { return np->txp.cells_sent(); });
-  add("tx.dma_ops", [np] { return np->txp.dma_ops(); });
-  add("tx.dma_splits", [np] { return np->txp.dma_splits(); });
-  add("tx.suspensions", [np] { return np->driver.tx_suspensions(); });
-  add("tx.auth_violations", [np] { return np->txp.auth_violations(); });
-
-  add("rx.cells_received", [np] { return np->rxp.cells_received(); });
-  add("rx.cells_generated", [np] { return np->rxp.cells_generated(); });
-  add("rx.cells_bad_header", [np] { return np->rxp.cells_bad_header(); });
-  add("rx.cells_fifo_dropped", [np] { return np->rxp.cells_fifo_dropped(); });
-  add("rx.dma_ops", [np] { return np->rxp.dma_ops(); });
-  add("rx.pdus_completed", [np] { return np->rxp.pdus_completed(); });
-  add("rx.pdus_dropped_nobuf", [np] { return np->rxp.pdus_dropped_nobuf(); });
-  add("rx.pdus_dropped_recvfull",
-      [np] { return np->rxp.pdus_dropped_recvfull(); });
-  add("rx.auth_violations", [np] { return np->rxp.auth_violations(); });
-
-  add("qos.pdus_dropped_quota", [np] { return np->rxp.pdus_dropped_quota(); });
-  add("qos.pdus_evicted", [np] { return np->rxp.pdus_evicted(); });
-  add("qos.backpressure_irqs", [np] { return np->rxp.backpressure_irqs(); });
-  add("qos.rate_deferrals", [np] { return np->txp.rate_deferrals(); });
-  add("qos.wedge_skips", [np] { return np->txp.wedge_skips(); });
-  add("qos.quarantine_drops", [np] { return np->rxp.quarantine_drops(); });
-  add("qos.dead_channel_drops", [np] { return np->rxp.dead_channel_drops(); });
-
-  // Early-demultiplexing flow table (per-VCI state on the Rx fast path).
-  add("flow.occupancy", [np] { return np->rxp.flow_occupancy(); });
-  add("flow.capacity", [np] { return np->rxp.flow_capacity(); });
-  add("flow.lookups", [np] { return np->rxp.flow_stats().lookups; });
-  add("flow.probed_buckets",
-      [np] { return np->rxp.flow_stats().probed_buckets; });
-  add("flow.max_probe", [np] { return np->rxp.flow_stats().max_probe; });
-  add("flow.rehashes", [np] { return np->rxp.flow_stats().rehashes; });
-  add("flow.migrated_buckets",
-      [np] { return np->rxp.flow_stats().migrated_buckets; });
-  add("flow.overflow_peak",
-      [np] { return np->rxp.flow_stats().overflow_peak; });
-
-  add("host.interrupts", [np] { return np->intc.raised(); });
-  add("host.pdus_received", [np] { return np->driver.pdus_received(); });
-  add("host.stale_partial_pdus",
-      [np] { return np->driver.stale_partial_pdus(); });
-  add("host.wired_frames", [np] { return np->driver.wiring().wired_frames(); });
-  add("host.dpram_host_accesses", [np] { return np->ram.host_accesses(); });
-  add("host.dpram_board_accesses", [np] { return np->ram.board_accesses(); });
-  add("host.cache_stale_reads", [np] { return np->cache.stale_reads(); });
-
-  add("fault.board_stalls", [np] { return np->txp.stalls() + np->rxp.stalls(); });
-  add("fault.cells_sar_dropped", [np] { return np->rxp.cells_sar_dropped(); });
-  add("fault.dma_errors",
-      [np] { return np->txp.dma_errors() + np->rxp.dma_errors(); });
-  add("fault.bad_chains", [np] { return np->txp.bad_chains(); });
-  add("fault.bad_descriptors", [np] { return np->driver.bad_descriptors(); });
-  add("fault.dpram_stale_reads", [np] { return np->ram.stale_reads(); });
-  add("fault.dpram_corrupted_words",
-      [np] { return np->ram.corrupted_words(); });
-  add("fault.irqs_lost", [np] { return np->intc.lost(); });
-  add("fault.spurious_irqs", [np] { return np->driver.spurious_irqs(); });
-  add("fault.watchdog_polls", [np] { return np->driver.watchdog_polls(); });
-  add("fault.watchdog_resets", [np] { return np->driver.watchdog_resets(); });
-  add("fault.generation", [np] { return np->driver.generation(); });
-
-  r.gauge(prefix + "host.bus_utilization",
-          [np] { return np->bus.bus().utilization(); });
-  r.gauge(prefix + "host.cpu_utilization",
-          [np] { return np->cpu.resource().utilization(); });
-  r.gauge(prefix + "rx.combine_fraction",
-          [np] { return np->rxp.combine_fraction(); });
-
-  // Per-point fault-plane activity. The lifetime cells are stable
-  // addresses that survive arm()/disarm() cycles, so a chaos schedule's
-  // full activity shows up in --stats-json and the trend dashboard
-  // without parsing FaultPlane::summary() text.
+  // Per-point fault-plane activity. The lifetime counts survive
+  // arm()/disarm() cycles, so a chaos schedule's full activity shows up in
+  // --stats-json without parsing FaultPlane::summary() text.
   if (n.cfg.faults != nullptr) {
     const fault::FaultPlane* fp = n.cfg.faults;
     for (int i = 0; i < static_cast<int>(fault::Point::kCount); ++i) {
       const auto p = static_cast<fault::Point>(i);
       const std::string base = prefix + "fault.point." + fault::point_name(p);
-      r.counter(base + ".consulted", fp->lifetime_consulted_cell(p));
-      r.counter(base + ".fired", fp->lifetime_fired_cell(p));
+      r.counter(base + ".consulted", [fp, p] { return fp->lifetime_consulted(p); });
+      r.counter(base + ".fired", [fp, p] { return fp->lifetime_fired(p); });
     }
   }
+}
+
+obs::Snapshot stats(Node& n) {
+  obs::Registry r;
+  register_metrics(r, n);
+  return r.snapshot();
 }
 
 }  // namespace osiris

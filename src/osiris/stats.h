@@ -1,9 +1,9 @@
-// Consolidated per-node statistics snapshots: one struct gathering the
-// counters scattered across the board, driver, interrupt controller, bus
-// and cache — for examples, benches, and post-run assertions.
+// The node counter schema. One table in stats.cc names every counter a Node
+// exposes, once, as "<group>.<name>"; the metrics registry, the text and
+// JSON renderings, the conservation audit and the tests all read node
+// counters through it.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "obs/metrics.h"
@@ -11,91 +11,15 @@
 
 namespace osiris {
 
-struct NodeStats {
-  std::string machine;
-
-  // Transmit half.
-  std::uint64_t pdus_sent = 0;
-  std::uint64_t cells_sent = 0;
-  std::uint64_t tx_dma_ops = 0;
-  std::uint64_t tx_dma_splits = 0;
-  std::uint64_t tx_suspensions = 0;
-  std::uint64_t tx_auth_violations = 0;
-
-  // Receive half.
-  std::uint64_t cells_received = 0;
-  std::uint64_t cells_generated = 0;  // board-local generator cells (subset of received)
-  std::uint64_t cells_bad_header = 0;
-  std::uint64_t cells_fifo_dropped = 0;
-  std::uint64_t rx_dma_ops = 0;
-  double combine_fraction = 0;
-  std::uint64_t pdus_completed = 0;
-  std::uint64_t pdus_dropped_nobuf = 0;
-  std::uint64_t pdus_dropped_recvfull = 0;
-  std::uint64_t rx_auth_violations = 0;
-
-  // QoS / overload management (DESIGN.md §10).
-  std::uint64_t pdus_dropped_quota = 0;  // per-VCI reassembly quota hits
-  std::uint64_t pdus_evicted = 0;        // partial PDUs evicted under pressure
-  std::uint64_t backpressure_irqs = 0;   // rx overload interrupts raised
-  std::uint64_t rate_deferrals = 0;      // tx cells delayed by rate limits
-  std::uint64_t wedge_skips = 0;         // tx queues skipped while wedged
-  std::uint64_t quarantine_drops = 0;    // cells dropped on quarantined VCIs
-  std::uint64_t dead_channel_drops = 0;  // cells for unmapped/dead channels
-
-  // Host.
-  std::uint64_t interrupts = 0;
-  std::uint64_t driver_pdus_received = 0;
-  std::uint64_t stale_partial_pdus = 0;
-  std::uint64_t wired_frames = 0;
-  double bus_utilization = 0;
-  double cpu_utilization = 0;
-  std::uint64_t dpram_host_accesses = 0;
-  std::uint64_t dpram_board_accesses = 0;
-  std::uint64_t cache_stale_reads = 0;
-  std::uint64_t cache_dma_stale_lines = 0;
-
-  // Faults observed and recovery actions taken.
-  std::uint64_t board_stalls = 0;        // tx + rx firmware wedges
-  std::uint64_t cells_sar_dropped = 0;   // cells lost inside the SAR loop
-  std::uint64_t dma_errors = 0;          // failed transfers (tx + rx)
-  std::uint64_t bad_chains = 0;          // tx chains rejected as corrupt
-  std::uint64_t bad_descriptors = 0;     // rx descriptors rejected as corrupt
-  std::uint64_t dpram_stale_reads = 0;
-  std::uint64_t dpram_corrupted_words = 0;
-  std::uint64_t irqs_lost = 0;
-  std::uint64_t spurious_irqs = 0;
-  std::uint64_t watchdog_polls = 0;      // rx bursts recovered by polling
-  std::uint64_t watchdog_resets = 0;
-  std::uint64_t generation = 0;          // adaptor reset epoch
-
-  /// Per-PDU dual-port-RAM access rates (the paper's §2.1 goal 1 metric).
-  [[nodiscard]] double host_accesses_per_pdu() const {
-    const std::uint64_t pdus = pdus_sent + driver_pdus_received;
-    return pdus == 0 ? 0.0
-                     : static_cast<double>(dpram_host_accesses) /
-                           static_cast<double>(pdus);
-  }
-
-  [[nodiscard]] double interrupts_per_pdu() const {
-    const std::uint64_t pdus = pdus_completed;
-    return pdus == 0 ? 0.0
-                     : static_cast<double>(interrupts) /
-                           static_cast<double>(pdus);
-  }
-};
-
-/// Captures a snapshot of every counter on the node.
-NodeStats snapshot(Node& n);
-
-/// Multi-line human-readable rendering.
-std::string format_stats(const NodeStats& s);
-
-/// Registers every NodeStats counter (tx/rx/host/fault/QoS) with `r` as
-/// pull-model gauges named "<prefix>tx.pdus_sent", "<prefix>rx.cells_received"
-/// and so on, so one Registry::snapshot() renders the whole node. The node
-/// must outlive the registry (the gauges read its counters live). Use a
-/// distinct prefix per node ("a.", "b.") when one registry covers a testbed.
+/// Registers every row of the node counter table with `r` as
+/// "<prefix><group>.<name>": the uint64 rows as exact counters, the five
+/// ratio rows as gauges, then one consulted/fired counter pair per point of
+/// the node's fault plane, if it has one. The readers are pull-model, so
+/// the node must outlive the registry. Use a distinct prefix per node
+/// ("a.", "b.") when one registry covers a testbed.
 void register_metrics(obs::Registry& r, Node& n, const std::string& prefix = "");
+
+/// One node's unprefixed snapshot: stats(n).counter("host.interrupts").
+obs::Snapshot stats(Node& n);
 
 }  // namespace osiris

@@ -121,14 +121,12 @@ sim::Tick ArqEndpoint::send_frame(sim::Tick at, atm::Vci vci,
     }
     // Every slot still owned by an in-flight DMA: fall back to a fresh
     // (never reused) allocation rather than stall or corrupt.
-    ++arena_overflows_;
   }
   const Message m = Message::from_payload(*space_, framed);
   return stack_->send(t, vci, m);
 }
 
 sim::Tick ArqEndpoint::send_ack(sim::Tick at, atm::Vci vci) {
-  ++acks_sent_;
   return send_frame(at, vci, frame(kTypeAck, vci, 0, rx_[vci].expect, {}));
 }
 
@@ -281,10 +279,7 @@ void ArqEndpoint::on_data(sim::Tick at, atm::Vci vci,
     if (sink_) sink_(at, vci, std::move(data));
     return;
   }
-  if (data.size() < kArqHeader) {
-    ++malformed_;
-    return;
-  }
+  if (data.size() < kArqHeader) return;  // malformed
   const std::uint8_t type = data[0];
   const auto evci = static_cast<atm::Vci>(
       (static_cast<atm::Vci>(data[1]) << 16) |
@@ -301,10 +296,7 @@ void ArqEndpoint::on_data(sim::Tick at, atm::Vci vci,
   // Both frame types carry a cumulative ack (data frames piggyback it).
   handle_ack(vci, txit->second, ackno, at);
   if (type == kTypeAck) return;
-  if (type != kTypeData) {
-    ++malformed_;
-    return;
-  }
+  if (type != kTypeData) return;  // malformed
 
   RxState& r = rx_[vci];
   std::vector<std::uint8_t> payload(data.begin() + kArqHeader, data.end());
@@ -322,10 +314,10 @@ void ArqEndpoint::on_data(sim::Tick at, atm::Vci vci,
       ++r.expect;
       if (sink_) sink_(at, vci, std::move(next));
     }
-  } else if (dist > 0x80000000u) {
-    ++duplicates_;  // seq < expect: retransmission of delivered data
-  } else if (dist <= 4ull * cfg_.window) {
-    if (!r.ooo.emplace(seq, std::move(payload)).second) ++duplicates_;
+  } else if (dist <= 0x80000000u && dist <= 4ull * cfg_.window) {
+    // Ahead of expect: buffer it (emplace keeps an earlier copy). A seq
+    // behind expect (dist > 2^31) retransmits delivered data: dropped.
+    r.ooo.emplace(seq, std::move(payload));
   }
   // Ack every data frame: the cumulative ack both confirms progress and,
   // when duplicated, tells the sender its own ack was lost.

@@ -91,18 +91,10 @@ class ArqEndpoint {
   // Statistics.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t retransmissions() const { return retransmissions_; }
-  [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
-  [[nodiscard]] std::uint64_t duplicates() const { return duplicates_; }
   /// Frames whose embedded VCI disagreed with the VCI they arrived on.
   [[nodiscard]] std::uint64_t misrouted() const { return misrouted_; }
-  [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
   /// Payloads abandoned when a VCI exhausted its retry budget.
   [[nodiscard]] std::uint64_t gave_up() const { return gave_up_; }
-  /// Sends that fell back to a fresh allocation because every arena slot
-  /// was still owned by an in-flight transmit DMA.
-  [[nodiscard]] std::uint64_t arena_overflows() const {
-    return arena_overflows_;
-  }
   /// Adaptor resets that found unacked frames and resynchronized: slots
   /// re-quarantined, backoff cleared, base frames retransmitted at once.
   [[nodiscard]] std::uint64_t resyncs() const { return resyncs_; }
@@ -178,12 +170,8 @@ class ArqEndpoint {
 
   std::uint64_t delivered_ = 0;
   std::uint64_t retransmissions_ = 0;
-  std::uint64_t acks_sent_ = 0;
-  std::uint64_t duplicates_ = 0;
   std::uint64_t misrouted_ = 0;
-  std::uint64_t malformed_ = 0;
   std::uint64_t gave_up_ = 0;
-  std::uint64_t arena_overflows_ = 0;
   std::uint64_t resyncs_ = 0;
 };
 

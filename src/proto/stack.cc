@@ -80,7 +80,6 @@ void ProtoStack::on_driver_reset() {
   // re-posts the whole pool itself, so retained buffers must be
   // FORGOTTEN, not released — releasing would double-post them. Partial
   // reassemblies die with their buffers; ARQ (if running) retransmits.
-  reset_drops_ += reasm_.size();
   reasm_.clear();
 }
 

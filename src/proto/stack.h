@@ -98,8 +98,6 @@ class ProtoStack {
   [[nodiscard]] std::uint64_t checksum_failures() const { return cksum_failures_; }
   [[nodiscard]] std::uint64_t stale_recoveries() const { return stale_recoveries_; }
   [[nodiscard]] std::uint64_t reassembly_drops() const { return reassembly_drops_; }
-  /// Partially reassembled messages abandoned by an adaptor reset.
-  [[nodiscard]] std::uint64_t reset_drops() const { return reset_drops_; }
 
  private:
   struct Fragment {
@@ -141,7 +139,6 @@ class ProtoStack {
   std::uint64_t cksum_failures_ = 0;
   std::uint64_t stale_recoveries_ = 0;
   std::uint64_t reassembly_drops_ = 0;
-  std::uint64_t reset_drops_ = 0;
 };
 
 }  // namespace osiris::proto

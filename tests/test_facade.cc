@@ -117,21 +117,21 @@ TEST(Stats, SnapshotReflectsTraffic) {
   for (int i = 0; i < 4; ++i) t = sa->send(t, vci, m);
   tb.run();
 
-  const NodeStats a = snapshot(tb.a);
-  const NodeStats b = snapshot(tb.b);
-  EXPECT_EQ(a.pdus_sent, 4u);
-  EXPECT_EQ(b.pdus_completed, 4u);
-  EXPECT_EQ(b.driver_pdus_received, 4u);
-  EXPECT_GT(a.cells_sent, 4 * 100u);
-  EXPECT_EQ(a.cells_sent, b.cells_received);
-  EXPECT_GT(b.interrupts, 0u);
-  EXPECT_GT(a.dpram_host_accesses, 0u);
-  EXPECT_GT(b.combine_fraction, 0.5);
-  EXPECT_GT(a.bus_utilization, 0.0);
-  // The formatter produces something human-shaped.
-  const std::string text = format_stats(b);
-  EXPECT_NE(text.find("PDUs reassembled"), std::string::npos);
-  EXPECT_NE(text.find(b.machine), std::string::npos);
+  const obs::Snapshot a = stats(tb.a);
+  const obs::Snapshot b = stats(tb.b);
+  EXPECT_EQ(a.counter("tx.pdus_sent"), 4u);
+  EXPECT_EQ(b.counter("rx.pdus_completed"), 4u);
+  EXPECT_EQ(b.counter("host.pdus_received"), 4u);
+  EXPECT_GT(a.counter("tx.cells_sent"), 4 * 100u);
+  EXPECT_EQ(a.counter("tx.cells_sent"), b.counter("rx.cells_received"));
+  EXPECT_GT(b.counter("host.interrupts"), 0u);
+  EXPECT_GT(a.counter("host.dpram_host_accesses"), 0u);
+  EXPECT_GT(b.gauge("rx.combine_fraction"), 0.5);
+  EXPECT_GT(a.gauge("host.bus_utilization"), 0.0);
+  // The text rendering lists the counters by their schema names.
+  const std::string text = b.to_text();
+  EXPECT_NE(text.find("rx.pdus_completed"), std::string::npos);
+  EXPECT_NE(text.find("host.interrupts_per_pdu"), std::string::npos);
 }
 
 TEST(Stats, DpramAccessesPerPduAreSmall) {
@@ -149,9 +149,9 @@ TEST(Stats, DpramAccessesPerPduAreSmall) {
   sim::Tick t = 0;
   for (int i = 0; i < 20; ++i) t = sa->send(t, vci, m);
   tb.run();
-  const NodeStats b = snapshot(tb.b);
-  EXPECT_GT(b.host_accesses_per_pdu(), 5.0);
-  EXPECT_LT(b.host_accesses_per_pdu(), 60.0);
+  const double per_pdu = stats(tb.b).gauge("host.dpram_accesses_per_pdu");
+  EXPECT_GT(per_pdu, 5.0);
+  EXPECT_LT(per_pdu, 60.0);
 }
 
 // ------------------------------------------------------------------- RPC

@@ -380,7 +380,7 @@ TEST(FaultE2E, DmaErrorIsCaughtByChecksum) {
     EXPECT_EQ(msg, tagged(1024, tag));
   }
   EXPECT_EQ(net.fp.fired(fault::Point::kDmaError), 1u);
-  EXPECT_GE(snapshot(net.tb.a).dma_errors, 1u);
+  EXPECT_GE(stats(net.tb.a).counter("fault.dma_errors"), 1u);
   EXPECT_GE(net.sb->checksum_failures(), 1u);
 }
 
@@ -393,10 +393,10 @@ TEST(FaultE2E, LostInterruptRecoveredByWatchdogPoll) {
 
   ASSERT_EQ(net.received.size(), 1u);
   EXPECT_EQ(net.received[0], tagged(2000, 1));
-  const NodeStats b = snapshot(net.tb.b);
-  EXPECT_EQ(b.irqs_lost, 1u);
-  EXPECT_GE(b.watchdog_polls, 1u);  // the poll recovered the lost burst
-  EXPECT_EQ(b.watchdog_resets, 0u);
+  const obs::Snapshot b = stats(net.tb.b);
+  EXPECT_EQ(b.counter("fault.irqs_lost"), 1u);
+  EXPECT_GE(b.counter("fault.watchdog_polls"), 1u);  // the poll recovered the burst
+  EXPECT_EQ(b.counter("fault.watchdog_resets"), 0u);
 }
 
 TEST(FaultE2E, ForceResetRepostsBuffersAndTrafficResumes) {
@@ -447,10 +447,10 @@ TEST(FaultE2E, BoardStallTriggersWatchdogReset) {
   }
   net.tb.run();
 
-  const NodeStats b = snapshot(net.tb.b);
-  EXPECT_EQ(b.board_stalls, 1u);
-  EXPECT_GE(b.watchdog_resets, 1u);
-  EXPECT_GE(b.generation, 1u);
+  const obs::Snapshot b = stats(net.tb.b);
+  EXPECT_EQ(b.counter("fault.board_stalls"), 1u);
+  EXPECT_GE(b.counter("fault.watchdog_resets"), 1u);
+  EXPECT_GE(b.counter("fault.generation"), 1u);
   EXPECT_GE(net.tb.b.rxp.epoch(), 1u);
   EXPECT_GE(net.tb.b.rxp.cells_stalled(), 1u);
 
@@ -730,11 +730,11 @@ TEST(FaultSoak, MultiLayerFaultScheduleSurvives) {
   EXPECT_FALSE(arq_a.dead(net.vci));
 
   // The fault schedule actually bit, and recovery actually ran.
-  const NodeStats b = snapshot(net.tb.b);
+  const obs::Snapshot b = stats(net.tb.b);
   EXPECT_EQ(net.fp.fired(fault::Point::kBoardRxStall), 1u);
-  EXPECT_GE(b.board_stalls, 1u);
-  EXPECT_GE(b.watchdog_resets, 1u);
-  EXPECT_GE(b.generation, 1u);
+  EXPECT_GE(b.counter("fault.board_stalls"), 1u);
+  EXPECT_GE(b.counter("fault.watchdog_resets"), 1u);
+  EXPECT_GE(b.counter("fault.generation"), 1u);
   EXPECT_GT(arq_a.retransmissions(), 0u);
   EXPECT_GE(net.trace.count([](const sim::TraceEvent& e) {
     return std::string_view(e.component) == "drv" &&
@@ -745,10 +745,10 @@ TEST(FaultSoak, MultiLayerFaultScheduleSurvives) {
   // counter says so instead of pretending the tail is the whole story.
   EXPECT_GT(net.trace.dropped_events(), 0u);
 
-  // The stats formatter surfaces the fault/recovery lines.
-  const std::string text = format_stats(b);
-  EXPECT_NE(text.find("faults:"), std::string::npos);
-  EXPECT_NE(text.find("recovery:"), std::string::npos);
+  // The text rendering names the fault and recovery counters.
+  const std::string text = b.to_text();
+  EXPECT_NE(text.find("fault.board_stalls"), std::string::npos);
+  EXPECT_NE(text.find("fault.watchdog_resets"), std::string::npos);
 
   // After the carnage, independently-maintained counters must still
   // balance: every sealed cell hit the wire, every wire cell is delivered

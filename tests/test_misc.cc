@@ -109,11 +109,11 @@ TEST(Misc, NodeRejectsMappingWithoutStack) {
 TEST(Misc, SummaryOfFormatStatsOnQuietNode) {
   sim::Engine eng;
   Node n(eng, make_5000_200_config());
-  const NodeStats s = snapshot(n);
-  EXPECT_EQ(s.pdus_sent, 0u);
-  EXPECT_EQ(s.interrupts_per_pdu(), 0.0);
-  EXPECT_EQ(s.host_accesses_per_pdu(), 0.0);
-  EXPECT_FALSE(format_stats(s).empty());
+  const obs::Snapshot s = stats(n);
+  EXPECT_EQ(s.counter("tx.pdus_sent"), 0u);
+  EXPECT_EQ(s.gauge("host.interrupts_per_pdu"), 0.0);
+  EXPECT_EQ(s.gauge("host.dpram_accesses_per_pdu"), 0.0);
+  EXPECT_FALSE(s.to_text().empty());
 }
 
 TEST(Misc, TrailerOnlyPduRoundTrip) {

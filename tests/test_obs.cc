@@ -1,14 +1,18 @@
 // Observability subsystem: Log2Histogram edges, the metrics registry, PDU
 // lifecycle spans end to end (including under ARQ retransmission), Chrome
-// trace export, and the cross-counter audit.
+// trace export, the cross-counter audit and the node counter schema.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "fault/fault.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/spans.h"
@@ -105,13 +109,14 @@ TEST(Trace, ZeroCapacityIsClampedToOne) {
 TEST(Registry, CountersGaugesAndHistogramsSnapshot) {
   obs::Registry r;
   std::uint64_t hits = 0;
-  r.counter("cache.hits", &hits);
+  r.counter("cache.hits", [&hits] { return hits; });
   r.gauge("load", [] { return 0.75; });
-  sim::Log2Histogram* lat = r.histogram("latency", "ns");
+  sim::Log2Histogram lat;
+  r.histogram_ref("latency", &lat, "ns");
   hits = 41;
   ++hits;
-  lat->record(100);
-  lat->record(300);
+  lat.record(100);
+  lat.record(300);
 
   const obs::Snapshot s = r.snapshot();
   ASSERT_EQ(s.counters.size(), 1u);
@@ -127,13 +132,18 @@ TEST(Registry, CountersGaugesAndHistogramsSnapshot) {
   EXPECT_NE(json.find("\"cache.hits\": 42"), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
   EXPECT_NE(s.to_text().find("cache.hits"), std::string::npos);
+
+  // Lookups by name; an unknown name throws instead of reading as zero.
+  EXPECT_EQ(s.counter("cache.hits"), 42u);
+  EXPECT_DOUBLE_EQ(s.gauge("load"), 0.75);
+  EXPECT_THROW((void)s.counter("cache.hit"), std::out_of_range);
+  EXPECT_THROW((void)s.gauge("cache.hits"), std::out_of_range);
 }
 
 TEST(Registry, ReRegisteringANameReplaces) {
   obs::Registry r;
-  std::uint64_t a = 1, b = 2;
-  r.counter("c", &a);
-  r.counter("c", &b);
+  r.counter("c", [] { return std::uint64_t{1}; });
+  r.counter("c", [] { return std::uint64_t{2}; });
   const obs::Snapshot s = r.snapshot();
   ASSERT_EQ(s.counters.size(), 1u);
   EXPECT_EQ(s.counters[0].value, 2u);
@@ -281,8 +291,15 @@ TEST(Audit, CleanRunBalances) {
   for (const std::string& v : violations) ADD_FAILURE() << v;
 }
 
-TEST(Audit, NodeStatsRegistryRendersWholeNode) {
-  Testbed tb(make_3000_600_config(), make_3000_600_config());
+// ----------------------------------------------------------------- stats
+
+TEST(Stats, EveryNodeCounterIsExactAndNamedOnce) {
+  fault::FaultPlane fa(1), fb(2);
+  NodeConfig ca = make_3000_600_config();
+  NodeConfig cb = make_3000_600_config();
+  ca.faults = &fa;
+  cb.faults = &fb;
+  Testbed tb(ca, cb);
   const atm::Vci vci = tb.open_kernel_path();
   proto::StackConfig sc;
   auto sa = tb.a.make_stack(sc);
@@ -293,14 +310,47 @@ TEST(Audit, NodeStatsRegistryRendersWholeNode) {
   register_metrics(reg, tb.a, "a.");
   register_metrics(reg, tb.b, "b.");
   const obs::Snapshot s = reg.snapshot();
-  double a_sent = -1, b_received = -1;
-  for (const auto& g : s.gauges) {
-    if (g.name == "a.tx.pdus_sent") a_sent = g.value;
-    if (g.name == "b.host.pdus_received") b_received = g.value;
+
+  // Unprefixed names per node: [0] = "a.", [1] = "b.".
+  std::set<std::string> counters[2], gauges[2];
+  const auto split = [](const std::string& name, std::set<std::string>* sets) {
+    ASSERT_TRUE(name.starts_with("a.") || name.starts_with("b.")) << name;
+    sets[name[0] == 'a' ? 0 : 1].insert(name.substr(2));
+  };
+  for (const auto& c : s.counters) split(c.name, counters);
+  for (const auto& g : s.gauges) split(g.name, gauges);
+
+  // Both nodes expose the same schema, and no name is both kinds.
+  EXPECT_FALSE(counters[0].empty());
+  EXPECT_EQ(counters[0], counters[1]);
+  EXPECT_EQ(gauges[0], gauges[1]);
+  for (const std::string& g : gauges[0]) EXPECT_FALSE(counters[0].contains(g)) << g;
+  // The ratios are the only gauges; every node counter is an exact counter,
+  // including the fault plane's points.
+  EXPECT_EQ(gauges[0], (std::set<std::string>{
+                           "host.bus_utilization", "host.cpu_utilization",
+                           "host.dpram_accesses_per_pdu",
+                           "host.interrupts_per_pdu", "rx.combine_fraction"}));
+  EXPECT_GT(s.counter("a.tx.pdus_sent"), 0u);
+  EXPECT_GT(s.counter("b.host.pdus_received"), 0u);
+  EXPECT_TRUE(counters[0].contains(std::string("fault.point.") +
+                                   fault::point_name(fault::Point::kDmaError) +
+                                   ".fired"));
+
+  // Cross-checks over the same names: each node's firmware sealed exactly
+  // the cells its link carried.
+  for (const std::string node : {"a.", "b."}) {
+    EXPECT_GT(s.counter(node + "tx.cells_sent"), 0u) << node;
+    EXPECT_EQ(s.counter(node + "link.cells_sent"),
+              s.counter(node + "tx.cells_sent"))
+        << node;
   }
-  EXPECT_GT(a_sent, 0.0);
-  EXPECT_GT(b_received, 0.0);
-  EXPECT_NE(s.to_json().find("a.tx.pdus_sent"), std::string::npos);
+
+  // Counters stay exact past 2^53, where a double would round to ...992.
+  obs::Registry big;
+  big.counter("big", [] { return (std::uint64_t{1} << 53) + 1; });
+  EXPECT_NE(big.snapshot().to_json().find("\"big\": 9007199254740993"),
+            std::string::npos);
 }
 
 }  // namespace

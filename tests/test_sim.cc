@@ -320,16 +320,5 @@ TEST(Summary, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
 }
 
-TEST(Histogram, QuantilesAndClamping) {
-  Histogram h(0.0, 100.0, 10);
-  for (int i = 0; i < 100; ++i) h.add(static_cast<double>(i));
-  h.add(-5.0);   // clamps into first bucket
-  h.add(500.0);  // clamps into last bucket
-  EXPECT_EQ(h.summary().count(), 102u);
-  EXPECT_NEAR(h.quantile(0.5), 45.0, 10.0);
-  EXPECT_GT(h.counts().front(), 10u);
-  EXPECT_GT(h.counts().back(), 10u);
-}
-
 }  // namespace
 }  // namespace osiris::sim
