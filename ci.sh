@@ -15,24 +15,21 @@ ctest --test-dir build --output-on-failure -j "$JOBS"
 echo "== bench smoke (machine-readable output) =="
 # The robustness benches must run to completion and emit their JSON result
 # files (goodput + latency quantiles per row/tenant) for downstream plots.
-# The paper benches (Table 1, Figures 2-4) run too, so their whole-system
-# events/sec meets the floors below (about 5 s together).
+# bench_paper runs every paper experiment (about 2.5 s) and writes one JSON
+# file per experiment; the Table 1 and Figure 2-4 files carry the
+# whole-system events/sec that the floors below gate.
 ( cd build/bench \
   && ./bench_fault --benchmark_min_time=0.01s >/dev/null \
   && ./bench_adc_isolation >/dev/null \
   && ./bench_qos >/dev/null \
   && ./bench_chaos >/dev/null \
   && ./bench_demux >/dev/null \
-  && ./bench_table1_latency >/dev/null \
-  && ./bench_fig2_receive_5000 >/dev/null \
-  && ./bench_fig3_receive_3000 >/dev/null \
-  && ./bench_fig4_transmit >/dev/null )
-for f in build/bench/BENCH_fault.json build/bench/BENCH_adc_isolation.json \
-         build/bench/BENCH_qos.json build/bench/BENCH_chaos.json \
-         build/bench/BENCH_demux.json build/bench/BENCH_table1_latency.json \
-         build/bench/BENCH_fig2_receive_5000.json \
-         build/bench/BENCH_fig3_receive_3000.json \
-         build/bench/BENCH_fig4_transmit.json; do
+  && ./bench_paper >/dev/null )
+for b in fault adc_isolation qos chaos demux \
+         table1_latency fig2_receive_5000 fig3_receive_3000 fig4_transmit \
+         dma_length interrupts lockfree fragmentation cache skew dma_vs_pio \
+         fbuf adc fixed_dma wiring; do
+  f="build/bench/BENCH_$b.json"
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
 # The --stats-json dump must parse, both nodes must expose the same counter

@@ -4,7 +4,7 @@
 // double-cell receive curve).
 #include <gtest/gtest.h>
 
-#include "osiris/harness.h"
+#include "experiments.h"
 #include "osiris/node.h"
 #include "proto/message.h"
 
@@ -65,21 +65,15 @@ TEST(DoubleCellTx, ThroughputOrderingMatchesPaperPrediction) {
   // §4: "With double cell DMA transfers on the transmit side, the
   // host-to-host throughput attained is expected to fall between the
   // graphs for single cell DMA and that for double cell DMA on the
-  // receive side."
-  auto tx_tp = [](bool dbl) {
-    NodeConfig ca = make_3000_600_config();
-    ca.board.double_cell_dma_tx = dbl;
-    Testbed tb(std::move(ca), make_3000_600_config());
-    const atm::Vci vci = tb.open_kernel_path();
-    auto sa = tb.a.make_stack(proto::StackConfig{});
-    auto sb = tb.b.make_stack(proto::StackConfig{});
-    return harness::transmit_throughput(tb, tb.a, *sa, *sb, vci, 64 * 1024, 25)
-        .mbps;
-  };
-  const double single = tx_tp(false);
-  const double dbl = tx_tp(true);
+  // receive side." The dma_length experiment measures both directions on
+  // the 3000/600 with 64 KB messages, by cells per DMA transaction.
+  const experiments::Experiment d = experiments::dma_length();
+  const double single = d.at("e2e_tx", 1).measured;
+  const double dbl = d.at("e2e_tx", 2).measured;
   EXPECT_GT(dbl, single + 50) << "double-cell transmit must help a lot";
-  EXPECT_LT(dbl, 520.0) << "and stay under the link payload bandwidth";
+  EXPECT_LT(dbl, d.at("e2e_rx", 2).measured)
+      << "and stay under the double-cell receive curve";
+  EXPECT_LT(dbl, 520.0) << "and under the link payload bandwidth";
   // Bus arithmetic: single-cell transmit ~326 Mbps incl. setup cycles;
   // double-cell read bound is 503 Mbps.
   EXPECT_NEAR(single, 320, 35);
