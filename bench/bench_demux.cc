@@ -5,10 +5,10 @@
 // VCI. Before the flow table, the receive processor's per-cell decision
 // consulted five separate containers (quarantine set, VCI->channel map,
 // per-VCI router map, quota map, held-buffer map); now it is a single
-// probe into a cache-line-bucketed flow table whose entry consolidates all
-// of that state. This bench measures the demultiplexing decision alone,
-// with the surrounding firmware stripped away, across table populations
-// from 10^2 to 10^6 VCIs.
+// probe into the flow table, whose entry consolidates all of that state.
+// This bench measures the demultiplexing decision alone, with the
+// surrounding firmware stripped away, across table populations from 10^2
+// to 10^6 VCIs.
 //
 // Workload model: cells of one PDU arrive back-to-back on the same VCI
 // (the transmit side segments a PDU into a burst of cells), with a bounded
@@ -24,7 +24,7 @@
 //   demux_flatness      max/min flow ns/cell over the sweep  (ceiling <= 2)
 //   demux_speedup_1e4   baseline/flow ns-per-cell at 10^4    (floor >= 2)
 // Building the populations, streams and tables counts as setup; the timed
-// lookups are the run.
+// lookups on the built tables are the run, so growth is never timed.
 #include <cstdint>
 #include <cstdio>
 #include <unordered_map>
@@ -186,8 +186,8 @@ int main() {
   std::uint64_t total_cells = 0;
   double run = 0;  // seconds spent in the timed lookups
 
-  std::printf("%10s %14s %14s %9s %12s\n", "vcis", "flow ns/cell",
-              "maps ns/cell", "speedup", "probe/find");
+  std::printf("%10s %14s %14s %9s\n", "vcis", "flow ns/cell",
+              "maps ns/cell", "speedup");
   for (const std::size_t n : sizes) {
     const std::vector<std::uint32_t> pop = make_population(n);
     const std::vector<std::uint32_t> stream = make_stream(pop, kCells);
@@ -201,12 +201,7 @@ int main() {
       st.quota = 64;
       st.router = &table;  // stand-in for the owned CellRouter
     }
-    const auto lookups0 = table.stats().lookups;
-    const auto probed0 = table.stats().probed_buckets;
     const Timing ft = time_flow(table, stream);
-    const double probe_per_find =
-        static_cast<double>(table.stats().probed_buckets - probed0) /
-        static_cast<double>(table.stats().lookups - lookups0);
 
     Timing mt{};
     if (n <= kBaselineMax) {
@@ -233,19 +228,16 @@ int main() {
     total_cells += (n <= kBaselineMax ? 2 : 1) * kCells;
     run += ft.seconds + mt.seconds;
 
-    std::printf("%10zu %14.2f %14.2f %9.2f %12.3f\n", n, ft.ns_per_cell,
+    std::printf("%10zu %14.2f %14.2f %9.2f\n", n, ft.ns_per_cell,
                 mt.ns_per_cell,
-                ft.ns_per_cell > 0 ? mt.ns_per_cell / ft.ns_per_cell : 0.0,
-                probe_per_find);
+                ft.ns_per_cell > 0 ? mt.ns_per_cell / ft.ns_per_cell : 0.0);
 
     w.open_object();
     w.field("vcis", static_cast<std::uint64_t>(n));
     w.field("flow_ns_per_cell", ft.ns_per_cell);
     if (n <= kBaselineMax) w.field("maps_ns_per_cell", mt.ns_per_cell);
-    w.field("probe_per_find", probe_per_find);
     w.field("occupancy", static_cast<std::uint64_t>(table.size()));
     w.field("capacity", static_cast<std::uint64_t>(table.capacity()));
-    w.field("rehashes", table.stats().rehashes);
     w.close_object();
   }
   w.close_array();

@@ -17,7 +17,7 @@
 //     hash).
 //
 // Results land in BENCH_engine.json; ci.sh compares events_per_sec against
-// the checked-in floor in bench/engine_events_per_sec.floor.
+// the engine row of bench/floors.tsv.
 #include <cstdint>
 #include <cstdio>
 #include <functional>

@@ -1,23 +1,15 @@
 // Robustness ablation: what reliability costs above an unreliable adaptor.
 //
 // The paper's layering argument (§1) puts reliability in a protocol above
-// the driver, not in the device. This bench quantifies that choice two
-// ways:
-//   * simulated time: goodput and retransmission overhead of the ARQ
-//     layer as wire cell loss sweeps from 0 to 5% (graceful degradation,
-//     not a cliff);
-//   * wall clock: the cost of a FaultPlane hook — one pointer compare
-//     when no plane is attached, one branchy counter update when armed —
-//     i.e. what always-on fault instrumentation costs the simulator.
-#include <benchmark/benchmark.h>
-
+// the driver, not in the device. This bench quantifies that choice in
+// simulated time: goodput and retransmission overhead of the ARQ layer as
+// wire cell loss sweeps from 0 to 5% (graceful degradation, not a cliff).
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "bench_json.h"
-#include "fault/fault.h"
 #include "osiris/node.h"
 #include "proto/arq.h"
 #include "sim/time.h"
@@ -129,37 +121,9 @@ void arq_loss_table() {
   json.dump("fault");
 }
 
-// Wall-clock cost of the injection hooks themselves.
-void BM_HookNoPlane(benchmark::State& state) {
-  fault::FaultPlane* plane = nullptr;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::fires(plane, fault::Point::kDmaError));
-  }
-}
-BENCHMARK(BM_HookNoPlane);
-
-void BM_HookUnarmed(benchmark::State& state) {
-  fault::FaultPlane plane(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::fires(&plane, fault::Point::kDmaError));
-  }
-}
-BENCHMARK(BM_HookUnarmed);
-
-void BM_HookArmedProbabilistic(benchmark::State& state) {
-  fault::FaultPlane plane(1);
-  plane.arm(fault::Point::kDmaError, {.probability = 0.001});
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fault::fires(&plane, fault::Point::kDmaError));
-  }
-}
-BENCHMARK(BM_HookArmedProbabilistic);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   arq_loss_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -12,6 +12,19 @@ cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "== perfbench: build, own tests, pinned fingerprints =="
+# perfbench compiles src/ as a project of its own (.bench_build/perfbench),
+# so this is the stage that catches a src/ change breaking its compile or
+# moving a simulated outcome. Seed 1 is the pinned seed: a run whose block
+# fingerprint differs from perfbench/manifest.json reports "correct": false
+# on its last line, but run.py exits 0 either way, so that field is checked.
+python3 perfbench/run.py --test
+for w in rx_stream tx_stream pingpong chaos; do
+  python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0.1 | tail -n 1 \
+    | python3 -c 'import json, sys; sys.exit(not json.load(sys.stdin)["correct"])' 2>/dev/null \
+    || { echo "perfbench $w --seed 1 is not correct" >&2; exit 1; }
+done
+
 echo "== bench smoke (machine-readable output) =="
 # The robustness benches must run to completion and emit their JSON result
 # files (goodput + latency quantiles per row/tenant) for downstream plots.
@@ -19,7 +32,7 @@ echo "== bench smoke (machine-readable output) =="
 # file per experiment; the Table 1 and Figure 2-4 files carry the
 # whole-system events/sec that the floors below gate.
 ( cd build/bench \
-  && ./bench_fault --benchmark_min_time=0.01s >/dev/null \
+  && ./bench_fault >/dev/null \
   && ./bench_adc_isolation >/dev/null \
   && ./bench_qos >/dev/null \
   && ./bench_chaos >/dev/null \

@@ -26,7 +26,7 @@ void AdcSupervisor::watch(Adc& a, Budget b) {
   ch.budget = b;
   ch.tx_bytes_base = txp_->channel_bytes(a.pair());
   ch.rx_bufs_base = rxp_->channel_buffers(a.pair());
-  *channels_.insert(static_cast<std::uint32_t>(a.pair())).first = std::move(ch);
+  *channels_.insert(static_cast<std::uint64_t>(a.pair())).first = std::move(ch);
   // Push the QoS half of the budget down into the firmware. Weight and
   // rate limit key on the channel; the receive quota keys on each VCI the
   // tenant owns.
@@ -44,12 +44,12 @@ void AdcSupervisor::watch(Adc& a, Budget b) {
 }
 
 void AdcSupervisor::unwatch(int pair_index) {
-  channels_.erase(static_cast<std::uint32_t>(pair_index));
+  channels_.erase(static_cast<std::uint64_t>(pair_index));
 }
 
 void AdcSupervisor::on_violation(board::Violation v, int channel) {
   ++seen_[static_cast<std::size_t>(v)];
-  Channel* chp = channels_.find(static_cast<std::uint32_t>(channel));
+  Channel* chp = channels_.find(static_cast<std::uint64_t>(channel));
   if (chp == nullptr) return;  // kernel queue, or an unwatched pair
   Channel& ch = *chp;
   ++ch.violations;
@@ -70,7 +70,7 @@ void AdcSupervisor::on_violation(board::Violation v, int channel) {
 }
 
 void AdcSupervisor::quarantine(int pair_index) {
-  Channel* chp = channels_.find(static_cast<std::uint32_t>(pair_index));
+  Channel* chp = channels_.find(static_cast<std::uint64_t>(pair_index));
   if (chp == nullptr || chp->quarantined) return;
   Channel& ch = *chp;
   ch.quarantined = true;
@@ -81,12 +81,12 @@ void AdcSupervisor::quarantine(int pair_index) {
 }
 
 bool AdcSupervisor::quarantined(int pair_index) const {
-  const Channel* ch = channels_.find(static_cast<std::uint32_t>(pair_index));
+  const Channel* ch = channels_.find(static_cast<std::uint64_t>(pair_index));
   return ch != nullptr && ch->quarantined;
 }
 
 std::uint64_t AdcSupervisor::violations(int pair_index) const {
-  const Channel* ch = channels_.find(static_cast<std::uint32_t>(pair_index));
+  const Channel* ch = channels_.find(static_cast<std::uint64_t>(pair_index));
   return ch == nullptr ? 0 : ch->violations;
 }
 
@@ -107,7 +107,7 @@ void AdcSupervisor::poll() {
     polling_ = false;
     return;
   }
-  channels_.for_each([this](std::uint32_t key, Channel& ch) {
+  channels_.for_each([this](std::uint64_t key, Channel& ch) {
     const int pair = static_cast<int>(key);
     if (ch.quarantined) return;
     const std::uint64_t tx_now = txp_->channel_bytes(pair);

@@ -22,10 +22,10 @@
 #include <vector>
 
 #include "adc/adc.h"
-#include "flow/table.h"
 #include "board/board.h"
 #include "board/rx.h"
 #include "board/tx.h"
+#include "flow/table.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
 
@@ -100,10 +100,10 @@ class AdcSupervisor {
   board::TxProcessor* txp_;
   board::RxProcessor* rxp_;
   sim::Trace* trace_ = nullptr;
-  // Watched channels keyed by pair index. Same cache-conscious flow table
-  // as the receive path's VCI state: the violation sink fires from inside
-  // firmware cell handling, so the lookup it does per violation should not
-  // chase tree or chain pointers.
+  // Watched channels keyed by pair index, in the same flat table as the
+  // receive path's VCI state: the violation sink fires from inside
+  // firmware cell handling, so its per-violation lookup should not chase
+  // tree or chain pointers.
   flow::FlowTable<Channel> channels_;
   std::array<std::uint64_t, static_cast<std::size_t>(board::Violation::kCount)>
       seen_{};

@@ -11,7 +11,7 @@ namespace osiris::atm {
 
 void SeqRouter::on_cell(int /*lane*/, const Cell& c, std::vector<Placement>& place,
                         std::vector<Completion>& done) {
-  auto [pp, fresh] = pdus_.emplace(c.pdu_id);
+  auto [pp, fresh] = pdus_.insert(c.pdu_id);
   Pdu& p = *pp;
   if (fresh) {
     p.key = next_key_++;

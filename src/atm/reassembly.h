@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "atm/cell.h"
-#include "flow/openmap.h"
+#include "flow/table.h"
 
 namespace osiris::atm {
 
@@ -101,7 +101,7 @@ class SeqRouter final : public CellRouter {
   // Active PDUs by 16-bit pdu_id. A flat open-addressed table: the old
   // std::map here was an ordered tree paying pointer chases per cell for
   // an ordering nothing needed.
-  flow::OpenMap<Pdu> pdus_;
+  flow::FlowTable<Pdu> pdus_;
   std::uint64_t next_key_ = 0;
 };
 

@@ -26,8 +26,6 @@ enum class RxDropPolicy {
 };
 
 struct BoardConfig {
-  double i960_hz = 25e6;
-
   // Firmware instruction budgets, as time per decision. The paper's §5
   // observes reassembly ran at "approximately OC-12 speeds" in software: a
   // 622 Mbps link delivers a cell every ~0.68 us, so per-cell firmware
@@ -49,16 +47,14 @@ struct BoardConfig {
   bool double_cell_dma_tx = false;
   bool double_cell_dma_rx = true;
 
-  // §2.5.2: the DMA controller stops at page boundaries and accepts a
-  // second address to fill the rest of the cell.
-  bool page_boundary_stop = true;
-
-  // The ORIGINAL controller design §2.5.2 argues against: every transmit
-  // transfer moves exactly one full cell payload from a single address.
-  // A buffer that ends mid-cell keeps transferring — leaking whatever
-  // physical memory follows the buffer onto the wire (the paper's NFS
-  // page example / security risk), and putting partially-meaningful cells
-  // in the middle of multi-buffer PDUs (breaking interoperability).
+  // Transmit DMA stops at page boundaries and takes a second address to
+  // fill the rest of the cell (§2.5.2's modified controller). This flag
+  // selects the ORIGINAL design §2.5.2 argues against instead: every
+  // transmit transfer moves exactly one full cell payload from a single
+  // address. A buffer that ends mid-cell keeps transferring — leaking
+  // whatever physical memory follows the buffer onto the wire (the paper's
+  // NFS page example / security risk), and putting partially-meaningful
+  // cells in the middle of multi-buffer PDUs (breaking interoperability).
   bool fixed_length_dma_tx = false;
 
   // Receive reassembly strategy for striping skew (§2.6): "seq" or "quad".

@@ -200,10 +200,10 @@ void RxProcessor::reset() {
   gen_active_ = false;
   // Reassembly and held-buffer state die with the reset; mappings, quota
   // overrides and quarantine flags are host-side policy and survive.
-  flows_.for_each([this](std::uint32_t vci, VciState& st) {
+  flows_.for_each([this](std::uint64_t vci, VciState& st) {
     st.held = 0;
     st.router.reset();
-    maybe_release(vci, st);
+    maybe_release(static_cast<atm::Vci>(vci), st);
   });
   // reset_all, not reset: a stale head word published by a channel driver
   // the firmware cannot see would make the reborn board DMA into free
@@ -305,7 +305,7 @@ void RxProcessor::accept_cell(int lane, const atm::Cell& c) {
   places.clear();
   dones.clear();
   // The router object is heap-owned, so this reference stays valid even
-  // if flow-table inserts below move the VciState slab.
+  // if flow-table inserts below rehash and move the VciState entries.
   router_for(*st).on_cell(lane, c, places, dones);
   for (const auto& pl : places) handle_placement(c.vci, pl);
   for (const auto& dn : dones) handle_completion(c.vci, dn);
@@ -317,7 +317,7 @@ RxProcessor::RxPdu* RxProcessor::pdu_for(atm::Vci vci, std::uint64_t pdu,
                                          std::uint64_t* key_out) {
   const std::uint64_t key = pdu_map_key(vci, pdu);
   if (key_out != nullptr) *key_out = key;
-  auto [p, fresh] = pdus_.emplace(key);
+  auto [p, fresh] = pdus_.insert(key);
   if (fresh) {
     const VciState* st = flows_.find(vci);
     if (st == nullptr || !st->mapped()) {

@@ -31,7 +31,6 @@
 #include "dpram/dpram.h"
 #include "dpram/queue.h"
 #include "fault/fault.h"
-#include "flow/openmap.h"
 #include "flow/table.h"
 #include "mem/cache.h"
 #include "obs/spans.h"
@@ -209,11 +208,7 @@ class RxProcessor {
   /// instead of re-entering the scheduler (batch-dispatch win).
   [[nodiscard]] std::uint64_t pushes_coalesced() const { return pushes_coalesced_; }
 
-  /// Early-demux flow-table internals, exported to the obs registry:
-  /// occupancy, probe lengths, rehash activity (see flow::TableStats).
-  [[nodiscard]] const flow::TableStats& flow_stats() const {
-    return flows_.stats();
-  }
+  /// Early-demux flow table: VCIs with state, and slots allocated.
   [[nodiscard]] std::size_t flow_occupancy() const { return flows_.size(); }
   [[nodiscard]] std::size_t flow_capacity() const { return flows_.capacity(); }
 
@@ -312,8 +307,8 @@ class RxProcessor {
   /// Entry for `vci`, or null when none exists (never inserts).
   VciState* state_for(atm::Vci vci) { return flows_.find(vci); }
   /// Entry for `vci`, inserting a blank one when absent. NOT for the
-  /// per-cell path: an insert may grow the slab and move entries, so no
-  /// VciState pointer obtained earlier may be used afterwards (routers
+  /// per-cell path: an insert may rehash the table and move entries, so
+  /// no VciState pointer obtained earlier may be used afterwards (routers
   /// are heap-owned and stay put).
   VciState& state_insert(atm::Vci vci);
   /// Erases `vci`'s entry once nothing references it anymore.
@@ -376,11 +371,11 @@ class RxProcessor {
 
   std::vector<FreeSource> free_sources_;
   std::vector<RecvChannel> recv_channels_;
-  /// The early-demultiplexing flow table (replaces the five per-VCI maps).
+  /// Early-demultiplexing state, one entry per VCI (replaces five maps).
   flow::FlowTable<VciState> flows_;
   bool alloc_fail_quota_ = false;  // last ensure_capacity failure cause
   /// In-flight reassemblies keyed VciKey::pack(vci, router-local pdu key).
-  flow::OpenMap<RxPdu> pdus_;
+  flow::FlowTable<RxPdu> pdus_;
   PendingDma pending_;
   static constexpr std::uint32_t kNoBatch = ~std::uint32_t{0};
   std::vector<PushBatch> push_batches_;

@@ -589,10 +589,8 @@ void TxProcessor::step_job() {
       // (§2.5.2's DMA-stop modification).
       const std::uint32_t addr = j.chain[j.di].addr + j.doff;
       std::uint32_t n = std::min(c.len - filled, j.chain[j.di].len - j.doff);
-      if (cfg_.page_boundary_stop) {
-        const std::uint32_t to_page = mem::kPageSize - mem::page_offset(addr);
-        if (to_page < n) n = to_page;
-      }
+      const std::uint32_t to_page = mem::kPageSize - mem::page_offset(addr);
+      if (to_page < n) n = to_page;
       scratch_segs_.push_back(mem::PhysBuffer{addr, n});
       // One DMA transaction per contiguous address run within the group;
       // every break (buffer end, page boundary) costs a fresh transaction

@@ -51,10 +51,9 @@ struct RunnerConfig {
   sim::Duration drain_tail = sim::sec(1);
 
   // Extra kernel-path VCIs mapped on both nodes before traffic starts
-  // (none carry traffic). Drives the receive processors' flow tables to
-  // realistic occupancy so resets, quarantines and buffer-exhaustion
-  // recovery are exercised against a grown, rehashed table rather than a
-  // handful of entries.
+  // (none carry traffic). Grows the receive processors' flow tables so
+  // resets, quarantines and buffer-exhaustion recovery are exercised
+  // against a table of thousands of entries rather than a handful.
   int bulk_vcis = 0;
 
   bool collect_postmortem = false;  // assemble Report::postmortem

@@ -5,8 +5,8 @@
 // cost: every operation first acquires the lock, serializing host and
 // board and adding lock-word traffic; under concurrency, packet delivery
 // latency and CPU load suffer from contention. This implementation is kept
-// so the bench (`bench_lockfree`) can quantify the difference the paper's
-// lock-free queues make.
+// so the `lockfree` paper experiment (bench/experiments.cc) can quantify
+// the difference the paper's lock-free queues make.
 //
 // Arbitration uses a sim::Resource as the lock: an acquisition made while
 // the lock is held starts when the holder releases (FIFO), exactly the

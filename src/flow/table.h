@@ -1,32 +1,20 @@
-// Cache-conscious flow table for million-VCI early demultiplexing.
+// The simulator's one hash table. Every keyed table on the data path uses
+// it: the receive processor's per-VCI demultiplexing state and in-flight
+// reassemblies, SeqRouter's PDUs, the driver's partial accumulations and
+// the ADC supervisor's channels (see DESIGN.md §13).
 //
-// The Rx firmware's per-cell work used to be five separate hash-map
-// lookups (mapping, quota, held count, router, quarantine). At millions of
-// concurrent VCIs those maps are five dependent cache misses per cell. The
-// FlowTable replaces them with one open-addressed, fixed-arity, multi-way
-// table: each bucket is exactly one 64-byte cache line holding eight
-// (key, slot) pairs, so a demux probe touches one line and then reads one
-// consolidated entry out of a stable slab (see DESIGN.md §13).
+// Open addressing over one power-of-two array of {key, state, value}
+// slots: 64-bit keys hashed with the splitmix64 finalizer, linear probing,
+// tombstone erase (an insert reuses the first tombstone on its probe
+// path), and a full rehash on growth. The tables stay small — a host has
+// "potentially hundreds of paths" (§3.1), and no benchmark workload holds
+// more than ten VCIs — so a full rehash never costs a cell anything that
+// matters.
 //
-//  * Keys are 24-bit VCIs (or any value < 2^32 - 1); the full key is
-//    stored in the bucket, so a tag match IS the key match — no secondary
-//    verification read.
-//  * Entries live in a slab indexed by bucket slots; slots are stable
-//    across rehash, so entry state (quarantine bit, held counts, router)
-//    survives growth untouched.
-//  * Growth is power-of-two with INCREMENTAL rehash: grow() swaps in a
-//    double-size bucket array and migrates a couple of old buckets per
-//    subsequent operation, so no single cell ever pays an O(n) stall.
-//    Because the hash uses top bits, old bucket i splits exactly into new
-//    buckets 2i and 2i+1, and a lookup during migration probes at most
-//    one extra line.
-//  * A full target bucket (ninth colliding key) spills to a small
-//    overflow list that is drained at the next growth; lookups scan it
-//    only while it is non-empty, and its peak size is exported in stats.
-//
-// Iteration (for_each) walks the slab in slot order — a deterministic
-// order that depends only on the operation history, never on hashing —
-// which is what keeps repeated simulations bit-identical.
+// Iteration walks the slots in array order: a deterministic function of
+// the operation history (keys, erases and when rehashes happened), so two
+// runs of one event sequence iterate identically. Callers that need an
+// order independent of history (none today) must sort.
 #pragma once
 
 #include <cassert>
@@ -36,326 +24,149 @@
 
 namespace osiris::flow {
 
-/// Raw counters, cheap enough to maintain on the hot path; exported via
-/// the obs registry (occupancy, probe length, rehash activity).
-struct TableStats {
-  std::uint64_t lookups = 0;          ///< find/insert/erase key searches
-  std::uint64_t probed_buckets = 0;   ///< cache lines examined across lookups
-  std::uint64_t max_probe = 0;        ///< worst single-lookup line count
-  std::uint64_t inserts = 0;
-  std::uint64_t erases = 0;
-  std::uint64_t rehashes = 0;         ///< growth events
-  std::uint64_t migrated_buckets = 0; ///< buckets drained incrementally
-  std::uint64_t forced_drains = 0;    ///< migrations finished non-incrementally
-  std::uint64_t overflow_peak = 0;    ///< worst overflow-list length
-};
-
-template <class Entry>
+template <class V>
 class FlowTable {
  public:
-  static constexpr std::uint32_t kWays = 8;
-  static constexpr std::uint32_t kEmptyKey = 0xFFFFFFFFu;
-
-  explicit FlowTable(std::uint32_t initial_buckets = 16) {
-    std::uint32_t n = 1;
-    unsigned log2 = 0;
-    while (n < initial_buckets) {
-      n <<= 1;
-      ++log2;
-    }
-    shift_ = 32 - log2;
-    buckets_.assign(n, empty_bucket());
-  }
-
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  /// Entry slots the current (new) bucket array can hold.
-  [[nodiscard]] std::size_t capacity() const { return buckets_.size() * kWays; }
-  [[nodiscard]] double load() const {
-    return capacity() == 0 ? 0.0
-                           : static_cast<double>(size_) /
-                                 static_cast<double>(capacity());
-  }
-  [[nodiscard]] bool migration_pending() const { return !old_.empty(); }
-  [[nodiscard]] std::size_t overflow_size() const { return overflow_.size(); }
-  [[nodiscard]] const TableStats& stats() const { return stats_; }
+  /// Slots in the array; 0 until the first insert.
+  [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
-  /// One-probe lookup; advances any pending migration by one bucket so
-  /// lookup-heavy phases still converge to a single-table state.
-  Entry* find(std::uint32_t key) {
-    step_migration(1);
-    return locate(key);
+  V* find(std::uint64_t key) {
+    if (size_ == 0) return nullptr;
+    Slot& s = slots_[probe(key)];
+    return s.state == kFull ? &s.value : nullptr;
+  }
+  const V* find(std::uint64_t key) const {
+    return const_cast<FlowTable*>(this)->find(key);
   }
 
-  /// Const lookup: probes but never mutates (no migration step).
-  const Entry* find(std::uint32_t key) const {
-    return const_cast<FlowTable*>(this)->locate(key);
+  /// Finds or default-constructs the value for `key`; second = freshly
+  /// made. May rehash, which moves every value: pointers obtained before
+  /// the call are stale after it.
+  std::pair<V*, bool> insert(std::uint64_t key) {
+    maybe_grow();
+    Slot& s = slots_[probe(key)];
+    if (s.state == kFull) return {&s.value, false};
+    if (s.state == kEmpty) ++used_;
+    s.state = kFull;
+    s.key = key;
+    ++size_;
+    return {&s.value, true};
   }
 
-  /// Finds or default-constructs the entry for `key`; second = freshly made.
-  std::pair<Entry*, bool> insert(std::uint32_t key) {
-    assert(key != kEmptyKey);
-    step_migration(2);
-    if (Entry* e = locate(key)) return {e, false};
-    // Load-factor trigger (~75% of the new array) keeps full buckets rare.
-    if ((size_ + 1) * 4 > capacity() * 3) grow();
-    for (;;) {
-      Bucket& b = buckets_[index_of(mix(key), shift_)];
-      for (std::uint32_t w = 0; w < kWays; ++w) {
-        if (b.key[w] == kEmptyKey) {
-          const std::uint32_t s = alloc_slot(key);
-          b.key[w] = key;
-          b.slot[w] = s;
-          ++size_;
-          ++stats_.inserts;
-          return {&slab_[s], true};
-        }
-      }
-      grow();  // ninth colliding key: double and retry (overflow only
-               // arises for keys displaced DURING a migration)
-    }
+  bool erase(std::uint64_t key) {
+    if (size_ == 0) return false;
+    Slot& s = slots_[probe(key)];
+    if (s.state != kFull) return false;
+    kill(s);
+    return true;
   }
 
-  bool erase(std::uint32_t key) {
-    step_migration(2);
-    ++stats_.lookups;
-    const std::uint32_t h = mix(key);
-    if (erase_from(buckets_[index_of(h, shift_)], key)) return true;
-    if (!old_.empty()) {
-      const std::uint32_t oi = index_of(h, old_shift_);
-      if (oi >= migrate_pos_ && erase_from(old_[oi], key)) return true;
-    }
-    for (std::size_t i = 0; i < overflow_.size(); ++i) {
-      if (overflow_[i].first == key) {
-        free_slot(overflow_[i].second);
-        overflow_.erase(overflow_.begin() + static_cast<std::ptrdiff_t>(i));
-        --size_;
-        ++stats_.erases;
-        return true;
-      }
-    }
-    return false;
+  void clear() {
+    slots_.clear();
+    size_ = used_ = 0;
   }
 
-  /// Deterministic iteration in slab-slot order. `f(key, entry)` may erase
-  /// the CURRENT key; it must not insert.
+  /// f(key, value) in slot order. Erasing the CURRENT key from inside f is
+  /// safe (a tombstone moves no other slot); inserting is not.
   template <class F>
   void for_each(F&& f) {
-    for (std::size_t s = 0; s < slab_.size(); ++s) {
-      if (slab_key_[s] != kEmptyKey) f(slab_key_[s], slab_[s]);
-    }
-  }
-  template <class F>
-  void for_each(F&& f) const {
-    for (std::size_t s = 0; s < slab_.size(); ++s) {
-      if (slab_key_[s] != kEmptyKey) f(slab_key_[s], slab_[s]);
+    for (Slot& s : slots_) {
+      if (s.state == kFull) f(s.key, s.value);
     }
   }
 
-  /// Control-plane pre-sizing: grows (finishing migrations eagerly) until
-  /// `n` entries fit below the load trigger. Not for the per-cell path.
-  void reserve(std::size_t n) {
-    while ((n + 1) * 4 > capacity() * 3) grow();
-    finish_migration();
-    old_.clear();
+  /// Erases every entry where pred(key, value) is true, in slot order;
+  /// returns how many.
+  template <class Pred>
+  std::size_t erase_if(Pred&& pred) {
+    std::size_t n = 0;
+    for (Slot& s : slots_) {
+      if (s.state == kFull && pred(s.key, s.value)) {
+        kill(s);
+        ++n;
+      }
+    }
+    return n;
   }
 
  private:
-  struct alignas(64) Bucket {
-    std::uint32_t key[kWays];
-    std::uint32_t slot[kWays];
+  static constexpr std::uint8_t kEmpty = 0, kFull = 1, kTomb = 2;
+
+  // A slot that is not full always holds a default V (a rehash makes
+  // fresh slots, an erase resets the value), so insert assigns none.
+  struct Slot {
+    std::uint64_t key = 0;
+    std::uint8_t state = kEmpty;
+    V value{};
   };
-  static_assert(sizeof(Bucket) == 64, "bucket must be one cache line");
 
-  static Bucket empty_bucket() {
-    Bucket b;
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-      b.key[w] = kEmptyKey;
-      b.slot[w] = 0;
-    }
-    return b;
+  static std::uint64_t mix(std::uint64_t k) {
+    // splitmix64 finalizer: strong enough that packed (vci, sub) keys
+    // spread even when only a few low/high bits vary.
+    k ^= k >> 30;
+    k *= 0xBF58476D1CE4E5B9ull;
+    k ^= k >> 27;
+    k *= 0x94D049BB133111EBull;
+    k ^= k >> 31;
+    return k;
   }
 
-  /// Fibonacci multiplicative hash; index from the TOP bits so doubling
-  /// splits old bucket i into new buckets 2i / 2i+1.
-  static std::uint32_t mix(std::uint32_t k) { return k * 0x9E3779B1u; }
-  static std::uint32_t index_of(std::uint32_t h, unsigned shift) {
-    return shift >= 32 ? 0 : h >> shift;
-  }
-
-  void note_probes(std::uint64_t probes) {
-    stats_.probed_buckets += probes;
-    if (probes > stats_.max_probe) stats_.max_probe = probes;
-  }
-
-  Entry* locate(std::uint32_t key) {
-    ++stats_.lookups;
-    const std::uint32_t h = mix(key);
-    std::uint64_t probes = 1;
-    Bucket& b = buckets_[index_of(h, shift_)];
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-      if (b.key[w] == key) {
-        note_probes(probes);
-        return &slab_[b.slot[w]];
-      }
-      if (b.key[w] == kEmptyKey) break;  // ways are prefix-packed
-    }
-    if (!old_.empty()) {
-      const std::uint32_t oi = index_of(h, old_shift_);
-      if (oi >= migrate_pos_) {
-        ++probes;
-        Bucket& ob = old_[oi];
-        for (std::uint32_t w = 0; w < kWays; ++w) {
-          if (ob.key[w] == key) {
-            note_probes(probes);
-            return &slab_[ob.slot[w]];
-          }
-          if (ob.key[w] == kEmptyKey) break;
-        }
-      }
-    }
-    if (!overflow_.empty()) {
-      ++probes;
-      for (const auto& [k, s] : overflow_) {
-        if (k == key) {
-          note_probes(probes);
-          return &slab_[s];
-        }
-      }
-    }
-    note_probes(probes);
-    return nullptr;
-  }
-
-  bool erase_from(Bucket& b, std::uint32_t key) {
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-      if (b.key[w] != key) continue;
-      free_slot(b.slot[w]);
-      // Compact so occupied ways stay a prefix (lets lookups early-break).
-      std::uint32_t last = w;
-      for (std::uint32_t v = w + 1; v < kWays && b.key[v] != kEmptyKey; ++v) {
-        last = v;
-      }
-      b.key[w] = b.key[last];
-      b.slot[w] = b.slot[last];
-      b.key[last] = kEmptyKey;
-      b.slot[last] = 0;
-      --size_;
-      ++stats_.erases;
-      return true;
-    }
-    return false;
-  }
-
-  std::uint32_t alloc_slot(std::uint32_t key) {
-    std::uint32_t s;
-    if (!free_slots_.empty()) {
-      s = free_slots_.back();
-      free_slots_.pop_back();
-      slab_[s] = Entry{};
-    } else {
-      s = static_cast<std::uint32_t>(slab_.size());
-      slab_.emplace_back();
-      slab_key_.push_back(kEmptyKey);
-    }
-    slab_key_[s] = key;
-    return s;
-  }
-
-  void free_slot(std::uint32_t s) {
-    slab_[s] = Entry{};
-    slab_key_[s] = kEmptyKey;
-    free_slots_.push_back(s);
-  }
-
-  void place_new(std::uint32_t key, std::uint32_t slot) {
-    Bucket& b = buckets_[index_of(mix(key), shift_)];
-    for (std::uint32_t w = 0; w < kWays; ++w) {
-      if (b.key[w] == kEmptyKey) {
-        b.key[w] = key;
-        b.slot[w] = slot;
-        return;
-      }
-    }
-    overflow_.emplace_back(key, slot);
-    if (overflow_.size() > stats_.overflow_peak) {
-      stats_.overflow_peak = overflow_.size();
+  /// Index of `key` if present, else of the slot an insert should use
+  /// (the first tombstone on the probe path, or the empty slot ending it).
+  std::size_t probe(std::uint64_t key) const {
+    assert(!slots_.empty());
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t tomb = slots_.size();  // sentinel: none seen
+    for (std::size_t i = static_cast<std::size_t>(mix(key)) & mask;;
+         i = (i + 1) & mask) {
+      const Slot& s = slots_[i];
+      if (s.state == kFull && s.key == key) return i;
+      if (s.state == kEmpty) return tomb != slots_.size() ? tomb : i;
+      if (s.state == kTomb && tomb == slots_.size()) tomb = i;
     }
   }
 
-  void migrate_bucket(std::uint32_t i) {
-    Bucket& ob = old_[i];
-    for (std::uint32_t w = 0; w < kWays && ob.key[w] != kEmptyKey; ++w) {
-      place_new(ob.key[w], ob.slot[w]);
+  void kill(Slot& s) {
+    s.state = kTomb;
+    s.value = V{};
+    --size_;
+  }
+
+  void maybe_grow() {
+    if (slots_.empty()) {
+      rehash(16);
+      return;
     }
-    ob = empty_bucket();
-    ++stats_.migrated_buckets;
-  }
-
-  void step_migration(std::uint32_t n) {
-    if (old_.empty()) return;
-    while (n-- > 0 && migrate_pos_ < old_.size()) {
-      migrate_bucket(migrate_pos_++);
-    }
-    if (migrate_pos_ >= old_.size()) {
-      old_.clear();
-      migrate_pos_ = 0;
-      drain_overflow();
+    // Tombstones count against the load factor so probe chains stay short.
+    if ((used_ + 1) * 10 > slots_.size() * 7) {
+      std::size_t cap = slots_.size();
+      // Grow only if live entries justify it; otherwise a same-size
+      // rehash just clears the tombstones.
+      while ((size_ + 1) * 10 > cap * 5) cap *= 2;
+      rehash(cap);
     }
   }
 
-  void finish_migration() {
-    if (old_.empty()) return;
-    if (migrate_pos_ < old_.size()) ++stats_.forced_drains;
-    while (migrate_pos_ < old_.size()) migrate_bucket(migrate_pos_++);
-    old_.clear();
-    migrate_pos_ = 0;
-    drain_overflow();
-  }
-
-  void drain_overflow() {
-    if (overflow_.empty()) return;
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> still;
-    for (const auto& [key, slot] : overflow_) {
-      Bucket& b = buckets_[index_of(mix(key), shift_)];
-      bool placed = false;
-      for (std::uint32_t w = 0; w < kWays; ++w) {
-        if (b.key[w] == kEmptyKey) {
-          b.key[w] = key;
-          b.slot[w] = slot;
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) still.emplace_back(key, slot);
+  /// Moves every live entry, in old slot order, into `cap` fresh slots.
+  void rehash(std::size_t cap) {
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(cap));
+    used_ = size_;
+    const std::size_t mask = cap - 1;
+    for (Slot& o : old) {
+      if (o.state != kFull) continue;
+      std::size_t j = static_cast<std::size_t>(mix(o.key)) & mask;
+      while (slots_[j].state == kFull) j = (j + 1) & mask;
+      slots_[j].key = o.key;
+      slots_[j].state = kFull;
+      slots_[j].value = std::move(o.value);
     }
-    overflow_ = std::move(still);
   }
 
-  void grow() {
-    finish_migration();
-    old_ = std::move(buckets_);
-    old_shift_ = shift_;
-    shift_ -= 1;
-    buckets_.assign(old_.size() * 2, empty_bucket());
-    migrate_pos_ = 0;
-    ++stats_.rehashes;
-  }
-
-  std::vector<Bucket> buckets_;  // current array; all inserts land here
-  unsigned shift_ = 32;          // index = hash >> shift_
-  std::vector<Bucket> old_;      // non-empty while a rehash is in flight
-  unsigned old_shift_ = 32;
-  std::uint32_t migrate_pos_ = 0;
-  // Keys displaced into a full new-table bucket during migration (rare).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> overflow_;
-
-  std::vector<Entry> slab_;               // entries, stable slot indices
-  std::vector<std::uint32_t> slab_key_;   // kEmptyKey = free slot
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t size_ = 0;
-  TableStats stats_;
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;  // live entries
+  std::size_t used_ = 0;  // live entries + tombstones
 };
 
 }  // namespace osiris::flow

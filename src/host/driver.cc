@@ -372,7 +372,7 @@ void OsirisDriver::drain_step(sim::Tick at) {
     return;
   }
 
-  auto [acc, fresh] = accum_.emplace(key);
+  auto [acc, fresh] = accum_.insert(key);
   if (fresh) acc->seq = ++accum_seq_;
   acc->bufs.push_back(RxBuffer{d->addr, d->len, d->user});
   acc->bytes += d->len;

@@ -36,9 +36,9 @@
 #include "atm/cell.h"
 #include "board/tx.h"
 #include "fault/fault.h"
-#include "flow/openmap.h"
 #include "dpram/dpram.h"
 #include "dpram/queue.h"
+#include "flow/table.h"
 #include "host/interrupts.h"
 #include "host/machine.h"
 #include "mem/cache.h"
@@ -412,7 +412,7 @@ class OsirisDriver {
   std::string last_postmortem_;
   std::vector<BufferInfo> buffers_;  // by id
   /// Partial PDUs keyed atm::VciKey::pack(vci, pdu_tag).
-  flow::OpenMap<Accum> accum_;
+  flow::FlowTable<Accum> accum_;
   std::uint64_t accum_seq_ = 0;  // monotone arrival stamp for Accum::seq
   std::deque<PendingSend> pending_sends_;
   std::deque<std::vector<mem::PhysBuffer>> inflight_tx_;  // for unwiring

@@ -72,16 +72,6 @@ constexpr Row<Count> kCounters[] = {
     // Early-demultiplexing flow table (per-VCI state on the Rx fast path).
     {"flow.occupancy", [](Node& n) -> Count { return n.rxp.flow_occupancy(); }},
     {"flow.capacity", [](Node& n) -> Count { return n.rxp.flow_capacity(); }},
-    {"flow.lookups", [](Node& n) -> Count { return n.rxp.flow_stats().lookups; }},
-    {"flow.probed_buckets",
-     [](Node& n) -> Count { return n.rxp.flow_stats().probed_buckets; }},
-    {"flow.max_probe",
-     [](Node& n) -> Count { return n.rxp.flow_stats().max_probe; }},
-    {"flow.rehashes", [](Node& n) -> Count { return n.rxp.flow_stats().rehashes; }},
-    {"flow.migrated_buckets",
-     [](Node& n) -> Count { return n.rxp.flow_stats().migrated_buckets; }},
-    {"flow.overflow_peak",
-     [](Node& n) -> Count { return n.rxp.flow_stats().overflow_peak; }},
 
     // The node's outgoing link: every submitted cell is lost, dropped by
     // the receiver's HEC check or delivered; corrupted cells may be either.

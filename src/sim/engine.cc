@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <chrono>
 #include <stdexcept>
 #include <utility>
 
 namespace osiris::sim {
 
 Engine::Engine()
-    : wheel_(kBuckets),
-      boxed_at_ctor_(Event::boxed_allocations()),
-      created_(std::chrono::steady_clock::now()) {}
+    : wheel_(kBuckets), boxed_at_ctor_(Event::boxed_allocations()) {}
 
 Engine::~Engine() = default;  // chunks_ destroys queued events with the nodes
 
@@ -228,11 +227,6 @@ Engine::Stats Engine::stats() const {
   s.rewindows = rewindows_;
   s.arena_chunks = chunks_.size();
   s.boxed_events = Event::boxed_allocations() - boxed_at_ctor_;
-  s.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - created_)
-          .count();
-  s.events_per_sec =
-      s.wall_seconds > 0 ? static_cast<double>(dispatched_) / s.wall_seconds : 0;
   return s;
 }
 

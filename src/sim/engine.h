@@ -23,7 +23,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -199,8 +198,6 @@ class Engine {
     std::uint64_t rewindows = 0;       ///< wheel window advances
     std::uint64_t arena_chunks = 0;    ///< node arena chunks allocated
     std::uint64_t boxed_events = 0;    ///< heap-boxed events since construction
-    double wall_seconds = 0;           ///< wall-clock time since construction
-    double events_per_sec = 0;         ///< dispatched / wall_seconds
   };
 
   Engine();
@@ -335,7 +332,6 @@ class Engine {
   std::uint64_t spills_ = 0;
   std::uint64_t rewindows_ = 0;
   std::uint64_t boxed_at_ctor_ = 0;
-  std::chrono::steady_clock::time_point created_;
 
   Log2Histogram* step_probe_ = nullptr;  // optional step_tick() wall-clock probe
 };

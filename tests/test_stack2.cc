@@ -2,7 +2,7 @@
 // bookkeeping, and checksum interaction with fragmentation.
 #include <gtest/gtest.h>
 
-#include <type_traits>
+#include <ostream>
 
 #include "osiris/node.h"
 #include "proto/message.h"
@@ -17,17 +17,16 @@ std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   return v;
 }
 
-// gtest prints a parameter type that has no printer as its raw bytes, and
-// ctest names each case by that print. The padding is therefore spelled
-// out and zeroed: left implicit, it holds stale stack bytes and the case
-// names change from run to run.
 struct MtuCase {
   std::uint32_t mtu;
   std::uint32_t msg;
   bool cksum;
-  std::uint8_t pad[3] = {};
 };
-static_assert(std::has_unique_object_representations_v<MtuCase>);
+
+// ctest names each case by this print, e.g. mtu21_msg30_nocs.
+void PrintTo(const MtuCase& c, std::ostream* os) {
+  *os << "mtu" << c.mtu << "_msg" << c.msg << (c.cksum ? "_cs" : "_nocs");
+}
 
 class MtuSweep : public ::testing::TestWithParam<MtuCase> {};
 
