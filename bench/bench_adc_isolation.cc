@@ -31,11 +31,6 @@ using namespace osiris;
 constexpr std::uint32_t kMessages = 200;
 constexpr std::size_t kBytes = 2000;
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 struct TenantResult {
   std::uint64_t delivered = 0;
   double goodput_mbps = 0.0;
@@ -66,9 +61,9 @@ ScenarioResult run_scenario(bool with_adversary) {
   for (int pair = 1; pair <= 2; ++pair) {
     const auto vci = static_cast<std::uint16_t>(900 + pair);
     Tenant t;
-    t.tx = std::make_unique<adc::Adc>(deps_of(tb.a), pair,
+    t.tx = std::make_unique<adc::Adc>(tb.a.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
-    t.rx = std::make_unique<adc::Adc>(deps_of(tb.b), pair,
+    t.rx = std::make_unique<adc::Adc>(tb.b.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
     tenants.emplace(pair, std::move(t));
   }
@@ -93,7 +88,7 @@ ScenarioResult run_scenario(bool with_adversary) {
   fault::FaultPlane adversary(0xBAD);
   if (with_adversary) {
     adversary.arm(fault::Point::kAdcGarbageDescriptor, {1.0, 0, ~0ull});
-    attacker = std::make_unique<adc::Adc>(deps_of(tb.a), 3,
+    attacker = std::make_unique<adc::Adc>(tb.a.adc_deps(), 3,
                                           std::vector<atm::Vci>{910},
                                           /*priority=*/3, sc);
     attacker->set_fault_plane(&adversary);

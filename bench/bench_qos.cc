@@ -35,11 +35,6 @@ constexpr std::size_t kBytes = 2000;        // message payload
 constexpr double kCapacityMbps = 300.0;     // ~ the paper's sustained tx rate
 constexpr double kDurationMs = 20.0;        // posting window (simulated)
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 struct RunResult {
   std::vector<double> goodput_mbps;  // per tenant
   std::vector<std::uint64_t> delivered;
@@ -98,9 +93,9 @@ RunResult run_incast(double multiplier, const std::vector<std::uint32_t>& weight
   for (int pair = 1; pair <= n; ++pair) {
     const auto vci = static_cast<std::uint16_t>(900 + pair);
     Tenant t;
-    t.tx = std::make_unique<adc::Adc>(deps_of(tb.a), pair,
+    t.tx = std::make_unique<adc::Adc>(tb.a.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
-    t.rx = std::make_unique<adc::Adc>(deps_of(tb.b), pair,
+    t.rx = std::make_unique<adc::Adc>(tb.b.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
     tb.a.txp.set_queue_weight(pair, weights[static_cast<std::size_t>(pair - 1)]);
     spans_b.enable_vci(vci);

@@ -329,9 +329,8 @@ Experiment dma_length() {
                "§2.5.1: DMA transaction length vs TURBOchannel bandwidth "
                "(Mbps, % overhead); 3000/600 end to end at 64 KB (Mbps)",
                "cells per DMA transaction", [](Experiment& e) {
-    const tc::BusConfig bc;
     sim::Engine eng;
-    tc::TurboChannel bus(eng, bc);
+    tc::TurboChannel bus(eng);
     for (std::uint32_t cells = 1; cells <= 8; ++cells) {
       const std::uint32_t bytes = cells * 44;
       const double words = bus.words(bytes);
@@ -345,9 +344,10 @@ Experiment dma_length() {
             cells == 1 ? 367 : (cells == 2 ? 503 : kNoPaper));
       e.add("write_mbps", cells, mbps(bus.dma_write_cost(bytes)),
             cells == 1 ? 463 : (cells == 2 ? 587 : kNoPaper));
-      e.add("read_overhead_pct", cells, overhead_pct(bc.dma_read_overhead_cycles));
+      e.add("read_overhead_pct", cells,
+            overhead_pct(tc::kDmaReadOverheadCycles));
       e.add("write_overhead_pct", cells,
-            overhead_pct(bc.dma_write_overhead_cycles));
+            overhead_pct(tc::kDmaWriteOverheadCycles));
     }
     for (const bool dbl : {false, true}) {
       NodeConfig c = make_3000_600_config();
@@ -591,7 +591,7 @@ Experiment dma_vs_pio() {
         sim::Engine eng;
         mem::PhysicalMemory pm(1 << 22);
         mem::DataCache cache(pm, mc.cache);
-        tc::TurboChannel bus(eng, mc.bus);
+        tc::TurboChannel bus(eng);
         host::HostCpu cpu(eng, mc, bus);
         // 88-byte DMA writes back to back.
         sim::Tick t = 0;
@@ -607,7 +607,7 @@ Experiment dma_vs_pio() {
         sim::Engine eng;
         mem::PhysicalMemory pm(1 << 22);
         mem::DataCache cache(pm, mc.cache);
-        tc::TurboChannel bus(eng, mc.bus);
+        tc::TurboChannel bus(eng);
         host::HostCpu cpu(eng, mc, bus);
         // The CPU reads each word from the adaptor and stores it to the
         // application buffer, so the buffer's lines end up resident.
@@ -635,9 +635,9 @@ Experiment fbuf() {
           alpha ? host::dec_3000_600() : host::decstation_5000_200();
       sim::Engine eng;
       mem::FrameAllocator frames{1 << 25, true, 9};
-      tc::TurboChannel bus(eng, mc.bus);
+      tc::TurboChannel bus(eng);
       host::HostCpu cpu(eng, mc, bus);
-      fbuf::FbufPool pool(eng, mc, cpu, frames, fbuf::FbufPool::Config{});
+      fbuf::FbufPool pool(eng, mc, cpu, frames);
       const int cached_path = pool.create_path({0, 1, 2});
       const int cold_path = pool.create_path({0, 1, 2});
 
@@ -677,11 +677,6 @@ Experiment fbuf() {
 
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 enum class Access {
   kKernel,  // test programs linked into the kernel (the paper's baseline)
   kAdc,     // a user-space ADC on each node
@@ -699,8 +694,8 @@ double access_rtt(Experiment& e, bool alpha, std::uint32_t bytes,
   int remaining = 10;
   sim::Tick started = 0;
   if (access == Access::kAdc) {
-    adc::Adc ca(deps_of(tb->a), 1, {900}, 1, sc);
-    adc::Adc cb(deps_of(tb->b), 1, {900}, 1, sc);
+    adc::Adc ca(tb->a.adc_deps(), 1, {900}, 1, sc);
+    adc::Adc cb(tb->b.adc_deps(), 1, {900}, 1, sc);
     const proto::Message ma = proto::Message::from_payload(ca.space(), data);
     const proto::Message mb = proto::Message::from_payload(cb.space(), data);
     ca.authorize(ma.scatter());

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Builds and tests the tree twice: a plain RelWithDebInfo pass, in which
-# every -Wall -Wextra warning is an error, then an AddressSanitizer+UBSan
-# pass (build-asan/). Either failing fails the script.
+# Builds and tests the tree twice: a plain RelWithDebInfo pass, then an
+# AddressSanitizer+UBSan pass (build-asan/). In both, every -Wall -Wextra
+# warning is an error. Either failing fails the script.
 set -eu
 
 cd "$(dirname "$0")"
@@ -86,8 +86,9 @@ python3 tools/bench_trend.py build/bench --append build/bench_trend.tsv \
   --html build/bench_trend.html --floors bench/floors.tsv
 [ -s build/bench_trend.html ] || { echo "missing bench_trend.html" >&2; exit 1; }
 
-echo "== sanitized build (address,undefined) =="
-cmake -B build-asan -S . -DOSIRIS_SANITIZE=address,undefined >/dev/null
+echo "== sanitized build (address,undefined; warnings are errors) =="
+cmake -B build-asan -S . -DOSIRIS_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 

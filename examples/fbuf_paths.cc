@@ -24,10 +24,8 @@ int main() {
 
   // A handful of hot connections get per-path fbuf pools, pre-mapped into
   // their data path's domains: driver -> protocol server -> application.
-  fbuf::FbufPool pool_a(tb.a.eng, tb.a.cfg.machine, tb.a.cpu, tb.a.frames,
-                        fbuf::FbufPool::Config{});
-  fbuf::FbufPool pool_b(tb.b.eng, tb.b.cfg.machine, tb.b.cpu, tb.b.frames,
-                        fbuf::FbufPool::Config{});
+  fbuf::FbufPool pool_a(tb.a.eng, tb.a.cfg.machine, tb.a.cpu, tb.a.frames);
+  fbuf::FbufPool pool_b(tb.b.eng, tb.b.cfg.machine, tb.b.cpu, tb.b.frames);
   std::vector<std::uint16_t> hot;
   for (int i = 0; i < 4; ++i) {
     hot.push_back(pm.open_fbuf(pool_a, pool_b, {0, 1, 2}));

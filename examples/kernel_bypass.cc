@@ -17,15 +17,6 @@
 
 using namespace osiris;
 
-namespace {
-
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
-}  // namespace
-
 int main() {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
 
@@ -33,8 +24,8 @@ int main() {
   // VCI 700 and transmit priority 1 (the kernel's own pair is 0).
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;  // app links its own protocol stack
-  adc::Adc app_a(deps_of(tb.a), /*pair=*/1, {700}, /*priority=*/1, sc);
-  adc::Adc app_b(deps_of(tb.b), /*pair=*/1, {700}, /*priority=*/1, sc);
+  adc::Adc app_a(tb.a.adc_deps(), /*pair=*/1, {700}, /*priority=*/1, sc);
+  adc::Adc app_b(tb.b.adc_deps(), /*pair=*/1, {700}, /*priority=*/1, sc);
 
   // Ping-pong entirely in user space.
   std::vector<std::uint8_t> data(2048);

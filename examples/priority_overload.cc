@@ -17,15 +17,6 @@
 
 using namespace osiris;
 
-namespace {
-
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
-}  // namespace
-
 int main() {
   // Sender: fast Alpha. Receiver: slow DECstation, deliberately starved.
   NodeConfig recv_cfg = make_5000_200_config();
@@ -37,10 +28,10 @@ int main() {
   // Two application channels on the receiver: "video" (high priority, a
   // generous buffer pool) and "bulk" (low priority, small pool). On the
   // sender, matching channels to originate the traffic.
-  adc::Adc video_tx(deps_of(tb.a), 1, {800}, 2, sc);
-  adc::Adc bulk_tx(deps_of(tb.a), 2, {801}, 1, sc);
-  adc::Adc video_rx(deps_of(tb.b), 1, {800}, 2, sc);
-  adc::Adc bulk_rx(deps_of(tb.b), 2, {801}, 1, sc);
+  adc::Adc video_tx(tb.a.adc_deps(), 1, {800}, 2, sc);
+  adc::Adc bulk_tx(tb.a.adc_deps(), 2, {801}, 1, sc);
+  adc::Adc video_rx(tb.b.adc_deps(), 1, {800}, 2, sc);
+  adc::Adc bulk_rx(tb.b.adc_deps(), 2, {801}, 1, sc);
 
   // The high-priority consumer keeps up (its thread runs at a higher
   // scheduling priority, modelled as a short service time); the bulk

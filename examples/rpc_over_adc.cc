@@ -17,22 +17,13 @@
 
 using namespace osiris;
 
-namespace {
-
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
-}  // namespace
-
 int main() {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
 
   proto::StackConfig sc;
   sc.udp_checksum = true;
-  adc::Adc client_ch(deps_of(tb.a), 1, {850}, 1, sc);
-  adc::Adc server_ch(deps_of(tb.b), 1, {850}, 1, sc);
+  adc::Adc client_ch(tb.a.adc_deps(), 1, {850}, 1, sc);
+  adc::Adc server_ch(tb.b.adc_deps(), 1, {850}, 1, sc);
 
   proto::RpcEndpoint client(tb.a.eng, client_ch.stack(), client_ch.space(),
                             tb.a.cpu, tb.a.cfg.machine);

@@ -25,26 +25,15 @@ void AdcSupervisor::watch(Adc& a, Budget b) {
   ch.adc = &a;
   ch.budget = b;
   ch.tx_bytes_base = txp_->channel_bytes(a.pair());
-  ch.rx_bufs_base = rxp_->channel_buffers(a.pair());
   *channels_.insert(static_cast<std::uint64_t>(a.pair())).first = std::move(ch);
-  // Push the QoS half of the budget down into the firmware. Weight and
-  // rate limit key on the channel; the receive quota keys on each VCI the
-  // tenant owns.
+  // Push the QoS half of the budget down into the firmware: weight and
+  // rate limit key on the channel.
   txp_->set_queue_weight(a.pair(), b.tx_weight);
   if (b.tx_bytes_per_sec > 0.0) {
     const std::uint64_t burst =
         b.tx_burst_bytes != 0 ? b.tx_burst_bytes : std::uint64_t{16 * 1024};
     txp_->set_rate_limit(a.pair(), b.tx_bytes_per_sec, burst);
   }
-  if (b.rx_buffer_quota != 0) {
-    for (const atm::Vci vci : a.vcis()) {
-      rxp_->set_vci_quota(vci, b.rx_buffer_quota);
-    }
-  }
-}
-
-void AdcSupervisor::unwatch(int pair_index) {
-  channels_.erase(static_cast<std::uint64_t>(pair_index));
 }
 
 void AdcSupervisor::on_violation(board::Violation v, int channel) {
@@ -111,15 +100,10 @@ void AdcSupervisor::poll() {
     const int pair = static_cast<int>(key);
     if (ch.quarantined) return;
     const std::uint64_t tx_now = txp_->channel_bytes(pair);
-    const std::uint64_t rx_now = rxp_->channel_buffers(pair);
     const std::uint64_t tx_delta = tx_now - ch.tx_bytes_base;
-    const std::uint64_t rx_delta = rx_now - ch.rx_bufs_base;
     ch.tx_bytes_base = tx_now;
-    ch.rx_bufs_base = rx_now;
-    if ((ch.budget.max_tx_bytes_per_poll != 0 &&
-         tx_delta > ch.budget.max_tx_bytes_per_poll) ||
-        (ch.budget.max_rx_bufs_per_poll != 0 &&
-         rx_delta > ch.budget.max_rx_bufs_per_poll)) {
+    if (ch.budget.max_tx_bytes_per_poll != 0 &&
+        tx_delta > ch.budget.max_tx_bytes_per_poll) {
       sim::trace_event(trace_, eng_->now(), "sup", "over_budget",
                        static_cast<std::uint64_t>(pair), tx_delta);
       quarantine(pair);

@@ -7,13 +7,13 @@
 // starve neighbours by sheer volume. The AdcSupervisor is the kernel
 // policy layer on top of the firmware mechanism: it subscribes to both
 // processors' typed violation sinks, meters each registered channel
-// against a violation budget and a consumption budget (transmit bytes and
-// receive buffers per polling window), and QUARANTINES a channel that
-// exceeds either — transmit queue detached, VCIs cut off with attributed
-// drops — without perturbing any other channel. Quarantine is not
-// teardown: the application keeps its memory and may be inspected; only
-// its reach into the shared adaptor is revoked. Adc::close() (or a fresh
-// Adc on the same pair) lifts the state.
+// against a violation budget and a consumption budget (transmit bytes per
+// polling window), and QUARANTINES a channel that exceeds either —
+// transmit queue detached, VCIs cut off with attributed drops — without
+// perturbing any other channel. Quarantine is not teardown: the
+// application keeps its memory and may be inspected; only its reach into
+// the shared adaptor is revoked. Adc::close() (or a fresh Adc on the same
+// pair) lifts the state.
 #pragma once
 
 #include <array>
@@ -37,13 +37,11 @@ class AdcSupervisor {
   struct Budget {
     std::uint64_t max_violations = 8;        ///< typed rejections, lifetime
     std::uint64_t max_tx_bytes_per_poll = 0; ///< consumed tx bytes / window
-    std::uint64_t max_rx_bufs_per_poll = 0;  ///< free-list pops / window
     // QoS knobs installed on the board at watch() time (the kernel is the
     // policy layer; the firmware DRR/token-bucket is the mechanism).
     std::uint32_t tx_weight = 1;             ///< DRR weight (min 1)
     double tx_bytes_per_sec = 0.0;           ///< token-bucket rate; 0 = none
     std::uint64_t tx_burst_bytes = 0;        ///< bucket depth (0 -> 1 PDU-ish)
-    std::uint32_t rx_buffer_quota = 0;       ///< per-VCI held-buffer cap
   };
 
   /// Installs this supervisor as both processors' violation sink. One
@@ -58,16 +56,12 @@ class AdcSupervisor {
   void set_trace(sim::Trace* t) { trace_ = t; }
 
   /// Registers `a`'s channel for supervision under `b`. The Adc must
-  /// outlive the supervisor or be unregistered first.
+  /// outlive the supervisor.
   void watch(Adc& a, Budget b);
 
-  /// Forgets the channel (e.g. before destroying the Adc). Its quarantine
-  /// state on the board, if any, is left as-is.
-  void unwatch(int pair_index);
-
   /// Starts the consumption poll: every `period`, each watched channel's
-  /// transmit-byte and receive-buffer appetite over the window is checked
-  /// against its budget. Polling stops past `until` (bounded schedules).
+  /// transmit bytes over the window are checked against its budget.
+  /// Polling stops past `until` (bounded schedules).
   void start(sim::Duration period, sim::Tick until);
 
   /// Cuts the channel off immediately (also invoked internally when a
@@ -89,8 +83,7 @@ class AdcSupervisor {
     Budget budget;
     std::uint64_t violations = 0;
     bool quarantined = false;
-    std::uint64_t tx_bytes_base = 0;  // window baselines
-    std::uint64_t rx_bufs_base = 0;
+    std::uint64_t tx_bytes_base = 0;  // window baseline
   };
 
   void on_violation(board::Violation v, int channel);

@@ -13,8 +13,6 @@
 #include <functional>
 #include <string>
 
-#include "sim/time.h"
-
 namespace osiris::board {
 
 /// Receive-side overload discipline: what the firmware does when a PDU
@@ -26,21 +24,6 @@ enum class RxDropPolicy {
 };
 
 struct BoardConfig {
-  // Firmware instruction budgets, as time per decision. The paper's §5
-  // observes reassembly ran at "approximately OC-12 speeds" in software: a
-  // 622 Mbps link delivers a cell every ~0.68 us, so per-cell firmware
-  // cost must sit just below that.
-  sim::Duration fw_tx_per_dma = sim::us(0.50);   // segmentation + DMA cmd
-  sim::Duration fw_tx_per_descriptor = sim::us(1.5);
-  sim::Duration fw_rx_per_dma = sim::us(0.60);   // reassembly + DMA cmd
-  sim::Duration fw_rx_per_pdu = sim::us(2.0);    // completion bookkeeping
-  sim::Duration poll_latency = sim::us(2.0);     // doorbell-to-service
-
-  // Extra TURBOchannel cycles per transmit DMA for command/descriptor
-  // fetch by the i960. This is why sustained transmit tops out near the
-  // paper's 325 Mbps rather than the 367 Mbps pure-DMA bound (§4, Fig 4).
-  std::uint32_t tx_dma_setup_cycles = 2;
-
   // DMA length (§2.5.1): single (44 B) or double (88 B) cell payloads per
   // transaction. The paper's receive-side double-cell change was done; the
   // transmit-side change was "underway" — both are available here.
@@ -60,39 +43,8 @@ struct BoardConfig {
   // Receive reassembly strategy for striping skew (§2.6): "seq" or "quad".
   std::string reassembly = "quad";
 
-  // Firmware reassembly timeout: a PDU stuck incomplete longer than this
-  // lost cells upstream and will never finish; the heartbeat housekeeping
-  // loop abandons it and hands its buffers back to the host as aborted
-  // descriptors (else sustained loss pins the whole receive pool). Active
-  // only while the heartbeat runs; 0 disables.
-  sim::Duration reassembly_timeout = sim::ms(5);
-
-  // On-board receive header FIFO; overflow drops cells (receiver
-  // overload). 192 entries of per-cell header state is ~1.5 KB of
-  // hardware; the depth also absorbs the coarse-grained bus-arbitration
-  // model's worst-case DMA stall behind a host memory phase (see
-  // tc::TurboChannel::cpu_memory).
-  std::uint32_t rx_fifo_depth = 192;
-
-  // How long the receive firmware holds a DMA hoping to combine the next
-  // contiguous cell into a double-length transfer, in units of cell times.
-  double combine_wait_cell_times = 2.0;
-
-  // --- Per-VCI QoS and overload management ---------------------------------
-
-  // Deficit-round-robin quantum: bytes of credit a transmit queue earns per
-  // scheduler round, scaled by its weight. One quantum close to the typical
-  // PDU wire length keeps latency low without starving large-PDU queues.
-  std::uint32_t drr_quantum_bytes = 2048;
-
   // Receive overload discipline (see RxDropPolicy above).
   RxDropPolicy rx_drop_policy = RxDropPolicy::kTailDrop;
-
-  // Default cap on free-list buffers a single VCI may hold in incomplete
-  // reassemblies (0 = unlimited). A hot or skew-damaged VCI past its quota
-  // has its new PDUs dropped instead of draining the shared pool.
-  // RxProcessor::set_vci_quota overrides per VCI.
-  std::uint32_t rx_vci_buffer_quota = 0;
 };
 
 /// Interrupts the board can assert (fielded by the kernel, §3.2).

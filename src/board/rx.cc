@@ -7,6 +7,33 @@
 
 namespace osiris::board {
 
+namespace {
+// Firmware instruction budgets, as time per decision (the transmit half's
+// are in tx.cc). The paper's §5 observes reassembly ran at "approximately
+// OC-12 speeds" in software: a 622 Mbps link delivers a cell every
+// ~0.68 us, so per-cell firmware cost must sit just below that.
+constexpr sim::Duration kFwPerDma = sim::us(0.60);  // reassembly + DMA cmd
+constexpr sim::Duration kFwPerPdu = sim::us(2.0);   // completion bookkeeping
+
+// Firmware reassembly timeout: a PDU stuck incomplete longer than this
+// lost cells upstream and will never finish; the heartbeat housekeeping
+// loop abandons it and hands its buffers back to the host as aborted
+// descriptors (else sustained loss pins the whole receive pool). Active
+// only while the heartbeat runs.
+constexpr sim::Duration kReassemblyTimeout = sim::ms(5);
+
+// On-board receive header FIFO; overflow drops cells (receiver
+// overload). 192 entries of per-cell header state is ~1.5 KB of
+// hardware; the depth also absorbs the coarse-grained bus-arbitration
+// model's worst-case DMA stall behind a host memory phase (see
+// tc::TurboChannel::cpu_memory).
+constexpr std::uint32_t kFifoDepth = 192;
+
+// How long the firmware holds a DMA hoping to combine the next contiguous
+// cell into a double-length transfer, in units of cell times.
+constexpr double kCombineWaitCellTimes = 2.0;
+}  // namespace
+
 RxProcessor::RxProcessor(sim::Engine& eng, const BoardConfig& cfg,
                          tc::TurboChannel& bus, mem::DataCache& cache,
                          dpram::DualPortRam& ram)
@@ -21,7 +48,7 @@ int RxProcessor::add_free_source(const dpram::QueueLayout& lay, PageAuth auth,
                                  int channel_id) {
   free_sources_.push_back(FreeSource{
       dpram::QueueReader(*ram_, lay, dpram::Side::kBoard), std::move(auth),
-      channel_id, false, 0});
+      channel_id, false});
   return static_cast<int>(free_sources_.size()) - 1;
 }
 
@@ -56,8 +83,7 @@ void RxProcessor::set_vci_quota(atm::Vci vci, std::uint32_t max_buffers) {
 
 std::uint32_t RxProcessor::quota_for(atm::Vci vci) const {
   const VciState* st = flows_.find(vci);
-  return st != nullptr && st->quota != 0 ? st->quota
-                                         : cfg_.rx_vci_buffer_quota;
+  return st != nullptr ? st->quota : 0;
 }
 
 void RxProcessor::release_quota(atm::Vci vci, std::size_t held) {
@@ -107,21 +133,6 @@ void RxProcessor::remove_channel(int channel_id) {
     sim::trace_event(trace_, eng_->now(), "rx", "channel_detach",
                      static_cast<std::uint64_t>(channel_id), i);
   }
-}
-
-bool RxProcessor::channel_attached(int channel_id) const {
-  for (const RecvChannel& ch : recv_channels_) {
-    if (ch.channel_id == channel_id && !ch.detached) return true;
-  }
-  return false;
-}
-
-std::uint64_t RxProcessor::channel_buffers(int channel_id) const {
-  std::uint64_t n = 0;
-  for (const FreeSource& fs : free_sources_) {
-    if (fs.channel_id == channel_id) n += fs.buffers_consumed;
-  }
-  return n;
 }
 
 void RxProcessor::quarantine_vci(atm::Vci vci) {
@@ -241,9 +252,7 @@ void RxProcessor::heartbeat_step() {
     // Firmware housekeeping rides the heartbeat: abandon reassemblies
     // whose cells were lost upstream and return their buffers (a stalled
     // firmware can't GC — exactly why the host watchdog must reset it).
-    if (cfg_.reassembly_timeout > 0) {
-      purge_incomplete(cfg_.reassembly_timeout);
-    }
+    purge_incomplete(kReassemblyTimeout);
   }
   eng_->schedule(hb_period_, [this] { heartbeat_step(); });
 }
@@ -262,7 +271,7 @@ void RxProcessor::on_cell(int lane, const atm::Cell& c) {
     ++cells_bad_header_;
     return;
   }
-  if (fifo_occupancy() >= cfg_.rx_fifo_depth) {
+  if (fifo_occupancy() >= kFifoDepth) {
     ++cells_fifo_dropped_;
     sim::trace_event(trace_, eng_->now(), "rx", "fifo_drop", c.vci, c.seq);
     return;
@@ -363,7 +372,6 @@ bool RxProcessor::ensure_capacity(RxPdu& p, std::uint64_t need) {
       }
       if (d) {
         fs.low_raised = false;
-        ++fs.buffers_consumed;
         // Free-list validation (§3.2): an application recycles buffers by
         // writing descriptors the firmware will later trust for DMA, so a
         // poisoned entry (zero/absurd length, wrapping range) or one
@@ -412,7 +420,7 @@ bool RxProcessor::ensure_capacity(RxPdu& p, std::uint64_t need) {
       }
       return false;
     }
-    i960_.reserve(cfg_.fw_rx_per_dma);  // free-queue pop firmware cost
+    i960_.reserve(kFwPerDma);  // free-queue pop firmware cost
     p.bufs.push_back(PduBuf{d->addr, d->len, 0, d->user, false});
     p.alloc_cap += d->len;
     ++state_insert(p.vci).held;
@@ -492,7 +500,7 @@ void RxProcessor::schedule_flush_timer() {
   // (and an early flush_pending() cancels it too), so dead generations are
   // never dispatched.
   eng_->cancel(flush_timer_);
-  const auto wait = static_cast<sim::Duration>(cfg_.combine_wait_cell_times *
+  const auto wait = static_cast<sim::Duration>(kCombineWaitCellTimes *
                                                static_cast<double>(sim::ns(681.6)));
   flush_timer_ = eng_->schedule_timer(wait, [this] {
     if (pending_.valid) flush_pending();
@@ -529,7 +537,7 @@ void RxProcessor::issue_dma(RxPdu& p, std::uint32_t offset,
     return;
   }
   // Firmware decision time (one per DMA command).
-  sim::Tick t = i960_.reserve(cfg_.fw_rx_per_dma);
+  sim::Tick t = i960_.reserve(kFwPerDma);
 
   // Split at buffer boundaries (buffers are physically contiguous, so no
   // further page split is needed inside one), collecting the scatter
@@ -594,7 +602,7 @@ void RxProcessor::handle_completion(atm::Vci vci, const atm::Completion& c) {
   }
   p.complete = true;
   p.wire_len = c.wire_bytes;
-  i960_.reserve(cfg_.fw_rx_per_pdu);
+  i960_.reserve(kFwPerPdu);
   ++pdus_completed_;
   if (spans_ != nullptr) {
     const sim::Tick now = eng_->now();
@@ -790,7 +798,7 @@ void RxProcessor::step_generator() {
     gen_active_ = false;
     return;
   }
-  if (fifo_occupancy() >= cfg_.rx_fifo_depth) {
+  if (fifo_occupancy() >= kFifoDepth) {
     // Host can't absorb yet: stall the generator one cell period.
     eng_->schedule(gen_period_, [this] { step_generator(); });
     return;

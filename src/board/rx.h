@@ -108,13 +108,6 @@ class RxProcessor {
   /// in-flight lambdas remain valid.
   void remove_channel(int channel_id);
 
-  /// True when `channel_id` still has an attached receive channel.
-  [[nodiscard]] bool channel_attached(int channel_id) const;
-
-  /// Free-list buffers consumed on behalf of `channel_id` (its receive
-  /// traffic's appetite). Feeds the AdcSupervisor's consumption budget.
-  [[nodiscard]] std::uint64_t channel_buffers(int channel_id) const;
-
   /// Quarantines `vci`: arriving cells are dropped and counted instead of
   /// consuming buffers; existing reassembly state for the VCI is
   /// discarded. Unlike unmap_vci the drop is attributed (see
@@ -127,11 +120,10 @@ class RxProcessor {
   void map_vci(atm::Vci vci, int free_id, int fallback_free_id, int recv_idx);
   void unmap_vci(atm::Vci vci);
 
-  /// Per-VCI buffer quota override (0 restores the BoardConfig default):
-  /// once `vci` holds `max_buffers` free-list buffers in incomplete
-  /// reassemblies, its new PDUs are dropped (pdus_dropped_quota) instead of
-  /// draining the shared pool. Overload isolation for a hot or
-  /// skew-damaged VCI.
+  /// Per-VCI buffer quota (0, the default, is unlimited): once `vci` holds
+  /// `max_buffers` free-list buffers in incomplete reassemblies, its new
+  /// PDUs are dropped (pdus_dropped_quota) instead of draining the shared
+  /// pool. Overload isolation for a hot or skew-damaged VCI.
   void set_vci_quota(atm::Vci vci, std::uint32_t max_buffers);
 
   /// Free-list buffers currently held by `vci`'s in-progress reassemblies.
@@ -156,7 +148,6 @@ class RxProcessor {
   void start_generator_multi(atm::Vci vci,
                              const std::vector<std::vector<std::uint8_t>>& pdus,
                              std::uint64_t count, sim::Duration cell_period);
-  [[nodiscard]] bool generator_done() const { return !gen_active_; }
 
   // Statistics.
   [[nodiscard]] std::uint64_t cells_received() const { return cells_received_; }
@@ -226,7 +217,6 @@ class RxProcessor {
     PageAuth auth;
     int channel_id;
     bool detached = false;
-    std::uint64_t buffers_consumed = 0;
     bool low_raised = false;  // kRxFreeLow edge state for this source
   };
   struct RecvChannel {
@@ -236,7 +226,7 @@ class RxProcessor {
     bool detached = false;
   };
   /// Everything the Rx hot path touches per VCI, consolidated into one
-  /// flow-table entry: demux ids, quarantine bit, quota override, live
+  /// flow-table entry: demux ids, quarantine bit, buffer quota, live
   /// held count, and the reassembly router. One bucket probe + one slab
   /// read replaces the five separate map lookups this used to take.
   struct VciState {
@@ -247,7 +237,7 @@ class RxProcessor {
     std::int32_t fallback = -1;
     std::int32_t recv_idx = -1;
     std::uint32_t flags = 0;
-    std::uint32_t quota = 0;  // 0 = BoardConfig default
+    std::uint32_t quota = 0;  // 0 = unlimited
     std::uint32_t held = 0;   // free-list buffers held by reassemblies
     std::unique_ptr<atm::CellRouter> router;  // created on first cell
 
@@ -304,8 +294,6 @@ class RxProcessor {
   }
 
   void accept_cell(int lane, const atm::Cell& c);
-  /// Entry for `vci`, or null when none exists (never inserts).
-  VciState* state_for(atm::Vci vci) { return flows_.find(vci); }
   /// Entry for `vci`, inserting a blank one when absent. NOT for the
   /// per-cell path: an insert may rehash the table and move entries, so
   /// no VciState pointer obtained earlier may be used afterwards (routers
@@ -319,7 +307,7 @@ class RxProcessor {
   /// On failure sets alloc_fail_quota_ when the VCI's quota (not the pool)
   /// was the limit, so the caller counts the right drop statistic.
   bool ensure_capacity(RxPdu& p, std::uint64_t need);
-  /// Effective buffer quota for `vci` (override, else config default).
+  /// Buffer quota for `vci` (0 = unlimited).
   [[nodiscard]] std::uint32_t quota_for(atm::Vci vci) const;
   /// Drops `held` buffers from `vci`'s quota count.
   void release_quota(atm::Vci vci, std::size_t held);

@@ -13,6 +13,24 @@ namespace {
 // On-board cell FIFO between the DMA engine and the cell generator: how
 // many cells the DMA may run ahead of the link.
 constexpr std::size_t kTxFifoCells = 32;
+
+// Firmware instruction budgets, as time per decision (the receive half's
+// are in rx.cc): segmentation plus one DMA command, and the handling of
+// one transmit descriptor.
+constexpr sim::Duration kFwPerDma = sim::us(0.50);
+constexpr sim::Duration kFwPerDescriptor = sim::us(1.5);
+// Doorbell-to-service latency of the transmit firmware's poll loop.
+constexpr sim::Duration kPollLatency = sim::us(2.0);
+
+// Extra TURBOchannel cycles per transmit DMA for command/descriptor
+// fetch by the i960. This is why sustained transmit tops out near the
+// paper's 325 Mbps rather than the 367 Mbps pure-DMA bound (§4, Fig 4).
+constexpr std::uint32_t kDmaSetupCycles = 2;
+
+// Deficit-round-robin quantum: bytes of credit a transmit queue earns per
+// scheduler round, scaled by its weight. One quantum close to the typical
+// PDU wire length keeps latency low without starving large-PDU queues.
+constexpr std::uint64_t kDrrQuantumBytes = 2048;
 }  // namespace
 
 // Per-PDU transmission state. The firmware advances one DMA group (one or
@@ -181,7 +199,7 @@ void TxProcessor::kick() {
   if (active_ || stalled_) return;
   active_ = true;
   const std::uint64_t ep = epoch_;
-  eng_->schedule(cfg_.poll_latency, [this, ep] {
+  eng_->schedule(kPollLatency, [this, ep] {
     if (ep == epoch_) service();
   });
 }
@@ -293,8 +311,6 @@ int TxProcessor::pick_queue() {
   // weight * quantum per round, so the queue needing the fewest whole
   // rounds to cover its head PDU is the one DRR would reach first; ties
   // fall to rotation order from rr_next_.
-  const std::uint64_t quantum =
-      std::max<std::uint32_t>(1, cfg_.drr_quantum_bytes);
   std::uint64_t best_rounds = 0;
   std::size_t best = 0;
   bool found = false;
@@ -302,7 +318,7 @@ int TxProcessor::pick_queue() {
     const std::size_t i = (rr_next_ + off) % queues_.size();
     const TxQueue& q = queues_[i];
     if (scratch_wire_[i] == 0 || q.priority != top) continue;
-    const std::uint64_t earn = quantum * q.weight;
+    const std::uint64_t earn = kDrrQuantumBytes * q.weight;
     const std::uint64_t lack =
         scratch_wire_[i] > q.deficit ? scratch_wire_[i] - q.deficit : 0;
     const std::uint64_t rounds = (lack + earn - 1) / earn;
@@ -318,7 +334,7 @@ int TxProcessor::pick_queue() {
   // guaranteed the credit; an over-burst PDU legitimately goes negative).
   for (std::size_t i = 0; i < queues_.size(); ++i) {
     if (scratch_wire_[i] == 0 || queues_[i].priority != top) continue;
-    queues_[i].deficit += best_rounds * quantum * queues_[i].weight;
+    queues_[i].deficit += best_rounds * kDrrQuantumBytes * queues_[i].weight;
   }
   TxQueue& w = queues_[best];
   w.deficit -= std::min<std::uint64_t>(w.deficit, scratch_wire_[best]);
@@ -386,7 +402,7 @@ bool TxProcessor::start_pdu() {
       sim::trace_event(trace_, eng_->now(), "tx", "chain_glitch",
                        static_cast<std::uint64_t>(q.channel), k);
       const std::uint64_t ep = epoch_;
-      eng_->schedule_at(eng_->now() + cfg_.fw_tx_per_descriptor,
+      eng_->schedule_at(eng_->now() + kFwPerDescriptor,
                         [this, ep] {
                           if (ep != epoch_ || stalled_ || active_) return;
                           active_ = true;
@@ -400,7 +416,7 @@ bool TxProcessor::start_pdu() {
 
   // Firmware time for descriptor handling.
   const sim::Tick fw_t = i960_.reserve(
-      cfg_.fw_tx_per_descriptor * static_cast<sim::Duration>(job->chain.size()));
+      kFwPerDescriptor * static_cast<sim::Duration>(job->chain.size()));
 
   // Match the driver's enqueue stamp for this channel's oldest posted PDU
   // (FIFO order per channel; rejected chains consume their stamp too).
@@ -515,7 +531,7 @@ void TxProcessor::step_job() {
   const std::uint32_t group = std::min(cells_per_dma, j.ncells - j.next_seq);
 
   // One firmware decision per DMA transaction group.
-  sim::Tick fw_t = i960_.reserve(cfg_.fw_tx_per_dma);
+  sim::Tick fw_t = i960_.reserve(kFwPerDma);
   sim::Tick ready = fw_t;
   if (j.departures.size() >= kTxFifoCells) {
     ready = std::max(ready, j.departures[j.departures.size() - kTxFifoCells]);
@@ -533,7 +549,7 @@ void TxProcessor::step_job() {
     if (!have_pending) return;
     ready = bus_->bus().reserve_at(
         ready, bus_->dma_read_cost(pending_dma_bytes) +
-                   sim::cycles(cfg_.tx_dma_setup_cycles, bus_->config().clock_hz));
+                   sim::cycles(kDmaSetupCycles, tc::kClockHz));
     ++dma_ops_;
     have_pending = false;
     pending_dma_bytes = 0;
@@ -686,7 +702,7 @@ void TxProcessor::finish_job(sim::Tick last_dep) {
 void TxProcessor::step_job_fixed() {
   Job& j = *job_;
 
-  sim::Tick fw_t = i960_.reserve(cfg_.fw_tx_per_dma);
+  sim::Tick fw_t = i960_.reserve(kFwPerDma);
   sim::Tick ready = fw_t;
   if (j.departures.size() >= kTxFifoCells) {
     ready = std::max(ready, j.departures[j.departures.size() - kTxFifoCells]);
@@ -731,7 +747,7 @@ void TxProcessor::step_job_fixed() {
     }
     ready = bus_->bus().reserve_at(
         ready, bus_->dma_read_cost(atm::kCellPayload) +
-                   sim::cycles(cfg_.tx_dma_setup_cycles, bus_->config().clock_hz));
+                   sim::cycles(kDmaSetupCycles, tc::kClockHz));
     ++dma_ops_;
     j.doff += n;
     if (j.doff == buf.len) {

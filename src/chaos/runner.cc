@@ -22,6 +22,17 @@ namespace {
 constexpr std::uint8_t kDgramMagic0 = 0xD6;  // never an ARQ type byte (1/2)
 constexpr std::uint8_t kDgramMagic1 = 0x47;
 
+// RPC over ADC pair 1: the per-call timeout, and resends after it expires.
+constexpr sim::Duration kRpcTimeout = sim::ms(3);
+constexpr std::uint32_t kRpcRetries = 3;
+
+// Watchdogs run on both nodes from t=0 until horizon + kDrainTail; the
+// tail must comfortably cover the worst ARQ retransmission span so a
+// late firmware wedge is still rescued before the retry budget burns.
+constexpr sim::Duration kWdPeriod = sim::ms(1);
+constexpr sim::Duration kWdDeadline = sim::ms(3);
+constexpr sim::Duration kDrainTail = sim::sec(1);
+
 std::vector<std::uint8_t> tagged(std::size_t bytes, std::uint32_t tag) {
   std::vector<std::uint8_t> v(bytes < 4 ? 4 : bytes);
   v[0] = static_cast<std::uint8_t>(tag >> 24);
@@ -48,11 +59,6 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t x) {
     h *= 0x100000001b3ULL;
   }
   return h;
-}
-
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
 }
 
 NodeConfig chaos_node(sim::Trace* trace, fault::FaultPlane* hw,
@@ -160,8 +166,8 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
 
   // ADC pair 1: user-space RPC on a clean tenant. Pair 2: a raw message
   // stream whose tenant planes carry the adversary points.
-  adc::Adc rpc_cli(deps_of(tb.a), 1, {850}, 1, sc);
-  adc::Adc rpc_srv(deps_of(tb.b), 1, {850}, 1, sc);
+  adc::Adc rpc_cli(tb.a.adc_deps(), 1, {850}, 1, sc);
+  adc::Adc rpc_srv(tb.b.adc_deps(), 1, {850}, 1, sc);
   proto::RpcEndpoint client(tb.a.eng, rpc_cli.stack(), rpc_cli.space(),
                             tb.a.cpu, tb.a.cfg.machine);
   proto::RpcEndpoint server(tb.b.eng, rpc_srv.stack(), rpc_srv.space(),
@@ -173,8 +179,8 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
     return req;
   });
 
-  adc::Adc adc_tx(deps_of(tb.a), 2, {860}, 2, sc);
-  adc::Adc adc_rx(deps_of(tb.b), 2, {860}, 2, sc);
+  adc::Adc adc_tx(tb.a.adc_deps(), 2, {860}, 2, sc);
+  adc::Adc adc_rx(tb.b.adc_deps(), 2, {860}, 2, sc);
   adc_tx.set_fault_plane(&tenant_a);
   adc_rx.set_fault_plane(&tenant_b);
   adc_rx.set_sink([&](sim::Tick, std::uint16_t,
@@ -191,10 +197,10 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
   tb.b.rxp.set_vci_quota(vci_dgram, 64);
 
   // Watchdogs from t=0: any wedge during traffic or the retransmission
-  // tail is rescued within wd_deadline.
-  const sim::Tick wd_until = cfg.horizon + cfg.drain_tail;
-  tb.a.start_watchdog(cfg.wd_period, cfg.wd_deadline, wd_until);
-  tb.b.start_watchdog(cfg.wd_period, cfg.wd_deadline, wd_until);
+  // tail is rescued within kWdDeadline.
+  const sim::Tick wd_until = cfg.horizon + kDrainTail;
+  tb.a.start_watchdog(kWdPeriod, kWdDeadline, wd_until);
+  tb.b.start_watchdog(kWdPeriod, kWdDeadline, wd_until);
 
   // Apply the schedule as timed arm/disarm events on the owning node's
   // planes.
@@ -241,7 +247,7 @@ Report run_schedule(const Schedule& sch, const RunnerConfig& cfg) {
             ++rpc_done;
             if (!r.has_value()) ++rpc_timeo;
           },
-          cfg.rpc_timeout, proto::RpcRetryPolicy{.retries = cfg.rpc_retries});
+          kRpcTimeout, kRpcRetries);
     });
   }
   const sim::Tick adc_gap = cfg.horizon / (cfg.adc_msgs > 0 ? cfg.adc_msgs : 1);

@@ -38,17 +38,8 @@ struct RunnerConfig {
   // RPC over ADC pair 1 (clean tenant), plus a raw message stream over
   // ADC pair 2 (the tenant planes are attached there).
   int rpc_calls = 12;
-  sim::Duration rpc_timeout = sim::ms(3);
-  std::uint32_t rpc_retries = 3;
   int adc_msgs = 24;
   std::uint32_t adc_bytes = 384;
-
-  // Watchdogs run on both nodes from t=0 until horizon + drain_tail; the
-  // tail must comfortably cover the worst ARQ retransmission span so a
-  // late firmware wedge is still rescued before the retry budget burns.
-  sim::Duration wd_period = sim::ms(1);
-  sim::Duration wd_deadline = sim::ms(3);
-  sim::Duration drain_tail = sim::sec(1);
 
   // Extra kernel-path VCIs mapped on both nodes before traffic starts
   // (none carry traffic). Grows the receive processors' flow tables so

@@ -5,10 +5,15 @@
 
 namespace osiris::fbuf {
 
+namespace {
+constexpr std::size_t kCachedPaths = 16;  // paper: 16 MRU data paths
+constexpr std::size_t kUncachedBufs = 64;
+}  // namespace
+
 FbufPool::FbufPool(sim::Engine& eng, const host::MachineConfig& mc,
-                   host::HostCpu& cpu, mem::FrameAllocator& frames, Config cfg)
-    : eng_(&eng), mc_(&mc), cpu_(&cpu), frames_(&frames), cfg_(cfg) {
-  for (std::size_t i = 0; i < cfg_.uncached_bufs; ++i) {
+                   host::HostCpu& cpu, mem::FrameAllocator& frames)
+    : eng_(&eng), mc_(&mc), cpu_(&cpu), frames_(&frames) {
+  for (std::size_t i = 0; i < kUncachedBufs; ++i) {
     uncached_free_.push_back(frames_->alloc());
   }
 }
@@ -16,7 +21,7 @@ FbufPool::FbufPool(sim::Engine& eng, const host::MachineConfig& mc,
 int FbufPool::create_path(std::vector<DomainId> domains) {
   Path p;
   p.domains = std::move(domains);
-  for (std::size_t i = 0; i < cfg_.bufs_per_path; ++i) {
+  for (std::size_t i = 0; i < kBufsPerPath; ++i) {
     const mem::PhysAddr f = frames_->alloc();
     p.pool.push_back(f);
     p.free.push_back(f);
@@ -28,7 +33,7 @@ int FbufPool::create_path(std::vector<DomainId> domains) {
 void FbufPool::precache(int path) {
   Path& p = paths_.at(static_cast<std::size_t>(path));
   if (p.cached) return;
-  if (mru_.size() >= cfg_.cached_paths) {
+  if (mru_.size() >= kCachedPaths) {
     const int victim = mru_.back();
     mru_.pop_back();
     paths_[static_cast<std::size_t>(victim)].cached = false;
@@ -54,7 +59,7 @@ void FbufPool::install(sim::Tick at, int path, sim::Tick* done) {
   // Map the path's pool into every domain of the path: per page, per
   // domain, one remap cost. Evict the LRU cached path if the set is full.
   Path& p = paths_[static_cast<std::size_t>(path)];
-  if (mru_.size() >= cfg_.cached_paths) {
+  if (mru_.size() >= kCachedPaths) {
     const int victim = mru_.back();
     mru_.pop_back();
     paths_[static_cast<std::size_t>(victim)].cached = false;

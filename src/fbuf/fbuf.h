@@ -40,14 +40,11 @@ struct Fbuf {
 
 class FbufPool {
  public:
-  struct Config {
-    std::size_t cached_paths = 16;     // paper: 16 MRU data paths
-    std::size_t bufs_per_path = 32;    // preallocated cached fbufs per path
-    std::size_t uncached_bufs = 64;
-  };
+  /// Preallocated cached fbufs per path.
+  static constexpr std::size_t kBufsPerPath = 32;
 
   FbufPool(sim::Engine& eng, const host::MachineConfig& mc, host::HostCpu& cpu,
-           mem::FrameAllocator& frames, Config cfg);
+           mem::FrameAllocator& frames);
 
   /// Registers a data path: the ordered list of domains a PDU traverses
   /// (e.g. {driver, protocol server, application}). Returns the path id.
@@ -97,7 +94,6 @@ class FbufPool {
   const host::MachineConfig* mc_;
   host::HostCpu* cpu_;
   mem::FrameAllocator* frames_;
-  Config cfg_;
   std::vector<Path> paths_;
   std::list<int> mru_;  // front = most recent, members = cached paths
   std::deque<mem::PhysAddr> uncached_free_;

@@ -14,6 +14,9 @@ namespace {
 constexpr std::uint32_t kPushReads = 1, kPushWrites = 5;
 constexpr std::uint32_t kPopReads = 5, kPopWrites = 1;
 
+// Trace lines a watchdog reset keeps as its postmortem.
+constexpr std::size_t kPostmortemTraceLines = 32;
+
 std::uint32_t kb_of(std::uint32_t bytes) { return (bytes + 1023) / 1024; }
 }  // namespace
 
@@ -583,7 +586,7 @@ sim::Tick OsirisDriver::force_reset(sim::Tick at) {
   ++generation_;
   sim::trace_event(trace_, eng_->now(), "drv", "reset", generation_, 0);
   if (trace_ != nullptr) {
-    last_postmortem_ = trace_->dump(wd_cfg_.trace_tail);
+    last_postmortem_ = trace_->dump(kPostmortemTraceLines);
     if (postmortem_os_ != nullptr) {
       *postmortem_os_ << "osiris: adaptor reset (generation " << generation_
                       << ", " << trace_->dropped_events()

@@ -188,7 +188,6 @@ class OsirisDriver {
     sim::Duration period = 0;    ///< polling interval
     sim::Duration deadline = 0;  ///< staleness that declares a wedge
     sim::Tick until = 0;         ///< stop polling past this tick (bounded)
-    std::size_t trace_tail = 32; ///< trace lines kept as the postmortem
   };
 
   /// Gives the watchdog reset access to the receive processor (the tx
@@ -234,10 +233,6 @@ class OsirisDriver {
   void set_postmortem_stream(std::ostream* os) { postmortem_os_ = os; }
 
   void start_watchdog(const WatchdogConfig& cfg);
-  void stop_watchdog() {
-    wd_running_ = false;
-    eng_->cancel(wd_timer_);
-  }
 
   /// Immediate adaptor reset (what the watchdog fires; callable directly
   /// by tests). Returns the time the host CPU finished recovery.

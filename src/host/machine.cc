@@ -32,7 +32,6 @@ MachineConfig decstation_5000_200() {
   MachineConfig m;
   m.name = "DECstation5000/200";
   m.cpu_hz = 25e6;
-  m.bus = tc::BusConfig{};  // 25 MHz, 13/8-cycle DMA overheads
   m.cache = mem::CacheConfig{64 * 1024, 16, mem::DmaCoherence::kNonCoherent};
   m.crossbar = false;
   m.mem_word_ns = 40.0;
@@ -40,7 +39,6 @@ MachineConfig decstation_5000_200() {
   m.hit_cycles_per_word = 1.0;
   m.miss_penalty_cycles_per_line = 20.0;
   m.checksum_alu_cycles_per_word = 2.0;
-  m.copy_cycles_per_word = 2.0;
   m.invalidate_cycles_per_word = 1.0;
   m.invalidate_extra_cycles_per_word = 0.45;
 
@@ -88,7 +86,6 @@ MachineConfig dec_3000_600() {
   MachineConfig m;
   m.name = "DEC3000/600";
   m.cpu_hz = 175e6;
-  m.bus = tc::BusConfig{};  // TURBOchannel timing is the same
   m.cache = mem::CacheConfig{512 * 1024, 32, mem::DmaCoherence::kUpdate};
   m.crossbar = true;
   m.mem_word_ns = 10.0;
@@ -96,7 +93,6 @@ MachineConfig dec_3000_600() {
   m.hit_cycles_per_word = 4.0;  // effective: DMA updates L2, reads hit L2
   m.miss_penalty_cycles_per_line = 20.0;
   m.checksum_alu_cycles_per_word = 2.0;
-  m.copy_cycles_per_word = 2.0;
   m.invalidate_cycles_per_word = 1.0;
   m.invalidate_extra_cycles_per_word = 0.45;
 

@@ -30,7 +30,6 @@ namespace osiris::host {
 struct MachineConfig {
   std::string name;
   double cpu_hz = 25e6;
-  tc::BusConfig bus;
   mem::CacheConfig cache;
   bool crossbar = false;    // DMA concurrent with CPU memory traffic?
   double mem_word_ns = 40;  // CPU main-memory word time when crossbar
@@ -39,7 +38,6 @@ struct MachineConfig {
   double hit_cycles_per_word = 1.0;
   double miss_penalty_cycles_per_line = 16.0;
   double checksum_alu_cycles_per_word = 2.0;
-  double copy_cycles_per_word = 2.0;
   double invalidate_cycles_per_word = 1.0;        // paper §2.3
   double invalidate_extra_cycles_per_word = 0.6;  // induced misses (eager mode)
 

@@ -8,11 +8,15 @@
 
 namespace osiris::link {
 
+namespace {
+constexpr double kLaneMbps = 155.52;  // per-sublink line rate
+}  // namespace
+
 StripedLink::StripedLink(sim::Engine& eng, LinkConfig cfg)
     : eng_(&eng),
       cfg_(cfg),
       cell_time_(sim::ns(static_cast<double>(atm::kCellWire) * 8.0 * 1e3 /
-                         cfg.lane_mbps)),
+                         kLaneMbps)),
       rng_(cfg.seed) {
   lane_busy_until_.fill(0);
   lane_last_arrival_.fill(0);

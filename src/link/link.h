@@ -32,7 +32,6 @@
 namespace osiris::link {
 
 struct LinkConfig {
-  double lane_mbps = 155.52;    // per-sublink line rate
   double base_delay_us = 2.0;   // propagation, identical on all lanes
   std::array<double, atm::kLanes> path_offset_us{};  // skew cause (1)
   double mux_jitter_us = 0.0;                        // skew cause (2)

@@ -49,7 +49,6 @@ class FrameAllocator {
   void free(PhysAddr frame_base);
 
   [[nodiscard]] std::size_t free_frames() const { return free_count_; }
-  [[nodiscard]] std::size_t total_frames() const { return total_frames_; }
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};

@@ -3,7 +3,6 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -81,18 +80,6 @@ bool PhysicalMemory::dma_write(PhysAddr addr, std::span<const std::uint8_t> src)
   return true;
 }
 
-bool PhysicalMemory::dma_move(PhysAddr dst, PhysAddr src, std::size_t len) {
-  // One transfer, one fault consultation — but both windows must be in
-  // range for the move to start.
-  if (static_cast<std::size_t>(src) + len > size()) {
-    ++dma_errors_;
-    return false;
-  }
-  if (!dma_ok(dst, len)) return false;
-  std::memmove(data_.get() + dst, data_.get() + src, len);
-  return true;
-}
-
 std::size_t PhysicalMemory::dma_gather(std::span<const PhysBuffer> segs,
                                        std::span<std::uint8_t> dst) {
   std::size_t total = 0;
@@ -130,11 +117,6 @@ std::size_t PhysicalMemory::dma_scatter(std::span<const PhysBuffer> segs,
 }
 
 std::span<const std::uint8_t> PhysicalMemory::view(PhysAddr addr, std::size_t len) const {
-  check(addr, len);
-  return {data_.get() + addr, len};
-}
-
-std::span<std::uint8_t> PhysicalMemory::view_mut(PhysAddr addr, std::size_t len) {
   check(addr, len);
   return {data_.get() + addr, len};
 }

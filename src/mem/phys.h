@@ -61,10 +61,6 @@ class PhysicalMemory {
   bool dma_read(PhysAddr addr, std::span<std::uint8_t> dst);
   bool dma_write(PhysAddr addr, std::span<const std::uint8_t> src);
 
-  /// memmove-style phys→phys transfer: overlap-safe, same DMA error
-  /// semantics as dma_read/dma_write (one fault-plane consultation).
-  bool dma_move(PhysAddr dst, PhysAddr src, std::size_t len);
-
   /// Scatter/gather transfers used by the DMA engines. Each segment is an
   /// independent DMA burst: faults are consulted and errors counted per
   /// segment, exactly as if the caller had issued one dma_read/dma_write
@@ -81,7 +77,6 @@ class PhysicalMemory {
 
   /// Direct view for the cache model and DMA engines (bounds-checked).
   [[nodiscard]] std::span<const std::uint8_t> view(PhysAddr addr, std::size_t len) const;
-  [[nodiscard]] std::span<std::uint8_t> view_mut(PhysAddr addr, std::size_t len);
 
  private:
   /// Deleter of the mapping; it also records the mapping's length.

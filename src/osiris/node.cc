@@ -10,7 +10,7 @@ Node::Node(sim::Engine& engine, NodeConfig c)
       pm(cfg.mem_bytes),
       frames(cfg.mem_bytes, cfg.interleave_frames, cfg.seed),
       cache(pm, cfg.machine.cache),
-      bus(eng, cfg.machine.bus),
+      bus(eng),
       ram(),
       cpu(eng, cfg.machine, bus),
       intc(eng, cfg.machine, cpu),
@@ -64,7 +64,7 @@ int Node::open_fbuf_path(fbuf::FbufPool& pool, atm::Vci vci,
   const dpram::ChannelLayout lay =
       dpram::channel_layout(next_fbuf_pair_++, 64,
                             static_cast<std::uint32_t>(
-                                fbuf::FbufPool::Config{}.bufs_per_path + 1));
+                                fbuf::FbufPool::kBufsPerPath + 1));
   const int tag = next_fbuf_tag_++;
   driver.add_free_pool(lay.free, tag, pool.path_pool(path));
   const int free_id = rxp.add_free_source(lay.free, nullptr, 0);
@@ -81,6 +81,11 @@ void Node::start_watchdog(sim::Duration period, sim::Duration deadline,
   wd.deadline = deadline;
   wd.until = until;
   driver.start_watchdog(wd);
+}
+
+adc::Adc::Deps Node::adc_deps() {
+  return adc::Adc::Deps{eng,   cfg.machine, cpu, intc, bus, pm,
+                        cache, frames,      ram, txp,  rxp};
 }
 
 std::unique_ptr<proto::ProtoStack> Node::make_stack(proto::StackConfig scfg) {

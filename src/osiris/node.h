@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 
+#include "adc/adc.h"
 #include "board/rx.h"
 #include "board/tx.h"
 #include "dpram/dpram.h"
@@ -73,6 +74,9 @@ class Node {
 
   /// Creates a protocol stack bound to the kernel driver.
   std::unique_ptr<proto::ProtoStack> make_stack(proto::StackConfig cfg);
+
+  /// The parts of this node an ADC channel (adc::Adc) is built on.
+  [[nodiscard]] adc::Adc::Deps adc_deps();
 
   /// Robustness plumbing: starts both firmware heartbeats (at period/2,
   /// so the host sees at least one beat per poll) and the driver watchdog

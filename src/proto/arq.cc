@@ -153,7 +153,7 @@ void ArqEndpoint::on_timeout(atm::Vci vci) {
   const sim::Tick t =
       send_frame(eng_->now(), vci, s.window.front().framed);
   s.cur_rto = static_cast<sim::Duration>(static_cast<double>(s.cur_rto) *
-                                         cfg_.backoff);
+                                         kRetryBackoff);
   if (cfg_.max_rto > 0 && s.cur_rto > cfg_.max_rto) s.cur_rto = cfg_.max_rto;
   arm_timer(vci, s, t);
 }

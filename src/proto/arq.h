@@ -38,10 +38,13 @@ namespace osiris::proto {
 
 constexpr std::size_t kArqHeader = 12;
 
+/// Timeout multiplier per retry: the ARQ retransmit timeout grows by it
+/// per retransmission, and so does an RpcEndpoint::call timeout per retry.
+constexpr double kRetryBackoff = 2.0;
+
 struct ArqConfig {
   std::uint32_t window = 16;        ///< max unacked data frames per VCI
   sim::Duration rto = sim::ms(2);   ///< initial retransmit timeout
-  double backoff = 2.0;             ///< RTO multiplier per retry
   sim::Duration max_rto = sim::ms(50);
   std::uint32_t max_retries = 10;   ///< per-frame budget; exceeding it is
                                     ///< terminal for the VCI

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "proto/arq.h"
+
 namespace osiris::proto {
 
 namespace {
@@ -32,15 +34,6 @@ std::vector<mem::PhysBuffer> RpcEndpoint::arena_buffers() const {
 
 void RpcEndpoint::serve(Handler h) { handler_ = std::move(h); }
 
-void RpcEndpoint::use_arq(ArqEndpoint& arq) {
-  arq_ = &arq;
-  arq.attach();  // the ARQ layer owns the stack's sink from here on
-  arq.set_sink([this](sim::Tick at, atm::Vci vci,
-                      std::vector<std::uint8_t>&& data) {
-    on_data(at, vci, std::move(data));
-  });
-}
-
 sim::Tick RpcEndpoint::send_framed(sim::Tick at, atm::Vci vci,
                                    std::uint32_t id, bool response,
                                    const std::vector<std::uint8_t>& payload) {
@@ -51,7 +44,6 @@ sim::Tick RpcEndpoint::send_framed(sim::Tick at, atm::Vci vci,
   framed[3] = static_cast<std::uint8_t>(id);
   framed[4] = response ? 1 : 0;
   std::copy(payload.begin(), payload.end(), framed.begin() + kRpcHeader);
-  if (arq_ != nullptr) return arq_->send(at, vci, std::move(framed));
   if (framed.size() <= kSlotBytes) {
     // Write into the next registered slot and send a view over it.
     const mem::VirtAddr slot = slots_[next_slot_];
@@ -69,13 +61,11 @@ sim::Tick RpcEndpoint::send_framed(sim::Tick at, atm::Vci vci,
 
 sim::Tick RpcEndpoint::call(sim::Tick at, atm::Vci vci,
                             std::vector<std::uint8_t> request, Callback cb,
-                            sim::Duration timeout, RpcRetryPolicy retry) {
+                            sim::Duration timeout, std::uint32_t retries) {
   const std::uint32_t id = next_id_++;
   const sim::Tick done = send_framed(at, vci, id, false, request);
-  Pending p{std::move(cb), {},            vci,
-            {},            retry.retries, retry.backoff,
-            timeout};
-  if (retry.retries > 0) p.request = std::move(request);
+  Pending p{std::move(cb), {}, vci, {}, retries, timeout};
+  if (retries > 0) p.request = std::move(request);
   pending_[id] = std::move(p);
   ++calls_;
   schedule_timeout(id, done + timeout);
@@ -98,7 +88,7 @@ void RpcEndpoint::schedule_timeout(std::uint32_t id, sim::Tick deadline) {
       --p.retries_left;
       ++retransmissions_;
       p.cur_timeout = static_cast<sim::Duration>(
-          static_cast<double>(p.cur_timeout) * p.backoff);
+          static_cast<double>(p.cur_timeout) * kRetryBackoff);
       const sim::Tick sent =
           send_framed(eng_->now(), p.vci, id, false, p.request);
       schedule_timeout(id, sent + p.cur_timeout);

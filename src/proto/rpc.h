@@ -19,19 +19,11 @@
 
 #include "host/machine.h"
 #include "mem/paging.h"
-#include "proto/arq.h"
 #include "proto/message.h"
 #include "proto/stack.h"
 #include "sim/engine.h"
 
 namespace osiris::proto {
-
-/// Client-side retry behaviour for RpcEndpoint::call(). The default (no
-/// retries) preserves the historical fire-once semantics.
-struct RpcRetryPolicy {
-  std::uint32_t retries = 0;  ///< resends after the first timeout
-  double backoff = 2.0;       ///< timeout multiplier per retry
-};
 
 class RpcEndpoint {
  public:
@@ -61,22 +53,15 @@ class RpcEndpoint {
   /// Installs this endpoint as the stack's sink and serves requests.
   void serve(Handler h);
 
-  /// Routes this endpoint's frames through an ARQ endpoint instead of
-  /// straight onto the stack: the ARQ layer takes the stack's sink and
-  /// this endpoint becomes the ARQ sink. Calls on ARQ-bound VCIs then get
-  /// transport-level retransmission; RpcRetryPolicy remains useful for
-  /// end-to-end retries (e.g. across an adaptor reset that outlives the
-  /// ARQ budget) and for non-bound VCIs.
-  void use_arq(ArqEndpoint& arq);
-
   /// Issues a request on `vci`. The callback fires with the response or,
-  /// once `timeout` (grown by `retry.backoff` per attempt) has expired
-  /// `retry.retries + 1` times, with nullopt. A retry re-sends the request
-  /// with the same id, so a duplicate response is recognized and dropped.
+  /// once `timeout` (grown by kRetryBackoff per attempt) has expired
+  /// `retries + 1` times, with nullopt. A retry re-sends the request with
+  /// the same id, so a duplicate response is recognized and dropped. The
+  /// default (no retries) is fire-once.
   sim::Tick call(sim::Tick at, atm::Vci vci,
                  std::vector<std::uint8_t> request, Callback cb,
                  sim::Duration timeout = sim::ms(100),
-                 RpcRetryPolicy retry = {});
+                 std::uint32_t retries = 0);
 
   [[nodiscard]] std::uint64_t calls() const { return calls_; }
   [[nodiscard]] std::uint64_t responses() const { return responses_; }
@@ -93,7 +78,6 @@ class RpcEndpoint {
     atm::Vci vci = 0;
     std::vector<std::uint8_t> request;  // kept while retries remain
     std::uint32_t retries_left = 0;
-    double backoff = 2.0;
     sim::Duration cur_timeout = 0;
   };
 
@@ -108,7 +92,6 @@ class RpcEndpoint {
   mem::AddressSpace* space_;
   host::HostCpu* cpu_;
   const host::MachineConfig* mc_;
-  ArqEndpoint* arq_ = nullptr;
   Handler handler_;
   // Registered-buffer discipline: a slot must not be rewritten while the
   // board may still DMA from it. The transmit queue holds at most 63

@@ -28,38 +28,34 @@
 
 namespace osiris::tc {
 
-struct BusConfig {
-  double clock_hz = 25e6;
-  std::uint32_t word_bytes = 4;
-  std::uint32_t dma_read_overhead_cycles = 13;
-  std::uint32_t dma_write_overhead_cycles = 8;
-  // Programmed I/O: per-word costs for the host CPU touching option-slot
-  // memory (the dual-port RAM). Word reads across the TURBOchannel carry a
-  // high penalty (§2.7); writes post through a write buffer.
-  std::uint32_t pio_read_cycles = 15;
-  std::uint32_t pio_write_cycles = 4;
-};
+/// Bus clock and width: 25 MHz, 32-bit words.
+constexpr double kClockHz = 25e6;
+constexpr std::uint32_t kWordBytes = 4;
+/// Fixed cycles per DMA transaction: reads (transmit) and writes (receive).
+constexpr std::uint32_t kDmaReadOverheadCycles = 13;
+constexpr std::uint32_t kDmaWriteOverheadCycles = 8;
+/// Programmed I/O: per-word costs for the host CPU touching option-slot
+/// memory (the dual-port RAM). Word reads across the TURBOchannel carry a
+/// high penalty (§2.7); writes post through a write buffer.
+constexpr std::uint32_t kPioReadCycles = 15;
+constexpr std::uint32_t kPioWriteCycles = 4;
 
 class TurboChannel {
  public:
-  TurboChannel(sim::Engine& eng, BusConfig cfg)
-      : cfg_(cfg), bus_(eng, "turbochannel") {}
+  explicit TurboChannel(sim::Engine& eng) : bus_(eng, "turbochannel") {}
 
-  [[nodiscard]] const BusConfig& config() const { return cfg_; }
   [[nodiscard]] sim::Resource& bus() { return bus_; }
 
   [[nodiscard]] std::uint32_t words(std::uint32_t bytes) const {
-    return (bytes + cfg_.word_bytes - 1) / cfg_.word_bytes;
+    return (bytes + kWordBytes - 1) / kWordBytes;
   }
-
-  [[nodiscard]] sim::Duration cycle_time() const { return sim::cycle(cfg_.clock_hz); }
 
   /// Pure cost (no arbitration) of a DMA transaction moving `bytes`.
   [[nodiscard]] sim::Duration dma_read_cost(std::uint32_t bytes) const {
-    return sim::cycles(cfg_.dma_read_overhead_cycles + words(bytes), cfg_.clock_hz);
+    return sim::cycles(kDmaReadOverheadCycles + words(bytes), kClockHz);
   }
   [[nodiscard]] sim::Duration dma_write_cost(std::uint32_t bytes) const {
-    return sim::cycles(cfg_.dma_write_overhead_cycles + words(bytes), cfg_.clock_hz);
+    return sim::cycles(kDmaWriteOverheadCycles + words(bytes), kClockHz);
   }
 
   /// Reserves the bus for a DMA read of `bytes` starting no earlier than
@@ -78,10 +74,10 @@ class TurboChannel {
 
   /// Cost of `n` PIO word reads / writes by the host CPU.
   [[nodiscard]] sim::Duration pio_read_cost(std::uint32_t n_words = 1) const {
-    return sim::cycles(static_cast<double>(cfg_.pio_read_cycles) * n_words, cfg_.clock_hz);
+    return sim::cycles(static_cast<double>(kPioReadCycles) * n_words, kClockHz);
   }
   [[nodiscard]] sim::Duration pio_write_cost(std::uint32_t n_words = 1) const {
-    return sim::cycles(static_cast<double>(cfg_.pio_write_cycles) * n_words, cfg_.clock_hz);
+    return sim::cycles(static_cast<double>(kPioWriteCycles) * n_words, kClockHz);
   }
 
   /// Reserves the bus for CPU main-memory traffic of `n_words` (used only
@@ -93,17 +89,16 @@ class TurboChannel {
   /// occupancy (what throughput depends on) is identical; the one side
   /// effect — cells briefly backing up behind a block on a live link — is
   /// absorbed by the receive processor's header FIFO depth (see
-  /// BoardConfig::rx_fifo_depth).
+  /// kFifoDepth in board/rx.cc).
   sim::Tick cpu_memory(sim::Tick from, std::uint64_t n_words) {
     return bus_.reserve_at(from,
-                           sim::cycles(static_cast<double>(n_words), cfg_.clock_hz));
+                           sim::cycles(static_cast<double>(n_words), kClockHz));
   }
 
   [[nodiscard]] std::uint64_t dma_bytes() const { return dma_bytes_; }
   [[nodiscard]] std::uint64_t dma_transactions() const { return dma_transactions_; }
 
  private:
-  BusConfig cfg_;
   sim::Resource bus_;
   std::uint64_t dma_bytes_ = 0;
   std::uint64_t dma_transactions_ = 0;

@@ -8,11 +8,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   std::vector<std::uint8_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 13 + s);
@@ -23,8 +18,8 @@ TEST(Adc, UserToUserRoundTrip) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {500}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 1, {500}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {500}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 1, {500}, 1, sc);
 
   std::vector<std::uint8_t> got;
   cb.set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&& d) {
@@ -42,8 +37,8 @@ TEST(Adc, UnauthorizedTransmitBufferRaisesViolation) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 2, {501}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 2, {501}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 2, {501}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 2, {501}, 1, sc);
   std::uint64_t delivered = 0;
   cb.set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) {
     ++delivered;
@@ -68,8 +63,8 @@ TEST(Adc, KernelAndAdcTrafficCoexist) {
 
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 3, {502}, 2, sc);
-  adc::Adc cb(deps_of(tb.b), 3, {502}, 2, sc);
+  adc::Adc ca(tb.a.adc_deps(), 3, {502}, 2, sc);
+  adc::Adc cb(tb.b.adc_deps(), 3, {502}, 2, sc);
 
   std::uint64_t kernel_got = 0, adc_got = 0;
   ks_b->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) {
@@ -122,8 +117,8 @@ TEST(Adc, LatencyMatchesKernelPathWithinMargin) {
     Testbed tb(make_3000_600_config(), make_3000_600_config());
     proto::StackConfig sc;
     sc.mode = proto::StackMode::kRawAtm;
-    adc::Adc ca(deps_of(tb.a), 1, {503}, 1, sc);
-    adc::Adc cb(deps_of(tb.b), 1, {503}, 1, sc);
+    adc::Adc ca(tb.a.adc_deps(), 1, {503}, 1, sc);
+    adc::Adc cb(tb.b.adc_deps(), 1, {503}, 1, sc);
     const auto data = pattern(1024, 5);
     proto::Message ma = proto::Message::from_payload(ca.space(), data);
     proto::Message mb = proto::Message::from_payload(cb.space(), data);

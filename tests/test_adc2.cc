@@ -11,11 +11,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   std::vector<std::uint8_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i + s);
@@ -29,8 +24,8 @@ TEST(Adc2, UnauthorizedReceiveBufferIsSkippedWithViolation) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {960}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 1, {960}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {960}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 1, {960}, 1, sc);
 
   // Forge a descriptor for a frame the OS never granted to the ADC, by
   // overwriting the next-to-be-popped free descriptor's address in the
@@ -72,8 +67,8 @@ TEST(Adc2, UdpStackOverAdcWithChecksum) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.udp_checksum = true;  // full UDP/IP, replicated in the application
-  adc::Adc ca(deps_of(tb.a), 1, {961}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 1, {961}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {961}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 1, {961}, 1, sc);
   const auto want = pattern(30000, 3);  // multi-fragment
   std::uint64_t ok = 0;
   cb.set_sink([&](sim::Tick, atm::Vci, std::vector<std::uint8_t>&& d) {
@@ -100,9 +95,9 @@ TEST(Adc2, ThreeChannelsShareTheBoardWithoutCrosstalk) {
   for (int i = 0; i < 3; ++i) {
     const auto vci = static_cast<atm::Vci>(970 + i);
     tx_chs.push_back(
-        std::make_unique<adc::Adc>(deps_of(tb.a), i + 1, std::vector{vci}, i, sc));
+        std::make_unique<adc::Adc>(tb.a.adc_deps(), i + 1, std::vector{vci}, i, sc));
     rx_chs.push_back(
-        std::make_unique<adc::Adc>(deps_of(tb.b), i + 1, std::vector{vci}, i, sc));
+        std::make_unique<adc::Adc>(tb.b.adc_deps(), i + 1, std::vector{vci}, i, sc));
     rx_chs.back()->set_sink(
         [&got](sim::Tick, atm::Vci v, std::vector<std::uint8_t>&& d) {
           got[v] = std::move(d);
@@ -128,8 +123,8 @@ TEST(Adc2, RpcArenaMakesUserSpaceRpcViolationFree) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.udp_checksum = true;
-  adc::Adc ca(deps_of(tb.a), 1, {980}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 1, {980}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {980}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 1, {980}, 1, sc);
   proto::RpcEndpoint client(tb.a.eng, ca.stack(), ca.space(), tb.a.cpu,
                             tb.a.cfg.machine);
   proto::RpcEndpoint server(tb.b.eng, cb.stack(), cb.space(), tb.b.cpu,
@@ -158,8 +153,8 @@ TEST(Adc2, WithoutArenaAuthorizationRpcViolates) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {981}, 1, sc);
-  adc::Adc cb(deps_of(tb.b), 1, {981}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {981}, 1, sc);
+  adc::Adc cb(tb.b.adc_deps(), 1, {981}, 1, sc);
   proto::RpcEndpoint client(tb.a.eng, ca.stack(), ca.space(), tb.a.cpu,
                             tb.a.cfg.machine);
   proto::RpcEndpoint server(tb.b.eng, cb.stack(), cb.space(), tb.b.cpu,

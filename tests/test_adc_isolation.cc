@@ -18,11 +18,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 // Payload carrying a sequence number so the sink can verify order AND
 // content: byte i of message k is (k * 31 + i * 7) mod 256, with the
 // sequence in the first 4 bytes.
@@ -60,9 +55,9 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   for (int pair = 1; pair <= 2; ++pair) {
     const auto vci = static_cast<std::uint16_t>(800 + pair);
     GoodTenant t;
-    t.tx = std::make_unique<adc::Adc>(deps_of(tb.a), pair,
+    t.tx = std::make_unique<adc::Adc>(tb.a.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
-    t.rx = std::make_unique<adc::Adc>(deps_of(tb.b), pair,
+    t.rx = std::make_unique<adc::Adc>(tb.b.adc_deps(), pair,
                                       std::vector<atm::Vci>{vci}, 1, sc);
     good.emplace(pair, std::move(t));
   }
@@ -88,7 +83,7 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   adversary.arm(fault::Point::kAdcGarbageDescriptor,
                 {1.0, 0, ~0ull});  // every "send" posts garbage
   auto attacker = std::make_unique<adc::Adc>(
-      deps_of(tb.a), 3, std::vector<atm::Vci>{810}, 3, sc);  // higher prio
+      tb.a.adc_deps(), 3, std::vector<atm::Vci>{810}, 3, sc);  // higher prio
   attacker->set_fault_plane(&adversary);
   adc::AdcSupervisor::Budget tight;
   tight.max_violations = 4;
@@ -97,10 +92,10 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   // --- Crashing tenant (pair 4): dies mid-send -----------------------
   fault::FaultPlane crasher(0xDEAD);
   crasher.arm(fault::Point::kAdcAppDeath, {0.0, 3, 1});  // dies on send #3
-  auto dier = std::make_unique<adc::Adc>(deps_of(tb.a), 4,
+  auto dier = std::make_unique<adc::Adc>(tb.a.adc_deps(), 4,
                                          std::vector<atm::Vci>{811}, 1, sc);
   auto dier_rx = std::make_unique<adc::Adc>(
-      deps_of(tb.b), 4, std::vector<atm::Vci>{811}, 1, sc);
+      tb.b.adc_deps(), 4, std::vector<atm::Vci>{811}, 1, sc);
   dier->set_fault_plane(&crasher);
   sup.watch(*dier, tight);
 
@@ -111,9 +106,9 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   fault::FaultPlane poisoner(0xF01);
   poisoner.arm(fault::Point::kAdcFreeListPoison, {1.0, 0, 64});
   auto poison_tx = std::make_unique<adc::Adc>(
-      deps_of(tb.a), 5, std::vector<atm::Vci>{812}, 1, sc);
+      tb.a.adc_deps(), 5, std::vector<atm::Vci>{812}, 1, sc);
   auto poison_rx = std::make_unique<adc::Adc>(
-      deps_of(tb.b), 5, std::vector<atm::Vci>{812}, 1, sc);
+      tb.b.adc_deps(), 5, std::vector<atm::Vci>{812}, 1, sc);
   poison_rx->set_fault_plane(&poisoner);
   sup_b.watch(*poison_rx, tight);
 
@@ -230,8 +225,8 @@ TEST(AdcIsolation, ConsumptionBudgetQuarantinesWellFormedFlooder) {
   sc.mode = proto::StackMode::kRawAtm;
   adc::AdcSupervisor sup(tb.a.eng, tb.a.txp, tb.a.rxp);
 
-  adc::Adc flooder(deps_of(tb.a), 1, {820}, 1, sc);
-  adc::Adc flooder_rx(deps_of(tb.b), 1, {820}, 1, sc);
+  adc::Adc flooder(tb.a.adc_deps(), 1, {820}, 1, sc);
+  adc::Adc flooder_rx(tb.b.adc_deps(), 1, {820}, 1, sc);
   adc::AdcSupervisor::Budget cap;
   cap.max_violations = 0;            // violations alone never trip it
   cap.max_tx_bytes_per_poll = 16 * 1024;  // ~half the wire rate per window

@@ -16,11 +16,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   std::vector<std::uint8_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 7 + s);
@@ -34,7 +29,7 @@ TEST(AdcLifecycle, AllowedRejectsWrappingRanges) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {700}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {700}, 1, sc);
 
   // A wrapping range is never allowed, no matter what pages are granted.
   EXPECT_FALSE(ca.allowed(0xFFFFFFF0u, 0x20u));
@@ -55,9 +50,9 @@ TEST(AdcLifecycle, ViolationHandlerScopedToOffendingChannel) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {701}, 1, sc);
-  adc::Adc cx(deps_of(tb.a), 2, {702}, 1, sc);  // bystander, same node
-  adc::Adc cb(deps_of(tb.b), 1, {701}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {701}, 1, sc);
+  adc::Adc cx(tb.a.adc_deps(), 2, {702}, 1, sc);  // bystander, same node
+  adc::Adc cb(tb.b.adc_deps(), 1, {701}, 1, sc);
 
   int a_exceptions = 0, x_exceptions = 0;
   ca.set_violation_handler([&](sim::Tick) { ++a_exceptions; });
@@ -81,7 +76,7 @@ TEST(AdcLifecycle, ViolationAfterCloseIsDropped) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc ca(deps_of(tb.a), 1, {703}, 1, sc);
+  adc::Adc ca(tb.a.adc_deps(), 1, {703}, 1, sc);
 
   int exceptions = 0;
   ca.set_violation_handler([&](sim::Tick) { ++exceptions; });
@@ -107,9 +102,9 @@ TEST(AdcLifecycle, OpenTrafficCloseReopenRestoresBaseline) {
   const auto data = pattern(5000, 9);
 
   auto run_once = [&](int round) {
-    auto ca = std::make_unique<adc::Adc>(deps_of(tb.a), 4,
+    auto ca = std::make_unique<adc::Adc>(tb.a.adc_deps(), 4,
                                          std::vector<atm::Vci>{704}, 1, sc);
-    auto cb = std::make_unique<adc::Adc>(deps_of(tb.b), 4,
+    auto cb = std::make_unique<adc::Adc>(tb.b.adc_deps(), 4,
                                          std::vector<atm::Vci>{704}, 1, sc);
     std::uint64_t got = 0;
     cb->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&& d) {
@@ -157,8 +152,8 @@ TEST(AdcLifecycle, CloseReleasesSchedulerAndRateLimiterState) {
   const auto data = pattern(8000, 5);
 
   {
-    adc::Adc ca(deps_of(tb.a), 7, {720}, 1, sc);
-    adc::Adc cb(deps_of(tb.b), 7, {720}, 1, sc);
+    adc::Adc ca(tb.a.adc_deps(), 7, {720}, 1, sc);
+    adc::Adc cb(tb.b.adc_deps(), 7, {720}, 1, sc);
     tb.a.txp.set_queue_weight(7, 9);
     tb.a.txp.set_rate_limit(7, /*bytes_per_sec=*/1e6, /*burst_bytes=*/2048);
     ASSERT_TRUE(tb.a.txp.rate_limited(7));
@@ -180,8 +175,8 @@ TEST(AdcLifecycle, CloseReleasesSchedulerAndRateLimiterState) {
   // The reused pair runs at full speed: 4 x 8000 B in far less time than
   // the old 1 MB/s cap (~36 ms) would have allowed.
   const std::uint64_t deferrals_before = tb.a.txp.rate_deferrals();
-  adc::Adc ca2(deps_of(tb.a), 7, {720}, 1, sc);
-  adc::Adc cb2(deps_of(tb.b), 7, {720}, 1, sc);
+  adc::Adc ca2(tb.a.adc_deps(), 7, {720}, 1, sc);
+  adc::Adc cb2(tb.b.adc_deps(), 7, {720}, 1, sc);
   std::uint64_t got2 = 0;
   cb2.set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) {
     ++got2;
@@ -206,11 +201,11 @@ TEST(AdcLifecycle, CloseMidTrafficLeavesOtherChannelsUnharmed) {
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
   auto dying_tx = std::make_unique<adc::Adc>(
-      deps_of(tb.a), 5, std::vector<atm::Vci>{710}, 1, sc);
+      tb.a.adc_deps(), 5, std::vector<atm::Vci>{710}, 1, sc);
   auto dying_rx = std::make_unique<adc::Adc>(
-      deps_of(tb.b), 5, std::vector<atm::Vci>{710}, 1, sc);
-  adc::Adc good_tx(deps_of(tb.a), 6, {711}, 1, sc);
-  adc::Adc good_rx(deps_of(tb.b), 6, {711}, 1, sc);
+      tb.b.adc_deps(), 5, std::vector<atm::Vci>{710}, 1, sc);
+  adc::Adc good_tx(tb.a.adc_deps(), 6, {711}, 1, sc);
+  adc::Adc good_rx(tb.b.adc_deps(), 6, {711}, 1, sc);
 
   const auto want = pattern(4000, 3);
   std::uint64_t good_got = 0;

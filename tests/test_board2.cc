@@ -12,11 +12,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 TEST(Board2, HigherPriorityAdcTransmitsFirst) {
   // Two ADCs queue PDUs at the same instant; the transmit processor serves
   // the higher-priority queue's PDUs first (§3.2: "The priority is used by
@@ -24,10 +19,10 @@ TEST(Board2, HigherPriorityAdcTransmitsFirst) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
-  adc::Adc lo_tx(deps_of(tb.a), 1, {910}, /*priority=*/1, sc);
-  adc::Adc hi_tx(deps_of(tb.a), 2, {911}, /*priority=*/5, sc);
-  adc::Adc lo_rx(deps_of(tb.b), 1, {910}, 1, sc);
-  adc::Adc hi_rx(deps_of(tb.b), 2, {911}, 5, sc);
+  adc::Adc lo_tx(tb.a.adc_deps(), 1, {910}, /*priority=*/1, sc);
+  adc::Adc hi_tx(tb.a.adc_deps(), 2, {911}, /*priority=*/5, sc);
+  adc::Adc lo_rx(tb.b.adc_deps(), 1, {910}, 1, sc);
+  adc::Adc hi_rx(tb.b.adc_deps(), 2, {911}, 5, sc);
 
   std::vector<int> order;  // 0 = low, 1 = high
   lo_rx.set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) {

@@ -486,7 +486,7 @@ const Experiment& table1() {
 
 TEST(Calibration, TurboChannelDmaBoundsMatchPaperExactly) {
   sim::Engine eng;
-  tc::TurboChannel bus(eng, tc::BusConfig{});
+  tc::TurboChannel bus(eng);
   // §2.5.1: 44-byte transfers -> 367 (read) / 463 (write) Mbps;
   //         88-byte transfers -> 503 / 587 Mbps.
   const auto rate = [&](sim::Duration per, std::uint32_t bytes) {

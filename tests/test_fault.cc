@@ -499,7 +499,7 @@ TEST(Rpc, RetrySucceedsAfterLostRequest) {
               [&](sim::Tick, std::optional<std::vector<std::uint8_t>> r) {
                 got = std::move(r);
               },
-              /*timeout=*/sim::ms(1), proto::RpcRetryPolicy{.retries = 2});
+              /*timeout=*/sim::ms(1), /*retries=*/2);
   net.tb.run();
 
   ASSERT_TRUE(got.has_value());

@@ -12,9 +12,9 @@ struct Fx {
   host::MachineConfig mc = host::decstation_5000_200();
   mem::PhysicalMemory pm{1 << 24};
   mem::FrameAllocator frames{1 << 24, true, 2};
-  tc::TurboChannel bus{eng, mc.bus};
+  tc::TurboChannel bus{eng};
   host::HostCpu cpu{eng, mc, bus};
-  FbufPool pool{eng, mc, cpu, frames, FbufPool::Config{}};
+  FbufPool pool{eng, mc, cpu, frames};
 };
 
 TEST(Fbuf, FirstAllocationInstallsPath) {
@@ -76,7 +76,7 @@ TEST(Fbuf, FreeReturnsToTheRightPool) {
   sim::Tick t = f.pool.alloc(0, p).second;  // install
   // Drain the cached pool.
   std::vector<Fbuf> held;
-  for (std::size_t i = 0; i < FbufPool::Config{}.bufs_per_path; ++i) {
+  for (std::size_t i = 0; i < FbufPool::kBufsPerPath; ++i) {
     auto [b, t2] = f.pool.alloc(t, p);
     t = t2;
     EXPECT_TRUE(b.cached);
@@ -105,7 +105,7 @@ TEST(Fbuf, PathPoolExportsPhysicalBuffers) {
   Fx f;
   const int p = f.pool.create_path({0, 1});
   const auto bufs = f.pool.path_pool(p);
-  EXPECT_EQ(bufs.size(), FbufPool::Config{}.bufs_per_path);
+  EXPECT_EQ(bufs.size(), FbufPool::kBufsPerPath);
   for (const auto& b : bufs) EXPECT_EQ(b.len, mem::kPageSize);
 }
 

@@ -19,8 +19,7 @@ struct Fx {
     node->out.set_sink(
         [this](int lane, const atm::Cell& c) { node->rxp.on_cell(lane, c); });
     pool = std::make_unique<fbuf::FbufPool>(eng, node->cfg.machine, node->cpu,
-                                            node->frames,
-                                            fbuf::FbufPool::Config{});
+                                            node->frames);
   }
 };
 

@@ -136,6 +136,11 @@ struct CacheCase {
   mem::DmaCoherence coh;
 };
 
+void PrintTo(const CacheCase& c, std::ostream* os) {
+  *os << c.size / 1024 << "KiB_line" << c.line
+      << (c.coh == mem::DmaCoherence::kUpdate ? "_update" : "_noncoherent");
+}
+
 class CacheSweep : public ::testing::TestWithParam<CacheCase> {};
 
 TEST_P(CacheSweep, RandomOpsMatchReferenceAfterInvalidate) {

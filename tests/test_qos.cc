@@ -26,11 +26,6 @@
 namespace osiris {
 namespace {
 
-adc::Adc::Deps deps_of(Node& n) {
-  return adc::Adc::Deps{n.eng,   n.cfg.machine, n.cpu, n.intc, n.bus, n.pm,
-                        n.cache, n.frames,      n.ram, n.txp,  n.rxp};
-}
-
 std::vector<std::uint8_t> pattern(std::size_t n, std::uint8_t s) {
   std::vector<std::uint8_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint8_t>(i * 13 + s);
@@ -44,9 +39,9 @@ struct Tenant {
 
   Tenant(Testbed& tb, int pair, atm::Vci vci, int priority,
          const proto::StackConfig& sc) {
-    tx = std::make_unique<adc::Adc>(deps_of(tb.a), pair,
+    tx = std::make_unique<adc::Adc>(tb.a.adc_deps(), pair,
                                     std::vector<atm::Vci>{vci}, priority, sc);
-    rx = std::make_unique<adc::Adc>(deps_of(tb.b), pair,
+    rx = std::make_unique<adc::Adc>(tb.b.adc_deps(), pair,
                                     std::vector<atm::Vci>{vci}, priority, sc);
     rx->set_sink([this](sim::Tick at, std::uint16_t,
                         std::vector<std::uint8_t>&&) {
@@ -307,7 +302,7 @@ TEST(Qos, QuarantineReclaimsSchedulerAndLimiterState) {
 
   fault::FaultPlane hostile(0xEB11);
   hostile.arm(fault::Point::kAdcGarbageDescriptor, {.probability = 1.0});
-  auto bad = std::make_unique<adc::Adc>(deps_of(tb.a), 3,
+  auto bad = std::make_unique<adc::Adc>(tb.a.adc_deps(), 3,
                                         std::vector<atm::Vci>{930}, 1, sc);
   bad->set_fault_plane(&hostile);
   adc::AdcSupervisor::Budget b;

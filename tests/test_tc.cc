@@ -9,7 +9,7 @@ namespace {
 
 TEST(TurboChannel, WordRounding) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   EXPECT_EQ(bus.words(1), 1u);
   EXPECT_EQ(bus.words(4), 1u);
   EXPECT_EQ(bus.words(5), 2u);
@@ -19,7 +19,7 @@ TEST(TurboChannel, WordRounding) {
 
 TEST(TurboChannel, DmaCostsMatchCycleArithmetic) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   // 25 MHz => 40 ns/cycle. Read: 13 + n cycles; write: 8 + n cycles.
   EXPECT_EQ(bus.dma_read_cost(44), sim::cycles(24, 25e6));
   EXPECT_EQ(bus.dma_write_cost(44), sim::cycles(19, 25e6));
@@ -29,7 +29,7 @@ TEST(TurboChannel, DmaCostsMatchCycleArithmetic) {
 
 TEST(TurboChannel, PaperBandwidthBounds) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   const auto mbps = [](std::uint32_t bytes, sim::Duration d) {
     return static_cast<double>(bytes) * 8.0 * 1e6 / static_cast<double>(d);
   };
@@ -41,7 +41,7 @@ TEST(TurboChannel, PaperBandwidthBounds) {
 
 TEST(TurboChannel, TransactionsSerialize) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   const sim::Tick t1 = bus.dma_write(0, 44);
   const sim::Tick t2 = bus.dma_write(0, 44);
   EXPECT_EQ(t2, 2 * t1);
@@ -51,7 +51,7 @@ TEST(TurboChannel, TransactionsSerialize) {
 
 TEST(TurboChannel, CpuMemoryContendsOnSerialBus) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   const sim::Tick dma_done = bus.dma_write(0, 4096);
   // CPU memory traffic requested at t=0 must wait for the transfer.
   const sim::Tick mem_done = bus.cpu_memory(0, 100);
@@ -60,7 +60,7 @@ TEST(TurboChannel, CpuMemoryContendsOnSerialBus) {
 
 TEST(TurboChannel, PioCosts) {
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   EXPECT_EQ(bus.pio_read_cost(1), sim::cycles(15, 25e6));
   EXPECT_EQ(bus.pio_write_cost(1), sim::cycles(4, 25e6));
   EXPECT_EQ(bus.pio_read_cost(10), 10 * bus.pio_read_cost(1));
@@ -69,7 +69,7 @@ TEST(TurboChannel, PioCosts) {
 TEST(TurboChannel, LaterTransactionFitsEarlierGap) {
   // The calendar property that makes host/board interleaving honest.
   sim::Engine eng;
-  TurboChannel bus(eng, BusConfig{});
+  TurboChannel bus(eng);
   bus.bus().reserve_at(sim::us(100), sim::us(10));  // future booking
   const sim::Tick t = bus.dma_write(0, 44);         // slots in before it
   EXPECT_LT(t, sim::us(100));
