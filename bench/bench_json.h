@@ -1,7 +1,7 @@
-// Machine-readable bench output: each robustness bench appends its rows to
-// a BENCH_<name>.json file in the working directory so CI (and plots) can
-// consume results without scraping the human tables. Deliberately tiny —
-// the benches only need objects/arrays of numbers and booleans.
+// Machine-readable bench output: bench_paper writes each experiment's rows
+// to a BENCH_<name>.json file in the working directory so CI (and plots)
+// can consume results without scraping the printed grids. Deliberately
+// tiny: the rows need only objects and arrays of numbers and strings.
 #pragma once
 
 #include <algorithm>
@@ -37,16 +37,6 @@ inline double quantile(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-class Writer;
-
-/// The standard perf-trajectory fields every bench emits, so
-/// tools/bench_trend.py can fold all BENCH_*.json files into one table:
-/// setup_seconds (building testbeds and nodes), run_seconds (everything
-/// else), wall_seconds (their sum), engine_events, and events_per_sec
-/// (events / run_seconds, so it measures the simulator, not the builds).
-void perf_fields(Writer& w, double setup_seconds, double run_seconds,
-                 std::uint64_t events);
-
 /// Incremental JSON builder; the caller supplies structure via the
 /// open/close calls and the builder handles commas.
 class Writer {
@@ -78,10 +68,6 @@ class Writer {
                   static_cast<unsigned long long>(v));
     out_ += buf;
   }
-  void field(const std::string& key, bool v) {
-    sep();
-    out_ += '"' + key + "\":" + (v ? "true" : "false");
-  }
   void field(const std::string& key, const std::string& v) {
     sep();
     out_ += '"' + key + "\":\"" + v + '"';
@@ -108,6 +94,11 @@ class Writer {
   bool fresh_ = true;
 };
 
+/// The standard perf-trajectory fields every BENCH_*.json carries, so
+/// tools/bench_trend.py can fold them all into one table: setup_seconds
+/// (building testbeds and nodes), run_seconds (everything else),
+/// wall_seconds (their sum), engine_events, and events_per_sec (events /
+/// run_seconds, so it measures the simulator, not the builds).
 inline void perf_fields(Writer& w, double setup_seconds, double run_seconds,
                         std::uint64_t events) {
   w.field("setup_seconds", setup_seconds);

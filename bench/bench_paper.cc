@@ -1,9 +1,10 @@
-// Reproduces every table, figure and in-text measurement of the paper
-// (bench/experiments.h). Prints each experiment as a grid, series down and
-// x across, with the paper's value on the line below a series wherever the
-// paper gives one, and writes BENCH_<experiment>.json: the rows plus the
-// standard perf-trajectory fields (benchjson::perf_fields), in which node
-// and testbed builds count as setup. EXPERIMENTS.md discusses the results.
+// Reproduces every table, figure and in-text measurement of the paper,
+// then runs the four robustness experiments (bench/experiments.h). Prints
+// each experiment as a grid, series down and x across, with the paper's
+// value on the line below a series wherever the paper gives one, and
+// writes BENCH_<experiment>.json: the rows plus the standard
+// perf-trajectory fields (benchjson::perf_fields), in which node and
+// testbed builds count as setup. EXPERIMENTS.md discusses the results.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>

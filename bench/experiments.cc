@@ -1,17 +1,24 @@
 #include "experiments.h"
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 
 #include "adc/adc.h"
+#include "adc/supervisor.h"
 #include "bench_json.h"
+#include "chaos/runner.h"
+#include "chaos/schedule.h"
 #include "dpram/lockq.h"
 #include "dpram/queue.h"
+#include "fault/fault.h"
 #include "fbuf/fbuf.h"
 #include "obs/spans.h"
 #include "osiris/harness.h"
 #include "osiris/node.h"
+#include "proto/arq.h"
 #include "proto/message.h"
 
 namespace osiris::experiments {
@@ -833,6 +840,320 @@ Experiment wiring() {
         e.add(machine_name(alpha) + "." + w.name + "_mbps", 64,
               transmit(e, std::move(cfg), {}, 64 * 1024, 20).mbps);
       }
+    }
+  });
+}
+
+// --- Robustness --------------------------------------------------------
+
+// §1 puts reliability in a protocol above the adaptor: ARQ over a lossy
+// link, 1000 x 200 B messages one per 50 us, window 16, rto 1 ms, 30
+// retries, as wire cell loss sweeps from 0 to 5%.
+Experiment fault() {
+  return timed("fault",
+               "§1: ARQ above a lossy link, 1000 x 200 B (delivered share, "
+               "retransmissions, Mbps, latency us, dead VCI)",
+               "cell loss %", [](Experiment& e) {
+    constexpr std::uint32_t kMessages = 1000;
+    constexpr std::size_t kBytes = 200;
+    constexpr sim::Duration kGap = sim::us(50);
+    for (const double loss_pct : {0.0, 0.5, 1.0, 2.0, 5.0}) {
+      NodeConfig ca = make_3000_600_config();
+      ca.board.reassembly = "seq";  // loss-tolerant reassembly
+      ca.link.cell_loss_p = loss_pct / 100;
+      ca.link.seed = 7;
+      NodeConfig cb = make_3000_600_config();
+      cb.board.reassembly = "seq";
+      auto tb = testbed(e, std::move(ca), std::move(cb));
+      // The receiver's watchdog heartbeat also drives reassembly GC;
+      // without it, partial PDUs from lost EOM cells pin receive buffers
+      // until the pool runs dry and the link collapses.
+      tb->b.start_watchdog(sim::ms(1), sim::ms(5), /*until=*/sim::sec(1));
+      const atm::Vci vci = tb->open_kernel_path();
+      proto::StackConfig sc;
+      sc.udp_checksum = true;
+      auto sa = tb->a.make_stack(sc);
+      auto sb = tb->b.make_stack(sc);
+      proto::ArqConfig ac;
+      ac.window = 16;
+      ac.rto = sim::ms(1);
+      ac.max_rto = sim::ms(10);
+      ac.max_retries = 30;
+      proto::ArqEndpoint arq_a(tb->a.eng, *sa, tb->a.kernel_space, tb->a.cpu,
+                               tb->a.cfg.machine, ac);
+      proto::ArqEndpoint arq_b(tb->b.eng, *sb, tb->b.kernel_space, tb->b.cpu,
+                               tb->b.cfg.machine, ac);
+      arq_a.bind(vci);
+      arq_b.bind(vci);
+
+      std::uint64_t delivered = 0;
+      sim::Tick last = 0;
+      std::vector<double> latency_us;
+      arq_b.set_sink([&](sim::Tick at, std::uint16_t, std::vector<std::uint8_t>&& d) {
+        // The first four payload bytes carry the send index, and message
+        // i is sent at i * kGap.
+        std::uint32_t idx = 0;
+        std::memcpy(&idx, d.data(), sizeof(idx));
+        latency_us.push_back(sim::to_us(at - static_cast<sim::Tick>(idx) * kGap));
+        ++delivered;
+        last = at;
+      });
+      std::vector<std::uint8_t> payload(kBytes, 0x5A);
+      for (std::uint32_t i = 0; i < kMessages; ++i) {
+        tb->a.eng.schedule_at(static_cast<sim::Tick>(i) * kGap, [&, i] {
+          std::memcpy(payload.data(), &i, sizeof(i));
+          arq_a.send(tb->a.eng.now(), vci, payload);
+        });
+      }
+      tb->run();
+      e.engine_events += tb->dispatched();
+      e.add("delivered", loss_pct, static_cast<double>(delivered) / kMessages);
+      e.add("retransmissions", loss_pct,
+            static_cast<double>(arq_a.retransmissions()));
+      e.add("goodput_mbps", loss_pct,
+            last > 0 ? sim::mbps(delivered * kBytes, last) : 0.0);
+      e.add("p50_us", loss_pct, benchjson::quantile(latency_us, 0.50));
+      e.add("p99_us", loss_pct, benchjson::quantile(latency_us, 0.99));
+      e.add("dead", loss_pct, arq_a.dead(vci) ? 1 : 0);
+    }
+  });
+}
+
+// §3.2: firmware checks plus OS policy confine a misbehaving application
+// without taxing good ones. Tenants 1 and 2 each send 200 x 2000 B over
+// their own ADC pair, posting each message when their previous post
+// completes. In the adversary scenario, tenant 3 floods forged
+// descriptors from a higher-priority queue until the AdcSupervisor
+// quarantines it.
+Experiment adc_isolation() {
+  return timed("adc_isolation",
+               "§3.2: ADC tenants beside an adversarial tenant, 200 x 2000 B "
+               "each (delivered share, Mbps, latency us; attacker "
+               "violations, quarantined)",
+               "tenant", [](Experiment& e) {
+    constexpr std::uint32_t kMessages = 200;
+    constexpr std::size_t kBytes = 2000;
+    for (const bool adversary : {false, true}) {
+      auto tb = testbed(e, make_3000_600_config(), make_3000_600_config());
+      proto::StackConfig sc;
+      sc.mode = proto::StackMode::kRawAtm;
+      adc::AdcSupervisor sup(tb->a.eng, tb->a.txp, tb->a.rxp);
+      adc::AdcSupervisor::Budget budget;
+      budget.max_violations = 8;
+
+      struct Tenant {
+        atm::Vci vci = 0;
+        std::unique_ptr<adc::Adc> tx, rx;
+        std::vector<sim::Tick> sent_at;
+        std::vector<double> latency_us;
+        sim::Tick last = 0;
+      };
+      std::vector<Tenant> tenants(2);
+      for (int pair = 1; pair <= 2; ++pair) {
+        Tenant& t = tenants[pair - 1];
+        t.vci = 900 + pair;
+        t.tx = std::make_unique<adc::Adc>(tb->a.adc_deps(), pair,
+                                          std::vector<atm::Vci>{t.vci}, 1, sc);
+        t.rx = std::make_unique<adc::Adc>(tb->b.adc_deps(), pair,
+                                          std::vector<atm::Vci>{t.vci}, 1, sc);
+      }
+      std::vector<std::uint8_t> payload(kBytes, 0x77);
+      std::function<void(Tenant&)> post = [&](Tenant& t) {
+        const auto k = static_cast<std::uint32_t>(t.sent_at.size());
+        std::memcpy(payload.data(), &k, sizeof(k));
+        // A message is a view: its frames stay in the tenant's address
+        // space until the Adc goes, so dropping `m` is safe.
+        const proto::Message m = proto::Message::from_payload(t.tx->space(), payload);
+        t.tx->authorize(m.scatter());
+        const sim::Tick now = tb->a.eng.now();
+        t.sent_at.push_back(now);
+        const sim::Tick done = t.tx->send(now, t.vci, m);
+        if (k + 1 < kMessages) tb->a.eng.schedule_at(done, [&] { post(t); });
+      };
+      for (Tenant& t : tenants) {
+        t.rx->set_sink([&t](sim::Tick at, std::uint16_t, std::vector<std::uint8_t>&& d) {
+          std::uint32_t idx = 0;
+          std::memcpy(&idx, d.data(), sizeof(idx));
+          t.latency_us.push_back(sim::to_us(at - t.sent_at.at(idx)));
+          t.last = at;
+        });
+        sup.watch(*t.tx, budget);
+        tb->a.eng.schedule_at(0, [&] { post(t); });
+      }
+
+      std::unique_ptr<adc::Adc> attacker;
+      fault::FaultPlane forger(0xBAD);
+      std::unique_ptr<proto::Message> junk;
+      int rounds = 0;
+      std::function<void()> flood = [&] {
+        // Two chains per round: without the firmware checks this queue
+        // would drain first and starve tenants 1 and 2.
+        sim::Tick t = attacker->send(tb->a.eng.now(), 910, *junk);
+        t = attacker->send(t, 910, *junk);
+        if (++rounds < static_cast<int>(kMessages)) {
+          tb->a.eng.schedule_at(t, [&] { flood(); });
+        }
+      };
+      if (adversary) {
+        forger.arm(fault::Point::kAdcGarbageDescriptor, {1.0, 0, ~0ull});
+        attacker = std::make_unique<adc::Adc>(tb->a.adc_deps(), 3,
+                                              std::vector<atm::Vci>{910},
+                                              /*priority=*/3, sc);
+        attacker->set_fault_plane(&forger);
+        junk = std::make_unique<proto::Message>(proto::Message::from_payload(
+            attacker->space(), std::vector<std::uint8_t>(256, 0xEE)));
+        attacker->authorize(junk->scatter());
+        sup.watch(*attacker, budget);
+        tb->a.eng.schedule_at(0, [&] { flood(); });
+      }
+      sup.start(sim::us(200), sim::sec(1));
+      tb->run();
+      e.engine_events += tb->dispatched();
+
+      const std::string s = adversary ? "adversary" : "baseline";
+      for (const Tenant& t : tenants) {
+        const double x = t.vci - 900;
+        const auto delivered = static_cast<std::uint64_t>(t.latency_us.size());
+        e.add(s + ".delivered", x, static_cast<double>(delivered) / kMessages);
+        e.add(s + ".goodput_mbps", x,
+              t.last > 0 ? sim::mbps(delivered * kBytes, t.last) : 0.0);
+        e.add(s + ".p50_us", x, benchjson::quantile(t.latency_us, 0.50));
+        e.add(s + ".p99_us", x, benchjson::quantile(t.latency_us, 0.99));
+      }
+      if (attacker) {
+        e.add("attacker.violations", 3,
+              static_cast<double>(sup.violations(attacker->pair())));
+        e.add("attacker.quarantined", 3, sup.quarantined(attacker->pair()) ? 1 : 0);
+      }
+    }
+  });
+}
+
+namespace {
+
+// One incast: tenant i on node a streams `bytes`-byte messages over its
+// own ADC pair to node b with DRR weight weights[i]; together they offer
+// `load` x 300 Mbps, about the sustained transmit rate, split evenly.
+// Each tenant posts one message per interval from an engine event for
+// 20 ms of simulated time; goodput counts only what arrives in that
+// window, so the backlog drained after it cannot make a schedule look
+// fair.
+struct Incast {
+  std::vector<double> mbps;  // per tenant
+  double aggregate = 0;
+  double jain = 0;
+  std::uint64_t rx_drops = 0;
+};
+
+Incast incast(Experiment& e, double load, const std::vector<std::uint32_t>& weights,
+              std::size_t bytes) {
+  const sim::Tick horizon = sim::ms(20);
+  auto tb = testbed(e, make_3000_600_config(), make_3000_600_config());
+  proto::StackConfig sc;
+  sc.mode = proto::StackMode::kRawAtm;
+  struct Tenant {
+    atm::Vci vci = 0;
+    std::unique_ptr<adc::Adc> tx, rx;
+    std::uint64_t in_window = 0;
+  };
+  std::vector<Tenant> tenants(weights.size());
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const int pair = static_cast<int>(i) + 1;
+    Tenant& t = tenants[i];
+    t.vci = 900 + pair;
+    t.tx = std::make_unique<adc::Adc>(tb->a.adc_deps(), pair,
+                                      std::vector<atm::Vci>{t.vci}, 1, sc);
+    t.rx = std::make_unique<adc::Adc>(tb->b.adc_deps(), pair,
+                                      std::vector<atm::Vci>{t.vci}, 1, sc);
+    tb->a.txp.set_queue_weight(pair, weights[i]);
+  }
+  for (Tenant& t : tenants) {
+    t.rx->set_sink([&t, horizon](sim::Tick at, std::uint16_t,
+                                 std::vector<std::uint8_t>&&) {
+      if (at <= horizon) ++t.in_window;
+    });
+  }
+  const double tenant_bps = load * 300e6 / static_cast<double>(tenants.size());
+  const double interval_ps = static_cast<double>(bytes) * 8.0 / tenant_bps * 1e12;
+  std::vector<std::uint8_t> payload(bytes, 0x51);
+  for (std::uint32_t k = 0;; ++k) {
+    const auto due = static_cast<sim::Tick>(static_cast<double>(k) * interval_ps);
+    if (due >= horizon) break;
+    tb->a.eng.schedule_at(due, [&, k] {
+      for (Tenant& t : tenants) {
+        std::memcpy(payload.data(), &k, sizeof(k));
+        const proto::Message m = proto::Message::from_payload(t.tx->space(), payload);
+        t.tx->authorize(m.scatter());
+        t.tx->send(tb->a.eng.now(), t.vci, m);
+      }
+    });
+  }
+  tb->run();
+  e.engine_events += tb->dispatched();
+
+  Incast r;
+  double squares = 0;
+  for (const Tenant& t : tenants) {
+    r.mbps.push_back(sim::mbps(t.in_window * bytes, horizon));
+    r.aggregate += r.mbps.back();
+    squares += r.mbps.back() * r.mbps.back();
+  }
+  r.jain = r.aggregate * r.aggregate / (static_cast<double>(r.mbps.size()) * squares);
+  r.rx_drops = tb->b.rxp.pdus_dropped_nobuf() + tb->b.rxp.pdus_dropped_quota();
+  return r;
+}
+
+void add_incast(Experiment& e, const std::string& series, double load,
+                const Incast& r) {
+  e.add(series + ".aggregate_mbps", load, r.aggregate);
+  e.add(series + ".jain", load, r.jain);
+  e.add(series + ".min_mbps", load, *std::min_element(r.mbps.begin(), r.mbps.end()));
+  e.add(series + ".max_mbps", load, *std::max_element(r.mbps.begin(), r.mbps.end()));
+  e.add(series + ".rx_drops", load, static_cast<double>(r.rx_drops));
+}
+
+}  // namespace
+
+// Per-VCI QoS under incast, the striped link as the shared bottleneck:
+// the transmit firmware arbitrates the tenants' queues by deficit round
+// robin (board/tx.cc). 8 equal-weight tenants send 2000 B messages at
+// 0.5x to 10x the link's capacity; then 4 tenants weighted 4:2:1:1 send
+// 8000 B messages at 2x.
+Experiment qos() {
+  return timed("qos",
+               "Per-VCI DRR under incast, 20 ms window (Mbps, Jain index, rx "
+               "drops); weighted tenants 1-4 have weights 4:2:1:1",
+               "offered load x 300 Mbps", [](Experiment& e) {
+    for (const double load : {0.5, 0.9, 2.0, 10.0}) {
+      add_incast(e, "equal", load,
+                 incast(e, load, std::vector<std::uint32_t>(8, 1), 2000));
+    }
+    const Incast w = incast(e, 2.0, {4, 2, 1, 1}, 8000);
+    add_incast(e, "weighted", 2.0, w);
+    for (std::size_t i = 0; i < w.mbps.size(); ++i) {
+      e.add("weighted.tenant" + std::to_string(i + 1) + "_mbps", 2.0, w.mbps[i]);
+    }
+  });
+}
+
+// The chaos runner (DESIGN.md §12) on seeds 1-12: two nodes, mixed ARQ,
+// datagram, RPC and ADC traffic under a generated fault schedule, with
+// every invariant audited after the drain. run_schedule builds its own
+// testbed, so that build counts as run time here.
+Experiment chaos() {
+  return timed("chaos",
+               "Chaos schedules: faults fired, adaptor resets, ARQ resyncs, "
+               "invariant violations, recovery latency p99 (us)",
+               "seed", [](Experiment& e) {
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      const chaos::Report r = chaos::run_schedule(chaos::generate(seed));
+      e.engine_events += r.events;
+      const auto x = static_cast<double>(seed);
+      e.add("faults_fired", x, static_cast<double>(r.faults_fired));
+      e.add("resets", x, static_cast<double>(r.resets_a + r.resets_b));
+      e.add("arq_resyncs", x, static_cast<double>(r.arq_resyncs));
+      e.add("violations", x, static_cast<double>(r.violations.size()));
+      e.add("recovery_us_p99", x, benchjson::quantile(r.recovery_us, 0.99));
     }
   });
 }

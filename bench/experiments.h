@@ -1,8 +1,10 @@
 // Every experiment of the paper, defined once: Table 1, Figures 2-4 and
-// the in-text measurements of §2-§4. Each function builds its own nodes
-// and testbeds, runs, and returns typed rows of measured-vs-paper values.
-// bench_paper prints the rows and writes them to BENCH_<name>.json;
-// tests/test_calibration.cc pins every row.
+// the in-text measurements of §2-§4, then four robustness experiments that
+// measure the paper's layering and protection claims under faults and
+// overload. Each function builds its own nodes and testbeds, runs, and
+// returns typed rows of measured-vs-paper values. bench_paper prints the
+// rows and writes them to BENCH_<name>.json; tests/test_calibration.cc
+// pins every row.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +70,19 @@ Experiment adc();                // §3.2/§4: ADC vs kernel latency
 Experiment fixed_dma();          // §2.5.2: fixed-length DMA
 Experiment wiring();             // §2.4: page wiring
 
-/// All 15, in the order bench_paper runs them.
+// Robustness: no paper values (every row has paper = kNoPaper).
+Experiment fault();          // §1: ARQ goodput vs wire cell loss
+Experiment adc_isolation();  // §3.2: tenants beside an adversarial ADC
+Experiment qos();            // per-VCI DRR fairness under incast
+Experiment chaos();          // 12 seeded chaos schedules
+
+/// All 19, in the order bench_paper runs them: the paper's 15, then the
+/// four robustness experiments.
 inline constexpr Experiment (*const kAll[])() = {
     table1_latency, fig2_receive_5000, fig3_receive_3000, fig4_transmit,
     dma_length,     interrupts,        lockfree,          fragmentation,
     cache,          skew,              dma_vs_pio,        fbuf,
-    adc,            fixed_dma,         wiring};
+    adc,            fixed_dma,         wiring,            fault,
+    adc_isolation,  qos,               chaos};
 
 }  // namespace osiris::experiments

@@ -26,22 +26,14 @@ for w in rx_stream tx_stream pingpong chaos; do
 done
 
 echo "== bench smoke (machine-readable output) =="
-# The robustness benches must run to completion and emit their JSON result
-# files (goodput + latency quantiles per row/tenant) for downstream plots.
-# bench_paper runs every paper experiment (about 2.5 s) and writes one JSON
-# file per experiment; the Table 1 and Figure 2-4 files carry the
-# whole-system events/sec that the floors below gate.
-( cd build/bench \
-  && ./bench_fault >/dev/null \
-  && ./bench_adc_isolation >/dev/null \
-  && ./bench_qos >/dev/null \
-  && ./bench_chaos >/dev/null \
-  && ./bench_demux >/dev/null \
-  && ./bench_paper >/dev/null )
-for b in fault adc_isolation qos chaos demux \
-         table1_latency fig2_receive_5000 fig3_receive_3000 fig4_transmit \
+# bench_paper runs every experiment, the paper's 15 and then the four
+# robustness ones (about 2.5 s), and writes one JSON file each; the
+# Table 1, Figure 2-4 and chaos files carry the whole-system events/sec
+# that the floors below gate.
+( cd build/bench && ./bench_paper >/dev/null )
+for b in table1_latency fig2_receive_5000 fig3_receive_3000 fig4_transmit \
          dma_length interrupts lockfree fragmentation cache skew dma_vs_pio \
-         fbuf adc fixed_dma wiring; do
+         fbuf adc fixed_dma wiring fault adc_isolation qos chaos; do
   f="build/bench/BENCH_$b.json"
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
@@ -66,25 +58,13 @@ echo "== chaos sweep (fixed seeds) =="
 # `tools/chaos_sweep --replay build/chaos_repro.txt` reproduces it exactly.
 ./build/tools/chaos_sweep --seeds 40 --repro-out build/chaos_repro.txt
 
-echo "== engine determinism smoke =="
-# bench_engine self-checks dispatch-order determinism (nonzero exit on
-# mismatch) and writes BENCH_engine.json for the floor check below.
-( cd build/bench && ./bench_engine )
-
 echo "== perf trend table + per-bench floors =="
 # Fold every BENCH_*.json's common perf fields (setup_seconds, run_seconds,
-# wall_seconds, engine_events, events_per_sec) into one table so throughput
-# trajectories across benches are visible in a single CI artifact.
-# --floors then gates on bench/floors.tsv: engine and whole-system paper
-# bench events/sec and chaos scenarios/sec (perf floors, skipped under
-# OSIRIS_SANITIZE), the demux flow-table gates (single-probe speedup floor
-# plus ns/cell and flatness ceilings), and the QoS and chaos quality
-# floors, which apply to every build flavor.  --html renders the
-# accumulated history as a self-contained SVG dashboard artifact; it never
-# affects gating.
-python3 tools/bench_trend.py build/bench --append build/bench_trend.tsv \
-  --html build/bench_trend.html --floors bench/floors.tsv
-[ -s build/bench_trend.html ] || { echo "missing bench_trend.html" >&2; exit 1; }
+# wall_seconds, engine_events, events_per_sec) into one table, then gate
+# on bench/floors.tsv: the whole-system events/sec of the paper benches
+# and the chaos experiment (bench_trend.py skips them when OSIRIS_SANITIZE
+# is set in the environment, as sanitized binaries are slower).
+python3 tools/bench_trend.py build/bench --floors bench/floors.tsv
 
 echo "== sanitized build (address,undefined; warnings are errors) =="
 cmake -B build-asan -S . -DOSIRIS_SANITIZE=address,undefined \

@@ -3,22 +3,8 @@
 // UDP/IP-like stack — printing what happened at every layer.
 //
 //   $ ./quickstart [--stats-json=<path>] [--trace-out=<path>]
-//
-// Chaos mode (DESIGN.md §12) replaces the demo with a fault-injected run:
-//
-//   $ ./quickstart --chaos-seed=42            # generated schedule 42
-//   $ ./quickstart --chaos-replay=repro.txt   # replay a recorded schedule
-//
-// Either form runs the full chaos scenario (two nodes, mixed traffic,
-// watchdogs, invariant audit) and exits nonzero on any violated invariant.
 #include <cstdio>
 
-#include <fstream>
-#include <optional>
-#include <sstream>
-
-#include "chaos/runner.h"
-#include "chaos/schedule.h"
 #include "obs/spans.h"
 #include "osiris/harness.h"
 #include "osiris/node.h"
@@ -27,74 +13,7 @@
 
 using namespace osiris;
 
-namespace {
-
-int run_chaos_mode(const harness::ChaosFlags& flags) {
-  chaos::Schedule sch;
-  if (!flags.replay.empty()) {
-    std::ifstream is(flags.replay);
-    if (!is) {
-      std::fprintf(stderr, "cannot open %s\n", flags.replay.c_str());
-      return 2;
-    }
-    std::ostringstream ss;
-    ss << is.rdbuf();
-    const auto parsed = chaos::Schedule::parse(ss.str());
-    if (!parsed) {
-      std::fprintf(stderr, "%s is not a chaos schedule\n",
-                   flags.replay.c_str());
-      return 2;
-    }
-    sch = *parsed;
-    std::printf("replaying %s (seed %llu, %zu actions)\n",
-                flags.replay.c_str(),
-                static_cast<unsigned long long>(sch.seed),
-                sch.actions.size());
-  } else {
-    sch = chaos::generate(flags.seed);
-    std::printf("chaos schedule %llu (%zu actions):\n",
-                static_cast<unsigned long long>(flags.seed),
-                sch.actions.size());
-  }
-  std::printf("%s", sch.to_text().c_str());
-
-  chaos::RunnerConfig cfg;
-  cfg.collect_postmortem = true;
-  const chaos::Report r = chaos::run_schedule(sch, cfg);
-  std::printf("\nfingerprint %016llx  faults=%llu resets=%llu "
-              "arq %llu/%llu resyncs=%llu rpc %llu/%llu\n",
-              static_cast<unsigned long long>(r.fingerprint),
-              static_cast<unsigned long long>(r.faults_fired),
-              static_cast<unsigned long long>(r.resets_a + r.resets_b),
-              static_cast<unsigned long long>(r.arq_delivered),
-              static_cast<unsigned long long>(r.arq_sent),
-              static_cast<unsigned long long>(r.arq_resyncs),
-              static_cast<unsigned long long>(r.rpc_completed),
-              static_cast<unsigned long long>(r.rpc_issued));
-  if (!r.ok()) {
-    std::printf("\n%zu invariant violation(s):\n", r.violations.size());
-    for (const std::string& v : r.violations)
-      std::printf("  %s\n", v.c_str());
-    std::printf("%s", r.postmortem.c_str());
-    return 1;
-  }
-  std::puts("all invariants held");
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const std::optional<harness::ChaosFlags> chaos_flags =
-      harness::parse_chaos_flags(argc, argv);
-  if (!chaos_flags) {
-    std::fputs("usage: quickstart [--stats-json=<path>] [--trace-out=<path>]"
-               " [--chaos-seed=<n> | --chaos-replay=<file>]\n",
-               stderr);
-    return 2;
-  }
-  if (chaos_flags->active()) return run_chaos_mode(*chaos_flags);
-
   const harness::OutputFlags out = harness::parse_output_flags(argc, argv);
 
   // 1. Two machines: a DECstation 5000/200 and a DEC 3000/600, boards

@@ -184,12 +184,6 @@ class OsirisDriver {
   // reset are discarded when they fire. In-flight PDUs are lost; an upper
   // layer wanting reliability runs ARQ (proto::ArqEndpoint) on top.
 
-  struct WatchdogConfig {
-    sim::Duration period = 0;    ///< polling interval
-    sim::Duration deadline = 0;  ///< staleness that declares a wedge
-    sim::Tick until = 0;         ///< stop polling past this tick (bounded)
-  };
-
   /// Gives the watchdog reset access to the receive processor (the tx
   /// processor is already a constructor dependency).
   void bind_rx(board::RxProcessor* rxp) { rxp_ = rxp; }
@@ -232,7 +226,10 @@ class OsirisDriver {
   /// tail); also retained in last_postmortem().
   void set_postmortem_stream(std::ostream* os) { postmortem_os_ = os; }
 
-  void start_watchdog(const WatchdogConfig& cfg);
+  /// Polls every `period`; a heartbeat stale for longer than `deadline`
+  /// declares a wedge. Polling stops past `until`, so the run drains.
+  void start_watchdog(sim::Duration period, sim::Duration deadline,
+                      sim::Tick until);
 
   /// Immediate adaptor reset (what the watchdog fires; callable directly
   /// by tests). Returns the time the host CPU finished recovery.
@@ -393,7 +390,9 @@ class OsirisDriver {
   std::ostream* postmortem_os_ = nullptr;
 
   // Watchdog state.
-  WatchdogConfig wd_cfg_;
+  sim::Duration wd_period_ = 0;
+  sim::Duration wd_deadline_ = 0;
+  sim::Tick wd_until_ = 0;
   sim::TimerHandle wd_timer_;  // the next scheduled watchdog_tick()
   bool wd_running_ = false;
   std::uint32_t wd_tx_hb_ = 0, wd_rx_hb_ = 0;

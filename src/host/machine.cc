@@ -37,10 +37,6 @@ MachineConfig decstation_5000_200() {
   m.mem_word_ns = 40.0;
 
   m.hit_cycles_per_word = 1.0;
-  m.miss_penalty_cycles_per_line = 20.0;
-  m.checksum_alu_cycles_per_word = 2.0;
-  m.invalidate_cycles_per_word = 1.0;
-  m.invalidate_extra_cycles_per_word = 0.45;
 
   m.interrupt_service = sim::us(75);
   m.thread_dispatch = sim::us(8);
@@ -54,8 +50,6 @@ MachineConfig decstation_5000_200() {
   m.proto_udp = sim::us(32);
   m.per_kb_compute = sim::us(2);
 
-  m.mem_words_fixed_tx = 150;
-  m.mem_words_fixed_rx = 150;
   m.mem_words_per_kb = 250;
 
   m.page_wire_fast = sim::us(2);
@@ -91,10 +85,6 @@ MachineConfig dec_3000_600() {
   m.mem_word_ns = 10.0;
 
   m.hit_cycles_per_word = 4.0;  // effective: DMA updates L2, reads hit L2
-  m.miss_penalty_cycles_per_line = 20.0;
-  m.checksum_alu_cycles_per_word = 2.0;
-  m.invalidate_cycles_per_word = 1.0;
-  m.invalidate_extra_cycles_per_word = 0.45;
 
   m.interrupt_service = sim::us(25);
   m.thread_dispatch = sim::us(3);
@@ -108,8 +98,6 @@ MachineConfig dec_3000_600() {
   m.proto_udp = sim::us(22);
   m.per_kb_compute = sim::us(1);
 
-  m.mem_words_fixed_tx = 150;
-  m.mem_words_fixed_rx = 150;
   m.mem_words_per_kb = 150;
 
   m.page_wire_fast = sim::us(0.7);

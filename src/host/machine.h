@@ -27,6 +27,9 @@
 
 namespace osiris::host {
 
+/// Cycles a cache line fill stalls the CPU, the same on both machines.
+inline constexpr double kMissPenaltyCyclesPerLine = 20.0;
+
 struct MachineConfig {
   std::string name;
   double cpu_hz = 25e6;
@@ -34,12 +37,8 @@ struct MachineConfig {
   bool crossbar = false;    // DMA concurrent with CPU memory traffic?
   double mem_word_ns = 40;  // CPU main-memory word time when crossbar
 
-  // Cache timing (per 32-bit word / per line).
+  // Cache timing: cycles per 32-bit word that hits.
   double hit_cycles_per_word = 1.0;
-  double miss_penalty_cycles_per_line = 16.0;
-  double checksum_alu_cycles_per_word = 2.0;
-  double invalidate_cycles_per_word = 1.0;        // paper §2.3
-  double invalidate_extra_cycles_per_word = 0.6;  // induced misses (eager mode)
 
   // Fixed software path costs.
   sim::Duration interrupt_service = 0;  // fielding one interrupt
@@ -54,11 +53,9 @@ struct MachineConfig {
   sim::Duration proto_udp = 0;          // per UDP PDU, per side (no checksum)
   sim::Duration per_kb_compute = 0;     // size-dependent software cost
 
-  // Per-PDU main-memory traffic of the software path (headers, descriptors,
-  // protocol state, buffer bookkeeping) — contends with DMA on serial-bus
+  // Per-KB main-memory traffic of the software path (on top of the fixed
+  // per-PDU words in host/driver.cc) — contends with DMA on serial-bus
   // machines.
-  std::uint32_t mem_words_fixed_tx = 0;
-  std::uint32_t mem_words_fixed_rx = 0;
   std::uint32_t mem_words_per_kb = 0;
 
   // Page wiring (§2.4): the Mach standard interface vs the low-level path.
@@ -88,7 +85,7 @@ struct MachineConfig {
     const double words = static_cast<double>(bytes) / 4.0;
     return cpu_cycles(words * (hit_cycles_per_word + alu_cycles_per_word) +
                       static_cast<double>(c.misses) *
-                          miss_penalty_cycles_per_line);
+                          kMissPenaltyCyclesPerLine);
   }
 };
 

@@ -241,17 +241,6 @@ OutputFlags parse_output_flags(int argc, char** argv) {
   return f;
 }
 
-std::optional<ChaosFlags> parse_chaos_flags(int argc, char** argv) {
-  const std::optional<std::uint64_t> seed =
-      parse_uint_flag(argc, argv, "--chaos-seed", 0);
-  if (!seed) return std::nullopt;
-  ChaosFlags f;
-  f.seed = *seed;
-  f.seed_set = flag_value(argc, argv, "--chaos-seed").has_value();
-  f.replay = parse_string_flag(argc, argv, "--chaos-replay");
-  return f;
-}
-
 bool write_stats_json(const std::string& path, Testbed& tb,
                       const obs::PduSpans* spans_a,
                       const obs::PduSpans* spans_b) {

@@ -75,7 +75,7 @@ std::optional<std::uint64_t> parse_uint_flag(int argc, char** argv,
                                              const std::string& flag,
                                              std::uint64_t fallback);
 
-/// Output sinks requested on an example/soak command line:
+/// Output sinks requested on examples/quickstart's command line:
 ///   --stats-json=<path>  write a metrics snapshot of both nodes as JSON
 ///   --trace-out=<path>   write traces + PDU spans as Chrome trace-event JSON
 /// Empty paths mean the flag was absent and nothing is written.
@@ -84,23 +84,6 @@ struct OutputFlags {
   std::string trace_out;
 };
 OutputFlags parse_output_flags(int argc, char** argv);
-
-/// Chaos-mode options on an example/soak command line (DESIGN.md §12):
-///   --chaos-seed=<n>       generate schedule <n> and run it through the
-///                          chaos runner instead of the normal scenario
-///   --chaos-replay=<file>  parse a recorded schedule (or shrink artifact —
-///                          the parser ignores the appended postmortem) and
-///                          run exactly that
-/// Pure flag parsing: executing a schedule is the caller's job (via
-/// osiris_chaos), so binaries that never use chaos mode don't link it.
-/// Returns nullopt when --chaos-seed is not an unsigned decimal.
-struct ChaosFlags {
-  std::uint64_t seed = 0;
-  bool seed_set = false;
-  std::string replay;
-  [[nodiscard]] bool active() const { return seed_set || !replay.empty(); }
-};
-std::optional<ChaosFlags> parse_chaos_flags(int argc, char** argv);
 
 /// Writes a metrics snapshot covering both testbed nodes (prefixes "a."
 /// and "b.", plus any spans' stage histograms) to `path` as JSON. Returns

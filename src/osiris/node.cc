@@ -76,11 +76,7 @@ void Node::start_watchdog(sim::Duration period, sim::Duration deadline,
                           sim::Tick until) {
   txp.start_heartbeat(period / 2, until);
   rxp.start_heartbeat(period / 2, until);
-  host::OsirisDriver::WatchdogConfig wd;
-  wd.period = period;
-  wd.deadline = deadline;
-  wd.until = until;
-  driver.start_watchdog(wd);
+  driver.start_watchdog(period, deadline, until);
 }
 
 adc::Adc::Deps Node::adc_deps() {

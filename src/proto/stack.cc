@@ -7,6 +7,9 @@ namespace osiris::proto {
 
 namespace {
 
+// ALU cycles per 32-bit word of the Internet checksum, on both machines.
+constexpr double kChecksumAluCyclesPerWord = 2.0;
+
 std::array<std::uint8_t, kIpHeader> make_ip_header(std::uint32_t frag_total,
                                                    std::uint16_t id,
                                                    std::uint32_t frag_off,
@@ -125,7 +128,7 @@ void ProtoStack::add_header(Message& m, std::span<const std::uint8_t> bytes) {
 sim::Tick ProtoStack::checksum_cost(sim::Tick at, const mem::AccessCost& c,
                                     std::uint64_t bytes) {
   return cpu_->exec(
-      at, host::Work{mc_->cache_cpu_time(c, bytes, mc_->checksum_alu_cycles_per_word),
+      at, host::Work{mc_->cache_cpu_time(c, bytes, kChecksumAluCyclesPerWord),
                      c.mem_words});
 }
 

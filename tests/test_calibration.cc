@@ -1,10 +1,11 @@
-// Calibration: every row of every paper experiment (bench/experiments.h)
-// is pinned at its reproduced value, with the paper's value beside it,
-// and the paper's orderings and loose paper-distance checks hold over the
-// same rows. The simulation is deterministic, so a pin's tolerance covers
-// printing only: a change that moves any reproduced number fails here,
-// naming the experiment, series and x. The §2.5.1 bus bounds and the
-// §2.1.2 interrupt cost are checked in closed form.
+// Calibration: every row of every experiment (bench/experiments.h) is
+// pinned at its reproduced value, with the paper's value beside it, and
+// the paper's orderings and loose paper-distance checks, and each
+// robustness experiment's claim, hold over the same rows. The simulation
+// is deterministic, so a pin's tolerance covers printing only: a change
+// that moves any reproduced number fails here, naming the experiment,
+// series and x. The §2.5.1 bus bounds and the §2.1.2 interrupt cost are
+// checked in closed form.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -417,6 +418,143 @@ constexpr Pin kPins[] = {
     {"wiring", "5000_200.mach_mbps", 64, 250.099895, kNoPaper},
     {"wiring", "3000_600.fast_mbps", 64, 316.069968, kNoPaper},
     {"wiring", "3000_600.mach_mbps", 64, 316.169179, kNoPaper},
+    {"fault", "delivered", 0, 1, kNoPaper},
+    {"fault", "retransmissions", 0, 0, kNoPaper},
+    {"fault", "goodput_mbps", 0, 14.4109799, kNoPaper},
+    {"fault", "p50_us", 0, 30622.481, kNoPaper},
+    {"fault", "p99_us", 0, 60466.9776, kNoPaper},
+    {"fault", "dead", 0, 0, kNoPaper},
+    {"fault", "delivered", 0.5, 1, kNoPaper},
+    {"fault", "retransmissions", 0.5, 27, kNoPaper},
+    {"fault", "goodput_mbps", 0.5, 12.4377182, kNoPaper},
+    {"fault", "p50_us", 0.5, 43259.1451, kNoPaper},
+    {"fault", "p99_us", 0.5, 78841.4595, kNoPaper},
+    {"fault", "dead", 0.5, 0, kNoPaper},
+    {"fault", "delivered", 1, 1, kNoPaper},
+    {"fault", "retransmissions", 1, 63, kNoPaper},
+    {"fault", "goodput_mbps", 1, 9.72752698, kNoPaper},
+    {"fault", "p50_us", 1, 59688.6086, kNoPaper},
+    {"fault", "p99_us", 1, 113543.217, kNoPaper},
+    {"fault", "dead", 1, 0, kNoPaper},
+    {"fault", "delivered", 2, 1, kNoPaper},
+    {"fault", "retransmissions", 2, 130, kNoPaper},
+    {"fault", "goodput_mbps", 2, 6.44259375, kNoPaper},
+    {"fault", "p50_us", 2, 96839.7343, kNoPaper},
+    {"fault", "p99_us", 2, 198397.53, kNoPaper},
+    {"fault", "dead", 2, 0, kNoPaper},
+    {"fault", "delivered", 5, 1, kNoPaper},
+    {"fault", "retransmissions", 5, 358, kNoPaper},
+    {"fault", "goodput_mbps", 5, 2.44213672, kNoPaper},
+    {"fault", "p50_us", 5, 302553.301, kNoPaper},
+    {"fault", "p99_us", 5, 605264.474, kNoPaper},
+    {"fault", "dead", 5, 0, kNoPaper},
+    {"adc_isolation", "baseline.delivered", 1, 1, kNoPaper},
+    {"adc_isolation", "baseline.goodput_mbps", 1, 144.274358, kNoPaper},
+    {"adc_isolation", "baseline.p50_us", 1, 8715.14742, kNoPaper},
+    {"adc_isolation", "baseline.p99_us", 1, 16757.3287, kNoPaper},
+    {"adc_isolation", "baseline.delivered", 2, 1, kNoPaper},
+    {"adc_isolation", "baseline.goodput_mbps", 2, 143.940401, kNoPaper},
+    {"adc_isolation", "baseline.p50_us", 2, 8755.17375, kNoPaper},
+    {"adc_isolation", "baseline.p99_us", 2, 16797.3515, kNoPaper},
+    {"adc_isolation", "adversary.delivered", 1, 1, kNoPaper},
+    {"adc_isolation", "adversary.goodput_mbps", 1, 142.044521, kNoPaper},
+    {"adc_isolation", "adversary.p50_us", 1, 8606.23707, kNoPaper},
+    {"adc_isolation", "adversary.p99_us", 1, 16520.7778, kNoPaper},
+    {"adc_isolation", "adversary.delivered", 2, 1, kNoPaper},
+    {"adc_isolation", "adversary.goodput_mbps", 2, 141.720794, kNoPaper},
+    {"adc_isolation", "adversary.p50_us", 2, 8646.26341, kNoPaper},
+    {"adc_isolation", "adversary.p99_us", 2, 16560.4576, kNoPaper},
+    {"adc_isolation", "attacker.violations", 3, 9, kNoPaper},
+    {"adc_isolation", "attacker.quarantined", 3, 1, kNoPaper},
+    {"qos", "equal.aggregate_mbps", 0.5, 151.2, kNoPaper},
+    {"qos", "equal.jain", 0.5, 0.999580255, kNoPaper},
+    {"qos", "equal.min_mbps", 0.5, 18.4, kNoPaper},
+    {"qos", "equal.max_mbps", 0.5, 19.2, kNoPaper},
+    {"qos", "equal.rx_drops", 0.5, 0, kNoPaper},
+    {"qos", "equal.aggregate_mbps", 0.9, 268.8, kNoPaper},
+    {"qos", "equal.jain", 0.9, 1, kNoPaper},
+    {"qos", "equal.min_mbps", 0.9, 33.6, kNoPaper},
+    {"qos", "equal.max_mbps", 0.9, 33.6, kNoPaper},
+    {"qos", "equal.rx_drops", 0.9, 0, kNoPaper},
+    {"qos", "equal.aggregate_mbps", 2, 269.6, kNoPaper},
+    {"qos", "equal.jain", 2, 0.999938367, kNoPaper},
+    {"qos", "equal.min_mbps", 2, 33.6, kNoPaper},
+    {"qos", "equal.max_mbps", 2, 34.4, kNoPaper},
+    {"qos", "equal.rx_drops", 2, 0, kNoPaper},
+    {"qos", "equal.aggregate_mbps", 10, 266.4, kNoPaper},
+    {"qos", "equal.jain", 10, 0.999864748, kNoPaper},
+    {"qos", "equal.min_mbps", 10, 32.8, kNoPaper},
+    {"qos", "equal.max_mbps", 10, 33.6, kNoPaper},
+    {"qos", "equal.rx_drops", 10, 0, kNoPaper},
+    {"qos", "weighted.aggregate_mbps", 2, 307.2, kNoPaper},
+    {"qos", "weighted.jain", 2, 0.764432648, kNoPaper},
+    {"qos", "weighted.min_mbps", 2, 38.4, kNoPaper},
+    {"qos", "weighted.max_mbps", 2, 144, kNoPaper},
+    {"qos", "weighted.rx_drops", 2, 0, kNoPaper},
+    {"qos", "weighted.tenant1_mbps", 2, 144, kNoPaper},
+    {"qos", "weighted.tenant2_mbps", 2, 83.2, kNoPaper},
+    {"qos", "weighted.tenant3_mbps", 2, 41.6, kNoPaper},
+    {"qos", "weighted.tenant4_mbps", 2, 38.4, kNoPaper},
+    {"chaos", "faults_fired", 1, 0, kNoPaper},
+    {"chaos", "resets", 1, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 1, 0, kNoPaper},
+    {"chaos", "violations", 1, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 1, 0, kNoPaper},
+    {"chaos", "faults_fired", 2, 10, kNoPaper},
+    {"chaos", "resets", 2, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 2, 0, kNoPaper},
+    {"chaos", "violations", 2, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 2, 0, kNoPaper},
+    {"chaos", "faults_fired", 3, 2, kNoPaper},
+    {"chaos", "resets", 3, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 3, 0, kNoPaper},
+    {"chaos", "violations", 3, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 3, 0, kNoPaper},
+    {"chaos", "faults_fired", 4, 0, kNoPaper},
+    {"chaos", "resets", 4, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 4, 0, kNoPaper},
+    {"chaos", "violations", 4, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 4, 0, kNoPaper},
+    {"chaos", "faults_fired", 5, 0, kNoPaper},
+    {"chaos", "resets", 5, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 5, 0, kNoPaper},
+    {"chaos", "violations", 5, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 5, 0, kNoPaper},
+    {"chaos", "faults_fired", 6, 5, kNoPaper},
+    {"chaos", "resets", 6, 1, kNoPaper},
+    {"chaos", "arq_resyncs", 6, 1, kNoPaper},
+    {"chaos", "violations", 6, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 6, 268.204724, kNoPaper},
+    {"chaos", "faults_fired", 7, 0, kNoPaper},
+    {"chaos", "resets", 7, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 7, 0, kNoPaper},
+    {"chaos", "violations", 7, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 7, 0, kNoPaper},
+    {"chaos", "faults_fired", 8, 0, kNoPaper},
+    {"chaos", "resets", 8, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 8, 0, kNoPaper},
+    {"chaos", "violations", 8, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 8, 0, kNoPaper},
+    {"chaos", "faults_fired", 9, 0, kNoPaper},
+    {"chaos", "resets", 9, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 9, 0, kNoPaper},
+    {"chaos", "violations", 9, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 9, 0, kNoPaper},
+    {"chaos", "faults_fired", 10, 4, kNoPaper},
+    {"chaos", "resets", 10, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 10, 0, kNoPaper},
+    {"chaos", "violations", 10, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 10, 0, kNoPaper},
+    {"chaos", "faults_fired", 11, 5, kNoPaper},
+    {"chaos", "resets", 11, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 11, 0, kNoPaper},
+    {"chaos", "violations", 11, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 11, 0, kNoPaper},
+    {"chaos", "faults_fired", 12, 1, kNoPaper},
+    {"chaos", "resets", 12, 0, kNoPaper},
+    {"chaos", "arq_resyncs", 12, 0, kNoPaper},
+    {"chaos", "violations", 12, 0, kNoPaper},
+    {"chaos", "recovery_us_p99", 12, 0, kNoPaper},
 };
 
 bool near(double measured, double pinned) {
@@ -741,6 +879,65 @@ TEST(Calibration, MachStandardWiringSlowsEverySend) {
       EXPECT_GT(at(w, m + ".mach_us", kb), 1.5 * at(w, m + ".fast_us", kb))
           << m << " " << kb << " KB";
     }
+  }
+}
+
+TEST(Calibration, ArqDegradesGracefullyUnderCellLoss) {
+  const Experiment f = experiments::fault();
+  expect_pinned(f);
+  // §1: reliability above the adaptor. Every message arrives and the VCI
+  // stays alive at every loss rate; retransmissions rise and goodput falls
+  // step by step, with no cliff.
+  const double loss[] = {0, 0.5, 1, 2, 5};
+  for (std::size_t k = 0; k < std::size(loss); ++k) {
+    EXPECT_EQ(at(f, "delivered", loss[k]), 1) << loss[k] << "%";
+    EXPECT_EQ(at(f, "dead", loss[k]), 0) << loss[k] << "%";
+    if (k > 0) {
+      EXPECT_GT(at(f, "retransmissions", loss[k]),
+                at(f, "retransmissions", loss[k - 1]))
+          << loss[k] << "%";
+      EXPECT_LT(at(f, "goodput_mbps", loss[k]), at(f, "goodput_mbps", loss[k - 1]))
+          << loss[k] << "%";
+    }
+  }
+}
+
+TEST(Calibration, AdversarialTenantIsConfined) {
+  const Experiment a = experiments::adc_isolation();
+  expect_pinned(a);
+  // §3.2: firmware checks plus OS policy quarantine the forger, and the
+  // well-behaved tenants keep their goodput.
+  EXPECT_EQ(at(a, "attacker.quarantined", 3), 1);
+  for (const double tenant : {1, 2}) {
+    EXPECT_NEAR(at(a, "adversary.goodput_mbps", tenant),
+                at(a, "baseline.goodput_mbps", tenant),
+                0.05 * at(a, "baseline.goodput_mbps", tenant))
+        << "tenant " << tenant;
+  }
+}
+
+TEST(Calibration, IncastStaysFairAndWeightsShareTheLink) {
+  const Experiment q = experiments::qos();
+  expect_pinned(q);
+  // 10x overload costs no fairness and at most a fifth of the goodput
+  // carried at 0.9x.
+  EXPECT_GE(at(q, "equal.jain", 10), 0.9);
+  EXPECT_GE(at(q, "equal.aggregate_mbps", 10) / at(q, "equal.aggregate_mbps", 0.9),
+            0.8);
+  // 4:2:1:1 at 2x: the weight-4 tenant gets what it offers (2 x 300 Mbps
+  // over 4 tenants), and the rest of the link splits 2:1:1.
+  EXPECT_GE(at(q, "weighted.tenant1_mbps", 2), 0.95 * (2 * 300.0 / 4));
+  const double light =
+      (at(q, "weighted.tenant3_mbps", 2) + at(q, "weighted.tenant4_mbps", 2)) / 2;
+  EXPECT_GE(at(q, "weighted.tenant2_mbps", 2), 1.8 * light);
+  EXPECT_LE(at(q, "weighted.tenant2_mbps", 2), 2.2 * light);
+}
+
+TEST(Calibration, ChaosSchedulesHoldEveryInvariant) {
+  const Experiment c = experiments::chaos();
+  expect_pinned(c);
+  for (double seed = 1; seed <= 12; ++seed) {
+    EXPECT_EQ(at(c, "violations", seed), 0) << "seed " << seed;
   }
 }
 

@@ -137,20 +137,5 @@ TEST(Harness, UintFlagRejectsMalformedValues) {
   EXPECT_EQ(uint_flag({"prog", "--seeds"}), std::nullopt);  // value missing
 }
 
-TEST(Harness, ChaosSeedFlagIsChecked) {
-  std::string prog = "quickstart", ok = "--chaos-seed=33", bad = "--chaos-seed=3x";
-  char* good_argv[] = {prog.data(), ok.data()};
-  const auto flags = harness::parse_chaos_flags(2, good_argv);
-  ASSERT_TRUE(flags.has_value());
-  EXPECT_TRUE(flags->active());
-  EXPECT_EQ(flags->seed, 33u);
-  char* bad_argv[] = {prog.data(), bad.data()};
-  EXPECT_FALSE(harness::parse_chaos_flags(2, bad_argv).has_value());
-  char* none_argv[] = {prog.data()};
-  const auto none = harness::parse_chaos_flags(1, none_argv);
-  ASSERT_TRUE(none.has_value());
-  EXPECT_FALSE(none->active());
-}
-
 }  // namespace
 }  // namespace osiris
