@@ -844,6 +844,60 @@ Experiment wiring() {
   });
 }
 
+// §3.1: early demultiplexing gives each path its own receive queue and
+// free buffers on the board. A 3000/600 posts 60 x 3000 B on each of two
+// raw-ATM ADC pairs, every send booked before the run, to a 5000/200 whose
+// consumers take 60 us (fast path, VCI 800) and 900 us (slow path, VCI
+// 801) per PDU. The slow path's buffers run out, so the board drops its
+// PDUs before they cost the host anything; the fast path loses none.
+Experiment priority() {
+  return timed("priority",
+               "§3.1: receiver overload with per-path queues (PDUs the "
+               "consumer handled and the driver took, board drops, "
+               "receiver interrupts)",
+               "PDUs offered per path", [](Experiment& e) {
+    constexpr int kMsgs = 60;
+    auto tb = testbed(e, make_3000_600_config(), make_5000_200_config());
+    proto::StackConfig sc;
+    sc.mode = proto::StackMode::kRawAtm;
+    adc::Adc fast_tx(tb->a.adc_deps(), 1, {800}, 2, sc);
+    adc::Adc slow_tx(tb->a.adc_deps(), 2, {801}, 1, sc);
+    adc::Adc fast_rx(tb->b.adc_deps(), 1, {800}, 2, sc);
+    adc::Adc slow_rx(tb->b.adc_deps(), 2, {801}, 1, sc);
+    std::uint64_t fast_got = 0, slow_got = 0;
+    fast_rx.driver().set_rx_handler([&](sim::Tick at, host::RxPduView&) {
+      ++fast_got;
+      return at + sim::us(60);
+    });
+    slow_rx.driver().set_rx_handler([&](sim::Tick at, host::RxPduView&) {
+      ++slow_got;
+      return at + sim::us(900);
+    });
+    const std::vector<std::uint8_t> data(3000, 0x77);
+    const proto::Message mf = proto::Message::from_payload(fast_tx.space(), data);
+    const proto::Message ms = proto::Message::from_payload(slow_tx.space(), data);
+    fast_tx.authorize(mf.scatter());
+    slow_tx.authorize(ms.scatter());
+    sim::Tick tf = 0, ts = 0;
+    for (int i = 0; i < kMsgs; ++i) {
+      tf = fast_tx.send(tf, 800, mf);
+      ts = slow_tx.send(ts, 801, ms);
+    }
+    tb->run();
+    e.engine_events += tb->dispatched();
+    e.add("fast.delivered_pdus", kMsgs, static_cast<double>(fast_got));
+    e.add("fast.host_pdus", kMsgs,
+          static_cast<double>(fast_rx.driver().pdus_received()));
+    e.add("slow.delivered_pdus", kMsgs, static_cast<double>(slow_got));
+    e.add("slow.host_pdus", kMsgs,
+          static_cast<double>(slow_rx.driver().pdus_received()));
+    e.add("board_drops", kMsgs,
+          static_cast<double>(tb->b.rxp.pdus_dropped_nobuf() +
+                              tb->b.rxp.pdus_dropped_recvfull()));
+    e.add("interrupts", kMsgs, static_cast<double>(tb->b.intc.raised()));
+  });
+}
+
 // --- Robustness --------------------------------------------------------
 
 // §1 puts reliability in a protocol above the adaptor: ARQ over a lossy

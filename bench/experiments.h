@@ -69,6 +69,7 @@ Experiment fbuf();               // §3.1: cached vs uncached fbufs
 Experiment adc();                // §3.2/§4: ADC vs kernel latency
 Experiment fixed_dma();          // §2.5.2: fixed-length DMA
 Experiment wiring();             // §2.4: page wiring
+Experiment priority();           // §3.1: per-path shedding under overload
 
 // Robustness: no paper values (every row has paper = kNoPaper).
 Experiment fault();          // §1: ARQ goodput vs wire cell loss
@@ -76,13 +77,13 @@ Experiment adc_isolation();  // §3.2: tenants beside an adversarial ADC
 Experiment qos();            // per-VCI DRR fairness under incast
 Experiment chaos();          // 12 seeded chaos schedules
 
-/// All 19, in the order bench_paper runs them: the paper's 15, then the
+/// All 20, in the order bench_paper runs them: the paper's 16, then the
 /// four robustness experiments.
 inline constexpr Experiment (*const kAll[])() = {
     table1_latency, fig2_receive_5000, fig3_receive_3000, fig4_transmit,
     dma_length,     interrupts,        lockfree,          fragmentation,
     cache,          skew,              dma_vs_pio,        fbuf,
-    adc,            fixed_dma,         wiring,            fault,
-    adc_isolation,  qos,               chaos};
+    adc,            fixed_dma,         wiring,            priority,
+    fault,          adc_isolation,     qos,               chaos};
 
 }  // namespace osiris::experiments

@@ -26,21 +26,24 @@ for w in rx_stream tx_stream pingpong chaos; do
 done
 
 echo "== bench smoke (machine-readable output) =="
-# bench_paper runs every experiment, the paper's 15 and then the four
+# bench_paper runs every experiment, the paper's 16 and then the four
 # robustness ones (about 2.5 s), and writes one JSON file each; the
 # Table 1, Figure 2-4 and chaos files carry the whole-system events/sec
 # that the floors below gate.
 ( cd build/bench && ./bench_paper >/dev/null )
 for b in table1_latency fig2_receive_5000 fig3_receive_3000 fig4_transmit \
          dma_length interrupts lockfree fragmentation cache skew dma_vs_pio \
-         fbuf adc fixed_dma wiring fault adc_isolation qos chaos; do
+         fbuf adc fixed_dma wiring priority fault adc_isolation qos chaos; do
   f="build/bench/BENCH_$b.json"
   [ -s "$f" ] || { echo "missing or empty $f" >&2; exit 1; }
 done
 # The --stats-json dump must parse, both nodes must expose the same counter
-# names, and every counter must be an exact integer.
-./build/examples/quickstart --stats-json=build/stats.json >/dev/null
-python3 - build/stats.json <<'EOF'
+# names, and every counter must be an exact integer. The --trace-out file
+# must parse, with instant events on both nodes' trace tracks and at least
+# one PDU slice.
+./build/examples/quickstart --stats-json=build/stats.json \
+  --trace-out=build/trace.json >/dev/null
+python3 - build/stats.json build/trace.json <<'EOF'
 import json, sys
 counters = json.load(open(sys.argv[1]))["counters"]
 names = {n: {k[2:] for k in counters if k.startswith(n + ".")} for n in "ab"}
@@ -48,6 +51,10 @@ assert names["a"], "no node counters in " + sys.argv[1]
 assert names["a"] == names["b"], names["a"] ^ names["b"]
 bad = [k for k, v in counters.items() if type(v) is not int]
 assert not bad, "non-integer counters: %s" % bad
+events = json.load(open(sys.argv[2]))["traceEvents"]
+tracks = {e["tid"] for e in events if e["ph"] == "i"}
+assert {"a/trace", "b/trace"} <= tracks, "instant tracks: %s" % tracks
+assert any(e["ph"] == "X" for e in events), "no PDU slice in " + sys.argv[2]
 EOF
 
 echo "== chaos sweep (fixed seeds) =="

@@ -105,13 +105,16 @@ struct Work {
   std::uint64_t mem_words = 0;
 };
 
-/// The host CPU: a serial resource executing Work items.
+/// The host CPU: a serial resource executing Work items. Host software
+/// runs as one sequential thread, so work runs in booking order: each item
+/// starts behind the latest one booked, even if it is due earlier.
 class HostCpu {
  public:
   HostCpu(sim::Engine& eng, const MachineConfig& cfg, tc::TurboChannel& bus)
       : cfg_(&cfg), bus_(&bus), cpu_(eng, cfg.name + ".cpu") {}
 
-  /// Executes `w` starting no earlier than `from`; returns completion time.
+  /// Executes `w` starting no earlier than `from` and after all work
+  /// booked before it; returns completion time.
   sim::Tick exec(sim::Tick from, const Work& w) {
     const sim::Tick start = std::max(from, cpu_.free_at());
     sim::Tick t = start + w.compute;

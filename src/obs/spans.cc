@@ -60,10 +60,7 @@ void PduSpans::rx_delivered(atm::Vci vci, std::uint8_t tag, sim::Tick at) {
     record(Stage::kDeliver, at - e.pushed);
   }
   if (e.origin > 0 && at >= e.origin) {
-    const std::uint64_t dt = at - e.origin;
-    record(Stage::kEndToEnd, dt);
-    auto vit = vci_e2e_.find(vci);
-    if (vit != vci_e2e_.end()) vit->second.record(dt);
+    record(Stage::kEndToEnd, at - e.origin);
   }
   ++spans_seen_;
   if (ring_.size() >= kRingCap) {
@@ -71,13 +68,6 @@ void PduSpans::rx_delivered(atm::Vci vci, std::uint8_t tag, sim::Tick at) {
   } else {
     ring_.push_back(Span{vci, tag, e.origin, e.pushed, at});
   }
-}
-
-void PduSpans::enable_vci(atm::Vci vci) { vci_e2e_.try_emplace(vci); }
-
-const sim::Log2Histogram* PduSpans::vci_e2e(atm::Vci vci) const {
-  auto it = vci_e2e_.find(vci);
-  return it == vci_e2e_.end() ? nullptr : &it->second;
 }
 
 std::vector<PduSpans::Span> PduSpans::completed_spans() const {
@@ -93,18 +83,11 @@ void PduSpans::register_into(Registry& reg, const std::string& prefix) const {
     reg.histogram_ref(prefix + stage_name(static_cast<Stage>(i)), &stages_[i],
                       "ticks");
   }
-  for (const auto& [vci, hist] : vci_e2e_) {
-    reg.histogram_ref(prefix + "e2e.vci" + std::to_string(vci), &hist,
-                      "ticks");
-  }
 }
 
 void PduSpans::merge_stages(const PduSpans& other) {
   for (std::size_t i = 0; i < static_cast<std::size_t>(Stage::kCount); ++i) {
     stages_[i].merge(other.stages_[i]);
-  }
-  for (const auto& [vci, hist] : other.vci_e2e_) {
-    vci_e2e_[vci].merge(hist);
   }
 }
 

@@ -80,21 +80,12 @@ class PduSpans {
   void rx_aborted(atm::Vci vci, std::uint8_t tag);
 
   /// Driver delivered PDU (vci, tag) at `at`: records deliver and, when the
-  /// origin stamp survived, the end-to-end distribution (plus the per-VCI
-  /// family if `vci` was enabled via enable_vci).
+  /// origin stamp survived, the end-to-end distribution.
   void rx_delivered(atm::Vci vci, std::uint8_t tag, sim::Tick at);
-
-  /// Starts a per-VCI end-to-end histogram family member for `vci`.
-  void enable_vci(atm::Vci vci);
 
   // ---- Read side -----------------------------------------------------
   [[nodiscard]] const sim::Log2Histogram& stage(Stage s) const {
     return stages_[static_cast<std::size_t>(s)];
-  }
-  [[nodiscard]] const sim::Log2Histogram* vci_e2e(atm::Vci vci) const;
-  [[nodiscard]] const std::unordered_map<atm::Vci, sim::Log2Histogram>&
-  vci_families() const {
-    return vci_e2e_;
   }
 
   /// Completed end-to-end spans (bounded ring, oldest dropped) for Chrome
@@ -109,7 +100,7 @@ class PduSpans {
   [[nodiscard]] std::vector<Span> completed_spans() const;
   [[nodiscard]] std::uint64_t spans_recorded() const { return spans_seen_; }
 
-  /// Registers every stage histogram (and per-VCI families) into `reg`
+  /// Registers every stage histogram into `reg`
   /// under `prefix` (e.g. "a.span.").  Refs only; `this` must outlive reads.
   void register_into(Registry& reg, const std::string& prefix) const;
 
@@ -127,15 +118,9 @@ class PduSpans {
     sim::Tick pushed = 0;
   };
   std::unordered_map<std::uint64_t, RxEntry> rx_pending_;
-  std::unordered_map<atm::Vci, sim::Log2Histogram> vci_e2e_;
   static constexpr std::size_t kRingCap = 4096;
   std::vector<Span> ring_;
   std::uint64_t spans_seen_ = 0;
 };
-
-/// Records only when spans are attached (mirrors sim::trace_event).
-inline void span_stage(PduSpans* s, Stage st, std::uint64_t dt) {
-  if (s != nullptr) s->record(st, dt);
-}
 
 }  // namespace osiris::obs

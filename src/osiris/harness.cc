@@ -83,20 +83,11 @@ std::vector<std::vector<std::uint8_t>> make_udp_fragments(
   std::vector<std::vector<std::uint8_t>> out;
   for (std::uint32_t off = 0; off < total; off += frag_data) {
     const std::uint32_t n = std::min(frag_data, total - off);
+    // Every message reuses IP id 1, safely: messages are sequential.
+    const auto iph =
+        proto::make_ip_header(proto::kIpHeader + n, 1, off, off + n < total);
     std::vector<std::uint8_t> frag(proto::kIpHeader + n);
-    const std::uint32_t flen = n + proto::kIpHeader;
-    frag[0] = static_cast<std::uint8_t>(flen >> 24);
-    frag[1] = static_cast<std::uint8_t>(flen >> 16);
-    frag[2] = static_cast<std::uint8_t>(flen >> 8);
-    frag[3] = static_cast<std::uint8_t>(flen);
-    frag[4] = 0;  // ip id (safe to reuse: messages are sequential)
-    frag[5] = 1;
-    frag[6] = static_cast<std::uint8_t>(off >> 24);
-    frag[7] = static_cast<std::uint8_t>(off >> 16);
-    frag[8] = static_cast<std::uint8_t>(off >> 8);
-    frag[9] = static_cast<std::uint8_t>(off);
-    frag[10] = (off + n < total) ? 1 : 0;
-    frag[11] = 17;
+    std::copy(iph.begin(), iph.end(), frag.begin());
     std::copy(pkt.begin() + off, pkt.begin() + off + n,
               frag.begin() + proto::kIpHeader);
     out.push_back(std::move(frag));

@@ -67,7 +67,6 @@ sim::Tick RpcEndpoint::call(sim::Tick at, atm::Vci vci,
   Pending p{std::move(cb), {}, vci, {}, retries, timeout};
   if (retries > 0) p.request = std::move(request);
   pending_[id] = std::move(p);
-  ++calls_;
   schedule_timeout(id, done + timeout);
   return done;
 }

@@ -63,7 +63,6 @@ class RpcEndpoint {
                  sim::Duration timeout = sim::ms(100),
                  std::uint32_t retries = 0);
 
-  [[nodiscard]] std::uint64_t calls() const { return calls_; }
   [[nodiscard]] std::uint64_t responses() const { return responses_; }
   [[nodiscard]] std::uint64_t timeouts() const { return timeouts_; }
   [[nodiscard]] std::uint64_t served() const { return served_; }
@@ -104,7 +103,6 @@ class RpcEndpoint {
   std::uint32_t next_id_ = 1;  // never reused, so an id fully keys a call
   std::map<std::uint32_t, Pending> pending_;
 
-  std::uint64_t calls_ = 0;
   std::uint64_t responses_ = 0;
   std::uint64_t timeouts_ = 0;
   std::uint64_t served_ = 0;

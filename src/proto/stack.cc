@@ -10,26 +10,6 @@ namespace {
 // ALU cycles per 32-bit word of the Internet checksum, on both machines.
 constexpr double kChecksumAluCyclesPerWord = 2.0;
 
-std::array<std::uint8_t, kIpHeader> make_ip_header(std::uint32_t frag_total,
-                                                   std::uint16_t id,
-                                                   std::uint32_t frag_off,
-                                                   bool more_fragments) {
-  std::array<std::uint8_t, kIpHeader> h{};
-  h[0] = static_cast<std::uint8_t>(frag_total >> 24);
-  h[1] = static_cast<std::uint8_t>(frag_total >> 16);
-  h[2] = static_cast<std::uint8_t>(frag_total >> 8);
-  h[3] = static_cast<std::uint8_t>(frag_total);
-  h[4] = static_cast<std::uint8_t>(id >> 8);
-  h[5] = static_cast<std::uint8_t>(id);
-  h[6] = static_cast<std::uint8_t>(frag_off >> 24);
-  h[7] = static_cast<std::uint8_t>(frag_off >> 16);
-  h[8] = static_cast<std::uint8_t>(frag_off >> 8);
-  h[9] = static_cast<std::uint8_t>(frag_off);
-  h[10] = more_fragments ? 1 : 0;
-  h[11] = 17;  // "UDP"
-  return h;
-}
-
 struct IpFields {
   std::uint32_t total;
   std::uint16_t id;
@@ -51,6 +31,26 @@ IpFields parse_ip_header(std::span<const std::uint8_t> h) {
 }
 
 }  // namespace
+
+std::array<std::uint8_t, kIpHeader> make_ip_header(std::uint32_t frag_total,
+                                                   std::uint16_t id,
+                                                   std::uint32_t frag_off,
+                                                   bool more_fragments) {
+  std::array<std::uint8_t, kIpHeader> h{};
+  h[0] = static_cast<std::uint8_t>(frag_total >> 24);
+  h[1] = static_cast<std::uint8_t>(frag_total >> 16);
+  h[2] = static_cast<std::uint8_t>(frag_total >> 8);
+  h[3] = static_cast<std::uint8_t>(frag_total);
+  h[4] = static_cast<std::uint8_t>(id >> 8);
+  h[5] = static_cast<std::uint8_t>(id);
+  h[6] = static_cast<std::uint8_t>(frag_off >> 24);
+  h[7] = static_cast<std::uint8_t>(frag_off >> 16);
+  h[8] = static_cast<std::uint8_t>(frag_off >> 8);
+  h[9] = static_cast<std::uint8_t>(frag_off);
+  h[10] = more_fragments ? 1 : 0;
+  h[11] = 17;  // "UDP"
+  return h;
+}
 
 ProtoStack::ProtoStack(sim::Engine& eng, const host::MachineConfig& mc,
                        host::HostCpu& cpu, mem::DataCache& cache,

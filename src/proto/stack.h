@@ -13,6 +13,7 @@
 // before the message is declared corrupt.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -39,6 +40,15 @@ struct StackConfig {
 
 constexpr std::uint32_t kIpHeader = 20;
 constexpr std::uint32_t kUdpHeader = 8;
+
+/// The IP-like header of one fragment, as ProtoStack::send writes it: the
+/// fragment's length (header included), the datagram id, the fragment's
+/// offset in the datagram and the more-fragments flag, then 17 ("UDP"), in
+/// the first 12 bytes; the rest is zero.
+std::array<std::uint8_t, kIpHeader> make_ip_header(std::uint32_t frag_total,
+                                                   std::uint16_t id,
+                                                   std::uint32_t frag_off,
+                                                   bool more_fragments);
 
 class ProtoStack {
  public:

@@ -264,8 +264,7 @@ class Engine {
 
   /// Attaches a wall-clock probe to step_tick(): each tick batch's dispatch
   /// time (in nanoseconds) is recorded into `h`. Null (the default)
-  /// detaches the probe, leaving only a pointer test on the dispatch path
-  /// — bench_engine runs detached, so the hot loop pays nothing else.
+  /// detaches the probe, leaving only a pointer test on the dispatch path.
   void set_step_probe(Log2Histogram* h) { step_probe_ = h; }
 
  private:

@@ -1,15 +1,21 @@
 // Serial resources with calendar-based arbitration.
 //
 // A Resource models a unit that serves one request at a time: the
-// TURBOchannel, a host CPU, an on-board microprocessor, a link sublink.
-// Requests reserve the resource for a duration starting no earlier than a
-// given time; the reservation occupies the EARLIEST free interval of
-// sufficient length. Keeping a calendar of busy intervals (rather than a
-// single FIFO horizon) matters because actors compute their own timelines:
-// the host driver may book a dual-port-RAM access far in the future (after
-// a long compute phase) while the board's next DMA — issued later in call
-// order but earlier in simulated time — must still slot into the gap
-// before it, as it would on real hardware.
+// TURBOchannel, an on-board i960, the dual-port RAM's spin lock. Requests
+// reserve the resource for a duration starting no earlier than a given
+// time; the reservation occupies the EARLIEST free interval of sufficient
+// length. Keeping a calendar of busy intervals (rather than a single FIFO
+// horizon) matters because actors compute their own timelines: the host
+// driver may book a dual-port-RAM access far in the future (after a long
+// compute phase) while the board's next DMA — issued later in call order
+// but earlier in simulated time — must still slot into the gap before it,
+// as it would on real hardware.
+//
+// The host CPU (host::HostCpu) keeps its busy time in a Resource as well,
+// but host software runs as one sequential thread: each piece of work
+// starts at max(request, free_at()), behind the CPU's latest booking, and
+// never fills an earlier gap. The link's lanes (link::StripedLink) are
+// FIFO horizons too.
 #pragma once
 
 #include <algorithm>

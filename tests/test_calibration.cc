@@ -418,6 +418,12 @@ constexpr Pin kPins[] = {
     {"wiring", "5000_200.mach_mbps", 64, 250.099895, kNoPaper},
     {"wiring", "3000_600.fast_mbps", 64, 316.069968, kNoPaper},
     {"wiring", "3000_600.mach_mbps", 64, 316.169179, kNoPaper},
+    {"priority", "fast.delivered_pdus", 60, 60, kNoPaper},
+    {"priority", "fast.host_pdus", 60, 60, kNoPaper},
+    {"priority", "slow.delivered_pdus", 60, 36, kNoPaper},
+    {"priority", "slow.host_pdus", 60, 36, kNoPaper},
+    {"priority", "board_drops", 60, 24, kNoPaper},
+    {"priority", "interrupts", 60, 5, kNoPaper},
     {"fault", "delivered", 0, 1, kNoPaper},
     {"fault", "retransmissions", 0, 0, kNoPaper},
     {"fault", "goodput_mbps", 0, 14.4109799, kNoPaper},
@@ -880,6 +886,22 @@ TEST(Calibration, MachStandardWiringSlowsEverySend) {
           << m << " " << kb << " KB";
     }
   }
+}
+
+TEST(Calibration, EarlyDemuxShedsTheLaggingPathOnTheBoard) {
+  const Experiment p = experiments::priority();
+  expect_pinned(p);
+  // §3.1: the path whose consumer keeps up gets every PDU; the lagging
+  // path loses the rest on the board, and no dropped PDU reaches the host.
+  EXPECT_EQ(at(p, "fast.delivered_pdus", 60), 60);
+  EXPECT_EQ(at(p, "slow.delivered_pdus", 60) + at(p, "board_drops", 60), 60);
+  EXPECT_GT(at(p, "board_drops", 60), 0);
+  for (const std::string path : {"fast", "slow"}) {
+    EXPECT_EQ(at(p, path + ".host_pdus", 60), at(p, path + ".delivered_pdus", 60))
+        << path;
+  }
+  EXPECT_LT(at(p, "interrupts", 60),
+            at(p, "fast.delivered_pdus", 60) + at(p, "slow.delivered_pdus", 60));
 }
 
 TEST(Calibration, ArqDegradesGracefullyUnderCellLoss) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
-#include "osiris/paths.h"
 #include "osiris/stats.h"
 #include "proto/rpc.h"
 
@@ -28,29 +27,30 @@ TEST(Testbed, BuildTouchesFewHostPages) {
   EXPECT_EQ(tb.a.pm.size(), NodeConfig{}.mem_bytes);
 }
 
+// A path is a VCI mapped on both nodes (§3.1): `open_kernel_path` allocates
+// it, `RxProcessor::unmap_vci` closes one end.
 TEST(Paths, OpenBindsBothEnds) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
-  PathManager pm(tb);
-  const atm::Vci vci = pm.open();
-  EXPECT_TRUE(pm.is_open(vci));
+  const atm::Vci vci = tb.open_kernel_path();
   auto sa = tb.a.make_stack(proto::StackConfig{});
   auto sb = tb.b.make_stack(proto::StackConfig{});
-  std::uint64_t got = 0;
-  sb->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) { ++got; });
-  proto::Message m = proto::Message::from_payload(
-      tb.a.kernel_space, std::vector<std::uint8_t>(100, 1));
-  sa->send(0, vci, m);
+  std::uint64_t got_a = 0, got_b = 0;
+  sa->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) { ++got_a; });
+  sb->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) { ++got_b; });
+  sa->send(0, vci, proto::Message::from_payload(tb.a.kernel_space,
+                                                std::vector<std::uint8_t>(100, 1)));
+  sb->send(0, vci, proto::Message::from_payload(tb.b.kernel_space,
+                                                std::vector<std::uint8_t>(100, 1)));
   tb.run();
-  EXPECT_EQ(got, 1u);
+  EXPECT_EQ(got_a, 1u);
+  EXPECT_EQ(got_b, 1u);
 }
 
 TEST(Paths, HundredsOfPathsAreCheap) {
   // "potentially hundreds of paths (connections) on a given host" (§3.1).
   Testbed tb(make_3000_600_config(), make_3000_600_config());
-  PathManager pm(tb);
   std::vector<atm::Vci> vcis;
-  for (int i = 0; i < 400; ++i) vcis.push_back(pm.open());
-  EXPECT_EQ(pm.open_count(), 400u);
+  for (int i = 0; i < 400; ++i) vcis.push_back(tb.open_kernel_path());
   // All distinct.
   std::sort(vcis.begin(), vcis.end());
   EXPECT_EQ(std::adjacent_find(vcis.begin(), vcis.end()), vcis.end());
@@ -68,11 +68,9 @@ TEST(Paths, HundredsOfPathsAreCheap) {
 
 TEST(Paths, CloseUnbindsAndTrafficIsDropped) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
-  PathManager pm(tb);
-  const atm::Vci vci = pm.open();
-  pm.close(vci);
-  EXPECT_FALSE(pm.is_open(vci));
-  EXPECT_THROW(pm.close(vci), std::invalid_argument);
+  const atm::Vci vci = tb.open_kernel_path();
+  tb.a.rxp.unmap_vci(vci);
+  tb.b.rxp.unmap_vci(vci);
 
   auto sa = tb.a.make_stack(proto::StackConfig{});
   auto sb = tb.b.make_stack(proto::StackConfig{});
@@ -83,24 +81,26 @@ TEST(Paths, CloseUnbindsAndTrafficIsDropped) {
   sa->send(0, vci, m);
   tb.run();
   EXPECT_EQ(got, 0u) << "cells on a closed VCI are discarded at the board";
+  EXPECT_GT(tb.b.rxp.cells_bad_header(), 0u);
 }
 
 TEST(Paths, VciReuseAfterCloseWorks) {
   Testbed tb(make_3000_600_config(), make_3000_600_config());
-  PathManager pm(tb, 2000);
-  const std::uint16_t v1 = pm.open();
-  pm.close(v1);
-  // The allocator moves forward, but an explicit re-open of the same
-  // numeric VCI via map_kernel_vci also works.
-  tb.a.map_kernel_vci(v1);
-  tb.b.map_kernel_vci(v1);
+  const atm::Vci vci = tb.open_kernel_path();
+  tb.a.rxp.unmap_vci(vci);
+  tb.b.rxp.unmap_vci(vci);
+  // The allocator moves forward, but mapping the same numeric VCI again
+  // reopens the path.
+  tb.a.map_kernel_vci(vci);
+  tb.b.map_kernel_vci(vci);
+  EXPECT_NE(tb.open_kernel_path(), vci);
   auto sa = tb.a.make_stack(proto::StackConfig{});
   auto sb = tb.b.make_stack(proto::StackConfig{});
   std::uint64_t got = 0;
   sb->set_sink([&](sim::Tick, std::uint16_t, std::vector<std::uint8_t>&&) { ++got; });
   proto::Message m = proto::Message::from_payload(
       tb.a.kernel_space, std::vector<std::uint8_t>(64, 4));
-  sa->send(0, v1, m);
+  sa->send(0, vci, m);
   tb.run();
   EXPECT_EQ(got, 1u);
 }

@@ -42,6 +42,35 @@ TEST(Harness, SyntheticFragmentsParseThroughTheRealStack) {
   }
 }
 
+TEST(Harness, UdpFragmentsMatchTheStacksWirePdus) {
+  // The generator's fragments are the PDUs the real stack puts on the
+  // wire, byte for byte; a fresh stack's first datagram has IP id 1.
+  constexpr std::uint32_t kMsg = 40000;  // 3 fragments at the default MTU
+  for (const bool checksum : {false, true}) {
+    Testbed tb(make_3000_600_config(), make_3000_600_config());
+    const atm::Vci vci = tb.open_kernel_path();
+    proto::StackConfig sc;
+    sc.udp_checksum = checksum;
+    auto sa = tb.a.make_stack(sc);
+    std::vector<std::vector<std::uint8_t>> wire;
+    tb.b.driver.set_rx_handler([&](sim::Tick at, host::RxPduView& pdu) {
+      std::vector<std::uint8_t> d(pdu.pdu_len);
+      pdu.read_raw(tb.b.pm, 0, d);
+      wire.push_back(std::move(d));
+      return at;
+    });
+    std::vector<std::uint8_t> payload(kMsg);
+    for (std::uint32_t i = 0; i < kMsg; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 131 + 3);
+    }
+    sa->send(0, vci, proto::Message::from_payload(tb.a.kernel_space, payload));
+    tb.run();
+    const auto frags = harness::make_udp_fragments(kMsg, sc.ip_mtu, checksum);
+    ASSERT_EQ(frags.size(), 3u);
+    EXPECT_EQ(wire, frags) << (checksum ? "with" : "without") << " checksum";
+  }
+}
+
 TEST(Harness, FragmentCountMatchesMtuArithmetic) {
   const std::uint32_t mtu = 4096 + proto::kIpHeader;
   const auto frags = harness::make_udp_fragments(10000, mtu, false);

@@ -1,6 +1,8 @@
-// TURBOchannel model tests: transaction costing and calendar contention.
+// TURBOchannel model tests: transaction costing and calendar contention,
+// and the host CPU, which books its work in order instead.
 #include <gtest/gtest.h>
 
+#include "host/machine.h"
 #include "sim/engine.h"
 #include "tc/turbochannel.h"
 
@@ -73,6 +75,18 @@ TEST(TurboChannel, LaterTransactionFitsEarlierGap) {
   bus.bus().reserve_at(sim::us(100), sim::us(10));  // future booking
   const sim::Tick t = bus.dma_write(0, 44);         // slots in before it
   EXPECT_LT(t, sim::us(100));
+}
+
+TEST(HostCpu, RunsWorkInBookingOrder) {
+  // Unlike the bus above, the CPU is one sequential thread: work booked
+  // after a later booking waits behind it, even though it is due earlier.
+  sim::Engine eng;
+  TurboChannel bus(eng);
+  const host::MachineConfig mc = host::dec_3000_600();
+  host::HostCpu cpu(eng, mc, bus);
+  EXPECT_EQ(cpu.exec(sim::us(100), host::Work{sim::us(10), 0}), sim::us(110));
+  EXPECT_EQ(cpu.exec(0, host::Work{sim::us(5), 0}), sim::us(115));
+  EXPECT_EQ(cpu.pio(0, 1, 0), sim::us(115) + bus.pio_read_cost(1));
 }
 
 }  // namespace
