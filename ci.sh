@@ -11,6 +11,15 @@ echo "== plain build (warnings are errors) =="
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
+# gtest lists a parameterised case with its parameter's print, and CMake
+# keeps that print in the ctest name unless it replaces a plain index. A
+# parameter without a PrintTo prints as raw bytes, which can change from
+# build to build, so a listed name may not carry one.
+if ctest --test-dir build -N | grep 'GetParam() =' >&2; then
+  echo "ctest names above carry a parameter print: give the parameter a" \
+       "PrintTo and drop the name generator" >&2
+  exit 1
+fi
 
 echo "== perfbench: build, own tests, pinned fingerprints =="
 # perfbench compiles src/ as a project of its own (.bench_build/perfbench),

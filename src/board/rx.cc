@@ -294,9 +294,10 @@ void RxProcessor::accept_cell(int lane, const atm::Cell& c) {
     ++quarantine_drops_;
     return;
   }
-  // Unmapped VCI: no reassembly state, no host buffers — drop.
+  // Unmapped VCI (never opened, or its path closed): no reassembly state,
+  // no host buffers — drop.
   if (st == nullptr || !st->mapped()) {
-    ++cells_bad_header_;
+    ++cells_unmapped_;
     return;
   }
   if (fault::fires(faults_, fault::Point::kBoardRxCellDrop)) {

@@ -154,7 +154,11 @@ class RxProcessor {
   /// Cells synthesized locally by the fictitious-PDU generator (a subset of
   /// cells_received; lets conservation audits separate wire arrivals).
   [[nodiscard]] std::uint64_t cells_generated() const { return cells_generated_; }
+  /// Cells that failed the header check (wire corruption).
   [[nodiscard]] std::uint64_t cells_bad_header() const { return cells_bad_header_; }
+  /// Cells with a good header on a VCI that is not mapped, e.g. a closed
+  /// path's traffic still in flight.
+  [[nodiscard]] std::uint64_t cells_unmapped() const { return cells_unmapped_; }
   [[nodiscard]] std::uint64_t cells_fifo_dropped() const { return cells_fifo_dropped_; }
   [[nodiscard]] std::uint64_t dma_ops() const { return dma_ops_; }
   [[nodiscard]] std::uint64_t combined_dma_ops() const { return combined_dma_ops_; }
@@ -390,6 +394,7 @@ class RxProcessor {
   std::uint64_t cells_received_ = 0;
   std::uint64_t cells_generated_ = 0;
   std::uint64_t cells_bad_header_ = 0;
+  std::uint64_t cells_unmapped_ = 0;
   std::uint64_t cells_fifo_dropped_ = 0;
   std::uint64_t dma_ops_ = 0;
   std::uint64_t combined_dma_ops_ = 0;

@@ -11,7 +11,7 @@ DataCache::DataCache(PhysicalMemory& pm, CacheConfig cfg) : pm_(&pm), cfg_(cfg) 
     throw std::invalid_argument("DataCache: size not a multiple of line size");
   }
   lines_.resize(cfg_.size_bytes / cfg_.line_bytes);
-  data_.resize(cfg_.size_bytes);
+  data_ = std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.size_bytes);
 }
 
 AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
@@ -38,9 +38,10 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
     } else {
       ++cost.misses;
       cost.mem_words += cfg_.line_bytes / 4;
+      // Fill first: a fill that throws leaves the line as it was.
+      pm_->read(line_base, data);
       line.valid = true;
       line.tag = tag;
-      pm_->read(line_base, data);
     }
     std::copy_n(data.begin() + off, n, dst.begin() + done);
     done += n;

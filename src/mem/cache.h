@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -106,16 +107,20 @@ class DataCache {
 
   /// The cached bytes of line `index`.
   [[nodiscard]] std::span<std::uint8_t> data_of(std::uint32_t index) {
-    return {data_.data() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
+    return {data_.get() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
   }
   [[nodiscard]] std::span<const std::uint8_t> data_of(std::uint32_t index) const {
-    return {data_.data() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
+    return {data_.get() + std::size_t{index} * cfg_.line_bytes, cfg_.line_bytes};
   }
 
   PhysicalMemory* pm_;
   CacheConfig cfg_;
-  std::vector<Line> lines_;
-  std::vector<std::uint8_t> data_;  // size_bytes: every line's bytes, by index
+  std::vector<Line> lines_;  // zeroed: every line starts invalid
+  // size_bytes: every line's bytes, by index, left unwritten at
+  // construction. A line's bytes are read only while the line is valid, and
+  // a miss writes the whole line before it marks the line valid, so no
+  // unwritten byte is ever read.
+  std::unique_ptr<std::uint8_t[]> data_;
   std::uint64_t stale_reads_ = 0;      // CPU reads that returned stale bytes
   std::uint64_t dma_stale_lines_ = 0;  // lines made stale by DMA writes
 };

@@ -11,20 +11,21 @@ namespace osiris::mem {
 FrameAllocator::FrameAllocator(std::size_t mem_bytes, bool interleave,
                                std::uint64_t seed)
     : total_frames_(mem_bytes / kPageSize),
-      next_(total_frames_),
-      prev_(total_frames_),
-      allocated_(total_frames_, false) {
-  std::vector<std::uint32_t> order(total_frames_);
-  for (std::size_t i = 0; i < total_frames_; ++i) order[i] = static_cast<std::uint32_t>(i);
+      free_count_(total_frames_),
+      order_(total_frames_),
+      issued_(total_frames_, false),
+      allocated_(total_frames_, false),
+      next_(std::make_unique_for_overwrite<std::uint32_t[]>(total_frames_)),
+      prev_(std::make_unique_for_overwrite<std::uint32_t[]>(total_frames_)) {
+  for (std::size_t i = 0; i < total_frames_; ++i) order_[i] = static_cast<std::uint32_t>(i);
   if (interleave) {
     // Fisher-Yates with the deterministic sim RNG: models the arbitrary
     // frame ordering of a long-running system's free list.
     sim::Rng rng(seed);
     for (std::size_t i = total_frames_; i > 1; --i) {
-      std::swap(order[i - 1], order[rng.below(i)]);
+      std::swap(order_[i - 1], order_[rng.below(i)]);
     }
   }
-  for (const std::uint32_t frame : order) push_back(frame);
 }
 
 void FrameAllocator::push_back(std::uint32_t frame) {
@@ -32,7 +33,6 @@ void FrameAllocator::push_back(std::uint32_t frame) {
   prev_[frame] = tail_;
   (tail_ == kNil ? head_ : next_[tail_]) = frame;
   tail_ = frame;
-  ++free_count_;
 }
 
 void FrameAllocator::unlink(std::uint32_t frame) {
@@ -40,14 +40,23 @@ void FrameAllocator::unlink(std::uint32_t frame) {
   const std::uint32_t prev = prev_[frame];
   (prev == kNil ? head_ : next_[prev]) = next;
   (next == kNil ? tail_ : prev_[next]) = prev;
-  --free_count_;
 }
 
 PhysAddr FrameAllocator::alloc() {
-  if (head_ == kNil) throw std::runtime_error("FrameAllocator: out of frames");
-  const std::uint32_t frame = head_;
-  unlink(frame);
+  // Skip the frames alloc_contiguous() took out of turn.
+  while (cursor_ < total_frames_ && issued_[order_[cursor_]]) ++cursor_;
+  std::uint32_t frame = kNil;
+  if (cursor_ < total_frames_) {
+    frame = order_[cursor_++];
+    issued_[frame] = true;
+  } else if (head_ != kNil) {
+    frame = head_;
+    unlink(frame);
+  } else {
+    throw std::runtime_error("FrameAllocator: out of frames");
+  }
   allocated_[frame] = true;
+  --free_count_;
   return frame * kPageSize;
 }
 
@@ -63,8 +72,13 @@ std::optional<PhysAddr> FrameAllocator::alloc_contiguous(std::uint32_t n) {
       const std::uint32_t first = f + 1 - n;
       for (std::uint32_t g = first; g <= f; ++g) {
         allocated_[g] = true;
-        unlink(g);
+        if (issued_[g]) {
+          unlink(g);
+        } else {
+          issued_[g] = true;
+        }
       }
+      free_count_ -= n;
       return first * kPageSize;
     }
   }
@@ -78,6 +92,7 @@ void FrameAllocator::free(PhysAddr frame_base) {
   }
   allocated_[frame] = false;
   push_back(frame);
+  ++free_count_;
 }
 
 AddressSpace::AddressSpace(PhysicalMemory& pm, FrameAllocator& fa, std::string name)
@@ -88,14 +103,12 @@ AddressSpace::~AddressSpace() {
 }
 
 VirtAddr AddressSpace::map_pages_at_cursor(const std::vector<PhysAddr>& frames,
-                                           std::uint32_t offset_in_page,
-                                           std::uint32_t len) {
+                                           std::uint32_t offset_in_page) {
   const std::uint32_t first_vpage = next_vpage_;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     table_[first_vpage + static_cast<std::uint32_t>(i)] = frames[i];
   }
   next_vpage_ += static_cast<std::uint32_t>(frames.size());
-  (void)len;
   return (first_vpage << kPageShift) + offset_in_page;
 }
 
@@ -112,7 +125,7 @@ VirtAddr AddressSpace::alloc(std::uint32_t len, std::uint32_t offset_in_page) {
     frames.push_back(f);
     owned_frames_.push_back(f);
   }
-  return map_pages_at_cursor(frames, offset_in_page, len);
+  return map_pages_at_cursor(frames, offset_in_page);
 }
 
 VirtAddr AddressSpace::alloc_prefer_contiguous(std::uint32_t len, bool* contiguous) {
@@ -124,7 +137,7 @@ VirtAddr AddressSpace::alloc_prefer_contiguous(std::uint32_t len, bool* contiguo
       owned_frames_.push_back(frames[i]);
     }
     if (contiguous != nullptr) *contiguous = true;
-    return map_pages_at_cursor(frames, 0, len);
+    return map_pages_at_cursor(frames, 0);
   }
   if (contiguous != nullptr) *contiguous = false;
   return alloc(len);

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,6 +32,12 @@ constexpr std::uint32_t page_base(std::uint32_t addr) { return addr & ~(kPageSiz
 /// Allocates physical page frames from a shared pool. The free list is a
 /// FIFO: alloc() takes the oldest free frame and free() queues a frame
 /// behind every other, so a freed frame is re-issued only after the rest.
+///
+/// The FIFO is kept in two parts: the never-issued frames, read off the
+/// shuffled order by a cursor, and behind them the freed frames, threaded
+/// through per-frame links that only free() writes. Every never-issued
+/// frame precedes every freed one, so alloc() drains the first part before
+/// the second, and building the allocator writes no link.
 class FrameAllocator {
  public:
   /// `interleave`: if true (default), the free list is shuffled so that
@@ -53,18 +60,25 @@ class FrameAllocator {
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  void push_back(std::uint32_t frame);
-  void unlink(std::uint32_t frame);  // O(1), from anywhere in the list
+  void push_back(std::uint32_t frame);  // onto the freed list's tail
+  void unlink(std::uint32_t frame);     // O(1), from anywhere in the freed list
 
   std::size_t total_frames_;
-  std::size_t free_count_ = 0;
-  // The free list, threaded through per-frame links (frame numbers; kNil
-  // ends it). An allocated frame's links are meaningless.
-  std::vector<std::uint32_t> next_;
-  std::vector<std::uint32_t> prev_;
+  std::size_t free_count_;
+  // Every frame in issue order. The never-issued frames are those of
+  // order_[cursor_..] whose issued_ bit is clear; alloc_contiguous() may
+  // have taken some of them out of turn.
+  std::vector<std::uint32_t> order_;
+  std::size_t cursor_ = 0;
+  std::vector<bool> issued_;     // has left order_, by frame number
+  std::vector<bool> allocated_;  // by frame number
+  // The freed list, threaded through per-frame links (frame numbers; kNil
+  // ends it). Only a frame on it has meaningful links, so they are left
+  // unwritten until free() links the frame in.
+  std::unique_ptr<std::uint32_t[]> next_;
+  std::unique_ptr<std::uint32_t[]> prev_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::vector<bool> allocated_;  // by frame number
 };
 
 /// A protection domain's virtual address space: a page table mapping
@@ -115,8 +129,7 @@ class AddressSpace {
 
  private:
   VirtAddr map_pages_at_cursor(const std::vector<PhysAddr>& frames,
-                               std::uint32_t offset_in_page,
-                               std::uint32_t len);
+                               std::uint32_t offset_in_page);
 
   PhysicalMemory* pm_;
   FrameAllocator* fa_;

@@ -40,6 +40,7 @@ constexpr Row<Count> kCounters[] = {
      [](Node& n) -> Count { return n.rxp.cells_generated(); }},
     {"rx.cells_bad_header",
      [](Node& n) -> Count { return n.rxp.cells_bad_header(); }},
+    {"rx.cells_unmapped", [](Node& n) -> Count { return n.rxp.cells_unmapped(); }},
     {"rx.cells_fifo_dropped",
      [](Node& n) -> Count { return n.rxp.cells_fifo_dropped(); }},
     {"rx.dma_ops", [](Node& n) -> Count { return n.rxp.dma_ops(); }},

@@ -1,13 +1,19 @@
 // Unit tests for physical memory, paging, the cache model, and wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
 #include <type_traits>
+#include <vector>
 
 #include "mem/cache.h"
 #include "mem/paging.h"
 #include "mem/phys.h"
 #include "mem/wiring.h"
+#include "sim/rng.h"
 
 namespace osiris::mem {
 namespace {
@@ -133,6 +139,186 @@ TEST(FrameAllocator, IssueOrderPinned) {
   for (int i = 0; i < 100; ++i) note(fa.alloc());
   EXPECT_EQ(fa.free_frames(), 16384u - 256 - 200 + 67 - 100);
   EXPECT_EQ(h, 0xb57f8db0d69596b5ULL);
+}
+
+/// Reference frame allocator: one FIFO threaded through every frame at
+/// construction, as FrameAllocator kept it before its never-issued frames
+/// were read off the shuffled order by a cursor. The two must issue the
+/// same frames, throw at the same calls and count the same free frames.
+class ReferenceFrameFifo {
+ public:
+  ReferenceFrameFifo(std::size_t mem_bytes, bool interleave, std::uint64_t seed)
+      : total_(mem_bytes / kPageSize),
+        next_(total_),
+        prev_(total_),
+        allocated_(total_, false) {
+    std::vector<std::uint32_t> order(total_);
+    std::iota(order.begin(), order.end(), 0u);
+    if (interleave) {
+      sim::Rng rng(seed);
+      for (std::size_t i = total_; i > 1; --i) {
+        std::swap(order[i - 1], order[rng.below(i)]);
+      }
+    }
+    for (const std::uint32_t frame : order) push_back(frame);
+  }
+
+  PhysAddr alloc() {
+    if (head_ == kNil) throw std::runtime_error("out of frames");
+    const std::uint32_t frame = head_;
+    unlink(frame);
+    allocated_[frame] = true;
+    return frame * kPageSize;
+  }
+
+  std::optional<PhysAddr> alloc_contiguous(std::uint32_t n) {
+    if (n == 0) return std::nullopt;
+    if (n == 1) return alloc();
+    std::uint32_t run = 0;
+    for (std::uint32_t f = 0; f < total_; ++f) {
+      run = allocated_[f] ? 0 : run + 1;
+      if (run == n) {
+        const std::uint32_t first = f + 1 - n;
+        for (std::uint32_t g = first; g <= f; ++g) {
+          allocated_[g] = true;
+          unlink(g);
+        }
+        return first * kPageSize;
+      }
+    }
+    return std::nullopt;
+  }
+
+  void free(PhysAddr frame_base) {
+    const std::uint32_t frame = frame_base / kPageSize;
+    if (frame >= total_ || !allocated_[frame]) throw std::logic_error("bad free");
+    allocated_[frame] = false;
+    push_back(frame);
+  }
+
+  [[nodiscard]] std::size_t free_frames() const { return free_count_; }
+
+ private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
+  void push_back(std::uint32_t frame) {
+    next_[frame] = kNil;
+    prev_[frame] = tail_;
+    (tail_ == kNil ? head_ : next_[tail_]) = frame;
+    tail_ = frame;
+    ++free_count_;
+  }
+
+  void unlink(std::uint32_t frame) {
+    const std::uint32_t next = next_[frame];
+    const std::uint32_t prev = prev_[frame];
+    (prev == kNil ? head_ : next_[prev]) = next;
+    (next == kNil ? tail_ : prev_[next]) = prev;
+    --free_count_;
+  }
+
+  std::size_t total_;
+  std::size_t free_count_ = 0;
+  std::vector<std::uint32_t> next_;
+  std::vector<std::uint32_t> prev_;
+  std::uint32_t head_ = kNil;
+  std::uint32_t tail_ = kNil;
+  std::vector<bool> allocated_;
+};
+
+/// One call's result as a number: the address issued, or kNone for
+/// nullopt, or kThrew.
+constexpr std::int64_t kNone = -1;
+constexpr std::int64_t kThrew = -2;
+
+template <typename Call>
+std::int64_t outcome_of(Call&& call) {
+  try {
+    const std::optional<PhysAddr> a = call();
+    return a.has_value() ? std::int64_t{*a} : kNone;
+  } catch (const std::exception&) {
+    return kThrew;
+  }
+}
+
+TEST(FrameAllocator, MatchesFifoReferenceUnderRandomOps) {
+  // Small pools, in episodes of a fresh pair each, so that every case
+  // recurs: exhaustion, re-issue of freed frames, and contiguous runs over
+  // never-issued frames (ahead of the cursor) and over freed ones. The
+  // free share flips between filling and draining the pool.
+  constexpr int kOps = 100000;
+  std::uint64_t episodes[2] = {};
+  std::uint64_t throws = 0;
+  std::uint64_t reissued = 0;
+  std::uint64_t runs_over_fresh = 0;
+  std::uint64_t runs_over_freed = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    sim::Rng rng(seed);
+    for (int op = 0; op < kOps;) {
+      const bool interleave = (episodes[0] + episodes[1]) % 2 == 0;
+      ++episodes[interleave ? 1 : 0];
+      const std::uint32_t frames = 16 + static_cast<std::uint32_t>(rng.below(241));
+      const std::uint64_t pool_seed = rng.next();
+      FrameAllocator fa(frames * kPageSize, interleave, pool_seed);
+      ReferenceFrameFifo ref(frames * kPageSize, interleave, pool_seed);
+      std::vector<PhysAddr> held;
+      std::vector<bool> issued(frames, false);  // by frame number
+      std::vector<bool> freed(frames, false);
+      bool filling = true;
+      const int end = std::min(kOps, op + 500 + static_cast<int>(rng.below(4500)));
+      for (; op < end; ++op) {
+        if (rng.chance(0.002)) filling = !filling;
+        std::int64_t got = kNone;
+        std::int64_t want = kNone;
+        std::uint32_t n = 1;
+        if (!held.empty() && rng.chance(filling ? 0.2 : 0.7)) {
+          const std::size_t i = rng.below(held.size());
+          const PhysAddr a = held[i];
+          held[i] = held.back();
+          held.pop_back();
+          freed[a / kPageSize] = true;
+          const auto free_at = [a](auto& alloc) {
+            alloc.free(a);
+            return std::optional<PhysAddr>{};
+          };
+          got = outcome_of([&] { return free_at(fa); });
+          want = outcome_of([&] { return free_at(ref); });
+        } else if (rng.chance(0.5)) {
+          got = outcome_of([&] { return std::optional<PhysAddr>{fa.alloc()}; });
+          want = outcome_of([&] { return std::optional<PhysAddr>{ref.alloc()}; });
+        } else {
+          n = static_cast<std::uint32_t>(rng.below(6));
+          got = outcome_of([&] { return fa.alloc_contiguous(n); });
+          want = outcome_of([&] { return ref.alloc_contiguous(n); });
+        }
+        ASSERT_EQ(got, want) << "seed " << seed << " op " << op;
+        ASSERT_EQ(fa.free_frames(), ref.free_frames()) << "seed " << seed << " op " << op;
+        if (got == kThrew) ++throws;
+        if (got < 0) continue;  // a free, a throw or no run: nothing issued
+        const std::uint32_t first = static_cast<std::uint32_t>(got) / kPageSize;
+        bool fresh = false;
+        bool reused = false;
+        for (std::uint32_t f = first; f < first + n; ++f) {
+          fresh = fresh || !issued[f];
+          reused = reused || freed[f];
+          issued[f] = true;
+          held.push_back(f * kPageSize);
+        }
+        if (n == 1) {
+          reissued += reused ? 1 : 0;
+        } else {
+          runs_over_fresh += fresh ? 1 : 0;
+          runs_over_freed += reused ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_GT(episodes[0], 100u);
+  EXPECT_GT(episodes[1], 100u);
+  EXPECT_GT(throws, 1000u);
+  EXPECT_GT(reissued, 10000u);
+  EXPECT_GT(runs_over_fresh, 1000u);
+  EXPECT_GT(runs_over_freed, 1000u);
 }
 
 TEST(AddressSpace, TranslateAndScatter) {
