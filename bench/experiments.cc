@@ -992,8 +992,6 @@ Experiment adc_isolation() {
       proto::StackConfig sc;
       sc.mode = proto::StackMode::kRawAtm;
       adc::AdcSupervisor sup(tb->a.eng, tb->a.txp, tb->a.rxp);
-      adc::AdcSupervisor::Budget budget;
-      budget.max_violations = 8;
 
       struct Tenant {
         atm::Vci vci = 0;
@@ -1031,7 +1029,7 @@ Experiment adc_isolation() {
           t.latency_us.push_back(sim::to_us(at - t.sent_at.at(idx)));
           t.last = at;
         });
-        sup.watch(*t.tx, budget);
+        sup.watch(*t.tx);
         tb->a.eng.schedule_at(0, [&] { post(t); });
       }
 
@@ -1057,10 +1055,9 @@ Experiment adc_isolation() {
         junk = std::make_unique<proto::Message>(proto::Message::from_payload(
             attacker->space(), std::vector<std::uint8_t>(256, 0xEE)));
         attacker->authorize(junk->scatter());
-        sup.watch(*attacker, budget);
+        sup.watch(*attacker);
         tb->a.eng.schedule_at(0, [&] { flood(); });
       }
-      sup.start(sim::us(200), sim::sec(1));
       tb->run();
       e.engine_events += tb->dispatched();
 

@@ -7,6 +7,20 @@ set -eu
 cd "$(dirname "$0")"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# Runs `<chaos_sweep binary> --seeds <n>` and fails unless it reports the
+# pinned totals: a change that makes the schedules fire fewer faults, or
+# reset or resync a different number of times, has changed what the sweep
+# exercises even when every run stays clean.
+chaos_sweep_pinned() {
+  out="$("$1" --seeds "$2" --repro-out build/chaos_repro.txt)" \
+    || { printf '%s\n' "$out"; exit 1; }
+  printf '%s\n' "$out"
+  case "$out" in
+    *"$2 seeds clean ($3)"*) ;;
+    *) echo "chaos sweep --seeds $2: expected totals ($3)" >&2; exit 1 ;;
+  esac
+}
+
 echo "== plain build (warnings are errors) =="
 cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
 cmake --build build -j "$JOBS"
@@ -72,7 +86,8 @@ echo "== chaos sweep (fixed seeds) =="
 # the schedule to a 1-minimal action set and leaves a replayable artifact
 # (schedule + postmortem) at build/chaos_repro.txt — attach it to the bug;
 # `tools/chaos_sweep --replay build/chaos_repro.txt` reproduces it exactly.
-./build/tools/chaos_sweep --seeds 40 --repro-out build/chaos_repro.txt
+chaos_sweep_pinned ./build/tools/chaos_sweep 40 \
+  "121 faults fired, 9 resets, 3 arq resyncs"
 
 echo "== perf trend table + per-bench floors =="
 # Fold every BENCH_*.json's common perf fields (setup_seconds, run_seconds,
@@ -91,7 +106,8 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 echo "== chaos sweep under ASan/UBSan =="
 # A bounded slice of the sweep re-runs sanitized: recovery paths (adaptor
 # reset, ARQ resync, reassembly reconciliation) must be memory-clean, not
-# just invariant-clean.
-./build-asan/tools/chaos_sweep --seeds 8 --repro-out build/chaos_repro.txt
+# just invariant-clean. Its totals are pinned as well.
+chaos_sweep_pinned ./build-asan/tools/chaos_sweep 8 \
+  "17 faults fired, 1 resets, 1 arq resyncs"
 
 echo "== ci.sh: all green =="

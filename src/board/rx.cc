@@ -205,7 +205,6 @@ void RxProcessor::reset() {
   pdus_.clear();
   pending_.valid = false;
   pending_.bytes.clear();
-  open_batch_ = kNoBatch;  // pre-reset batches die at the epoch check
   eng_->cancel(flush_timer_);
   inflight_.clear();
   gen_active_ = false;
@@ -682,76 +681,49 @@ void RxProcessor::push_buffer(RxPdu& p, std::uint32_t idx, bool eop,
     }
   }
 
-  // Same-tick coalescing (DESIGN.md §8): a reassembly completion pushes a
-  // run of buffers with the same completion time, and the engine's batch
-  // dispatch hands the whole tick to us in one event. Append to the still
-  // open batch instead of re-entering the scheduler per descriptor.
-  if (open_batch_ != kNoBatch) {
-    PushBatch& ob = push_batches_[open_batch_];
-    if (ob.at == when && ob.recv_idx == recv_idx && ob.epoch == epoch_) {
-      ob.descs.push_back(d);
-      ++pushes_coalesced_;
-      return;
-    }
-  }
-  std::uint32_t bi;
-  if (free_batch_ != kNoBatch) {
-    bi = free_batch_;
-    free_batch_ = push_batches_[bi].next_free;
+  std::uint32_t slot;
+  if (free_push_ != kNoSlot) {
+    slot = free_push_;
+    free_push_ = push_pool_[slot].next_free;
   } else {
-    bi = static_cast<std::uint32_t>(push_batches_.size());
-    push_batches_.emplace_back();
+    slot = static_cast<std::uint32_t>(push_pool_.size());
+    push_pool_.emplace_back();
   }
-  PushBatch& nb = push_batches_[bi];
-  nb.at = when;
-  nb.recv_idx = recv_idx;
-  nb.epoch = epoch_;
-  nb.descs.clear();
-  nb.descs.push_back(d);
-  open_batch_ = bi;
-  ++push_batches_scheduled_;
-  eng_->schedule_at(when, [this, bi] { fire_push_batch(bi); });
+  push_pool_[slot].desc = d;
+  push_pool_[slot].recv_idx = recv_idx;
+  push_pool_[slot].epoch = epoch_;
+  eng_->schedule_at(when, [this, slot] { fire_push(slot); });
 }
 
-void RxProcessor::fire_push_batch(std::uint32_t bi) {
-  PushBatch& bt = push_batches_[bi];
-  // Take the contents and retire the slot up front: the irq sink can run
-  // arbitrary driver code that pushes (and batches) more buffers.
-  descs_firing_.clear();
-  std::swap(descs_firing_, bt.descs);
-  const int recv_idx = bt.recv_idx;
-  const std::uint64_t ep = bt.epoch;
-  if (open_batch_ == bi) open_batch_ = kNoBatch;
-  bt.next_free = free_batch_;
-  free_batch_ = bi;
+void RxProcessor::fire_push(std::uint32_t slot) {
+  // Copy out before releasing the slot: the irq sink can run driver code
+  // that pushes more buffers, which can grow the pool under a reference.
+  const PendingPush pp = push_pool_[slot];
+  push_pool_[slot].next_free = free_push_;
+  free_push_ = slot;
 
-  // Each descriptor re-checks epoch/attachment, exactly as the old
-  // one-event-per-descriptor path did: the irq sink can run driver code
-  // that detaches the channel or resets the adaptor mid-batch.
-  for (const dpram::Descriptor& d : descs_firing_) {
-    // A completion scheduled before an adaptor reset must not leak a
-    // pre-reset buffer descriptor into the fresh receive queue.
-    if (ep != epoch_) break;
-    RecvChannel& c = recv_channels_[static_cast<std::size_t>(recv_idx)];
-    if (c.detached) {
-      // The tenant died between DMA and completion: its dpram page may be
-      // someone else's now. Account the drop; nothing is delivered.
-      ++dead_channel_drops_;
-      continue;
-    }
-    const bool was_empty = c.writer.size() == 0;
-    const auto res = c.writer.push(d);
-    if (!res.ok) {
-      ++pdus_dropped_recvfull_;
-      sim::trace_event(trace_, eng_->now(), "rx", "drop_recvfull",
-                       static_cast<std::uint64_t>(recv_idx), d.vci);
-      continue;
-    }
-    if (was_empty && irq_) {
-      sim::trace_event(trace_, eng_->now(), "rx", "irq_nonempty",
-                       static_cast<std::uint64_t>(c.channel_id), d.vci);
-      irq_(Irq::kRxNonEmpty, c.channel_id);
-    }
+  // A completion scheduled before an adaptor reset must not leak a
+  // pre-reset buffer descriptor into the fresh receive queue.
+  if (pp.epoch != epoch_) return;
+  RecvChannel& c = recv_channels_[static_cast<std::size_t>(pp.recv_idx)];
+  if (c.detached) {
+    // The tenant died between DMA and completion: its dpram page may be
+    // someone else's now. Account the drop; nothing is delivered.
+    ++dead_channel_drops_;
+    return;
+  }
+  const bool was_empty = c.writer.size() == 0;
+  const auto res = c.writer.push(pp.desc);
+  if (!res.ok) {
+    ++pdus_dropped_recvfull_;
+    sim::trace_event(trace_, eng_->now(), "rx", "drop_recvfull",
+                     static_cast<std::uint64_t>(pp.recv_idx), pp.desc.vci);
+    return;
+  }
+  if (was_empty && irq_) {
+    sim::trace_event(trace_, eng_->now(), "rx", "irq_nonempty",
+                     static_cast<std::uint64_t>(c.channel_id), pp.desc.vci);
+    irq_(Irq::kRxNonEmpty, c.channel_id);
   }
 }
 

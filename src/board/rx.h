@@ -196,13 +196,6 @@ class RxProcessor {
   /// driver reclaims its partial accumulations via flush_partials()).
   std::uint64_t purge_incomplete(sim::Duration max_age);
 
-  /// Receive-queue push events scheduled (each may carry several
-  /// descriptors; see pushes_coalesced).
-  [[nodiscard]] std::uint64_t push_batches() const { return push_batches_scheduled_; }
-  /// Descriptors that rode an already-scheduled same-tick push event
-  /// instead of re-entering the scheduler (batch-dispatch win).
-  [[nodiscard]] std::uint64_t pushes_coalesced() const { return pushes_coalesced_; }
-
   /// Early-demux flow table: VCIs with state, and slots allocated.
   [[nodiscard]] std::size_t flow_occupancy() const { return flows_.size(); }
   [[nodiscard]] std::size_t flow_capacity() const { return flows_.capacity(); }
@@ -281,16 +274,15 @@ class RxProcessor {
     std::vector<std::uint8_t> bytes;
     sim::Tick t_origin = 0;  // origin stamp of the cell that opened this DMA
   };
-  /// A scheduled receive-queue push carrying every same-tick descriptor
-  /// for one channel (same-tick batch dispatch; see push_buffer()).
-  /// Pooled: slots are recycled through free_batch_ and keep their
-  /// descriptor vectors' capacity.
-  struct PushBatch {
-    sim::Tick at = 0;
+  /// A scheduled receive-queue push, parked in a pooled slot so the event
+  /// captures only {this, slot} and stays inside Event's inline buffer (a
+  /// by-value descriptor capture would heap-box it; see StripedLink).
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  struct PendingPush {
+    dpram::Descriptor desc;
     int recv_idx = 0;
     std::uint64_t epoch = 0;
-    std::vector<dpram::Descriptor> descs;
-    std::uint32_t next_free = kNoBatch;
+    std::uint32_t next_free = kNoSlot;
   };
 
   static std::uint64_t pdu_map_key(atm::Vci vci, std::uint64_t pdu) {
@@ -333,7 +325,7 @@ class RxProcessor {
   void push_buffer(RxPdu& p, std::uint32_t idx, bool eop, std::uint64_t pdu_tag,
                    atm::Vci vci, sim::Tick at,
                    std::uint16_t extra_flags = 0);
-  void fire_push_batch(std::uint32_t bi);
+  void fire_push(std::uint32_t slot);
   void step_generator();
   void heartbeat_step();
   std::size_t fifo_occupancy();
@@ -369,17 +361,13 @@ class RxProcessor {
   /// In-flight reassemblies keyed VciKey::pack(vci, router-local pdu key).
   flow::FlowTable<RxPdu> pdus_;
   PendingDma pending_;
-  static constexpr std::uint32_t kNoBatch = ~std::uint32_t{0};
-  std::vector<PushBatch> push_batches_;
-  std::uint32_t free_batch_ = kNoBatch;
-  std::uint32_t open_batch_ = kNoBatch;
-  std::vector<dpram::Descriptor> descs_firing_;  // scratch for fire_push_batch
+  std::vector<PendingPush> push_pool_;
+  std::uint32_t free_push_ = kNoSlot;
   sim::TimerHandle flush_timer_;  // combine-window timeout for pending_
   std::vector<mem::PhysBuffer> scratch_segs_;  // per-DMA scatter program
   std::vector<atm::Placement> scratch_places_;  // per-cell router output
   std::vector<atm::Completion> scratch_dones_;  // (see accept_cell())
   std::deque<sim::Tick> inflight_;  // decision completion times (FIFO model)
-  sim::Tick fw_horizon_ = 0;
 
   // Generator state.
   std::vector<std::vector<atm::Cell>> gen_trains_;  // one per fragment PDU
@@ -411,8 +399,6 @@ class RxProcessor {
   std::uint64_t cells_stalled_ = 0;
   std::uint64_t cells_sar_dropped_ = 0;
   std::uint64_t dma_errors_ = 0;
-  std::uint64_t push_batches_scheduled_ = 0;
-  std::uint64_t pushes_coalesced_ = 0;
 };
 
 }  // namespace osiris::board

@@ -82,7 +82,7 @@ void TxProcessor::add_queue(int channel, const dpram::QueueLayout& lay,
   queues_.push_back(TxQueue{channel,
                             dpram::QueueReader(*ram_, lay, dpram::Side::kBoard),
                             priority, std::move(auth), std::move(owned_vcis),
-                            0, false, 0});
+                            0, false});
 }
 
 void TxProcessor::set_queue_weight(int channel, std::uint32_t weight) {
@@ -138,14 +138,6 @@ bool TxProcessor::queue_attached(int channel) const {
     if (q.channel == channel && !q.detached) return true;
   }
   return false;
-}
-
-std::uint64_t TxProcessor::channel_bytes(int channel) const {
-  std::uint64_t n = 0;
-  for (const TxQueue& q : queues_) {
-    if (q.channel == channel) n += q.bytes_consumed;
-  }
-  return n;
 }
 
 void TxProcessor::stall() {
@@ -227,8 +219,8 @@ void TxProcessor::service() {
 
 std::uint32_t TxProcessor::head_wire_bytes(TxQueue& q) {
   // A queue is ready when it holds a complete PDU chain (EOP present).
-  // Claimed lengths are clamped like the consumption ledger's: a forged
-  // 4 GB word must not distort the scheduler's byte credit either.
+  // Claimed lengths are clamped to kMaxAdcDescriptorBytes: a forged 4 GB
+  // word must not distort the scheduler's byte credit.
   std::uint64_t len = 0;
   for (std::uint32_t k = 0;; ++k) {
     const auto d = q.reader.peek_at(k);
@@ -426,13 +418,6 @@ bool TxProcessor::start_pdu() {
     if (job->t_origin > 0 && fw_t >= job->t_origin) {
       spans_->record(obs::Stage::kEnqueueToDpram, fw_t - job->t_origin);
     }
-  }
-
-  // Consumption accounting happens before validation so a flooder's
-  // rejected garbage still counts against its budget (claimed lengths
-  // clamped — a forged 4 GB word should not distort the ledger).
-  for (const auto& d : job->chain) {
-    q.bytes_consumed += std::min(d.len, kMaxAdcDescriptorBytes);
   }
 
   // ADC descriptor validation (§3.2): the firmware polices everything an

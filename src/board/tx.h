@@ -88,11 +88,6 @@ class TxProcessor {
   /// True when `channel` has at least one attached (non-detached) queue.
   [[nodiscard]] bool queue_attached(int channel) const;
 
-  /// Payload bytes of PDUs consumed from `channel`'s queues (accepted or
-  /// rejected — a flooder's garbage counts against it too). Feeds the
-  /// AdcSupervisor's per-tenant consumption budget.
-  [[nodiscard]] std::uint64_t channel_bytes(int channel) const;
-
   void set_irq_sink(IrqSink sink) { irq_ = std::move(sink); }
 
   /// Kernel-side sink for typed descriptor violations (see board.h).
@@ -167,7 +162,6 @@ class TxProcessor {
     std::vector<atm::Vci> owned_vcis;  // empty = any (kernel queue)
     std::uint16_t next_pdu_id = 0;
     bool detached = false;
-    std::uint64_t bytes_consumed = 0;
     std::uint32_t weight = 1;     // DRR weight within the priority class
     std::uint64_t deficit = 0;    // DRR byte credit (reset when idle)
   };

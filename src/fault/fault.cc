@@ -47,24 +47,6 @@ void FaultPlane::reset_stats() {
   ledger_.clear();
 }
 
-FaultPlane::PlaneState FaultPlane::save() const {
-  PlaneState st{};
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    st[i] = PointState{slots_[i].spec, slots_[i].armed, slots_[i].consulted,
-                       slots_[i].fired};
-  }
-  return st;
-}
-
-void FaultPlane::restore(const PlaneState& st) {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].spec = st[i].spec;
-    slots_[i].armed = st[i].armed;
-    slots_[i].consulted = st[i].consulted;
-    slots_[i].fired = st[i].fired;
-  }
-}
-
 std::uint32_t FaultPlane::corrupt_word(std::uint32_t v) {
   return v ^ (1u << rng_.below(32));
 }

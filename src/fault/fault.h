@@ -165,19 +165,6 @@ class FaultPlane {
   /// consultation counting for armed points, exactly like a fresh arm().
   void reset_stats();
 
-  /// Per-point armed state + statistics, for save()/restore() around an
-  /// exploratory phase (lifetime counters and the ledger are observability
-  /// and are deliberately NOT part of the state).
-  struct PointState {
-    FaultSpec spec;
-    bool armed = false;
-    std::uint64_t consulted = 0;
-    std::uint64_t fired = 0;
-  };
-  using PlaneState = std::array<PointState, static_cast<std::size_t>(Point::kCount)>;
-  [[nodiscard]] PlaneState save() const;
-  void restore(const PlaneState& st);
-
   /// One line per armed or fired point.
   [[nodiscard]] std::string summary() const;
 

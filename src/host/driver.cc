@@ -1,7 +1,6 @@
 #include "host/driver.h"
 
 #include <algorithm>
-#include <ostream>
 #include <stdexcept>
 
 #include "board/rx.h"
@@ -13,9 +12,6 @@ namespace {
 // push = 1 read (tail) + 5 writes; pop = 5 reads + 1 write.
 constexpr std::uint32_t kPushReads = 1, kPushWrites = 5;
 constexpr std::uint32_t kPopReads = 5, kPopWrites = 1;
-
-// Trace lines a watchdog reset keeps as its postmortem.
-constexpr std::size_t kPostmortemTraceLines = 32;
 
 // Invalidating the cache costs about a cycle per word (§2.3), and eager
 // invalidation adds 0.45 cycles per word of induced misses; the same on
@@ -29,10 +25,12 @@ constexpr std::uint32_t kMemWordsFixedTx = 150;
 constexpr std::uint32_t kMemWordsFixedRx = 150;
 
 std::uint32_t kb_of(std::uint32_t bytes) { return (bytes + 1023) / 1024; }
-}  // namespace
 
-void RxPduView::read_raw(const mem::PhysicalMemory& pm, std::uint32_t off,
-                         std::span<std::uint8_t> out) const {
+// Splits PDU bytes [off, off + out.size()) at buffer boundaries and hands
+// each piece to `read(pa, dst)`; throws when the buffers end first.
+template <class Read>
+void walk_pdu(const std::vector<RxBuffer>& bufs, std::uint32_t off,
+              std::span<std::uint8_t> out, Read&& read) {
   std::size_t done = 0;
   std::uint32_t base = 0;
   for (const RxBuffer& b : bufs) {
@@ -41,33 +39,28 @@ void RxPduView::read_raw(const mem::PhysicalMemory& pm, std::uint32_t off,
       const std::uint32_t inner = off > base ? off - base : 0;
       const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
           out.size() - done, b.len - inner));
-      pm.read(b.pa + inner, out.subspan(done, n));
+      read(b.pa + inner, out.subspan(done, n));
       done += n;
       off += n;
     }
     base += b.len;
   }
-  if (done != out.size()) throw std::out_of_range("RxPduView::read_raw");
+  if (done != out.size()) throw std::out_of_range("RxPduView: read past the PDU");
+}
+}  // namespace
+
+void RxPduView::read_raw(const mem::PhysicalMemory& pm, std::uint32_t off,
+                         std::span<std::uint8_t> out) const {
+  walk_pdu(bufs, off, out,
+           [&](std::uint32_t pa, std::span<std::uint8_t> dst) { pm.read(pa, dst); });
 }
 
 void RxPduView::read_cached(mem::DataCache& cache, std::uint32_t off,
                             std::span<std::uint8_t> out,
                             mem::AccessCost& cost) const {
-  std::size_t done = 0;
-  std::uint32_t base = 0;
-  for (const RxBuffer& b : bufs) {
-    if (done == out.size()) break;
-    if (off < base + b.len) {
-      const std::uint32_t inner = off > base ? off - base : 0;
-      const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-          out.size() - done, b.len - inner));
-      cost += cache.cpu_read(b.pa + inner, out.subspan(done, n));
-      done += n;
-      off += n;
-    }
-    base += b.len;
-  }
-  if (done != out.size()) throw std::out_of_range("RxPduView::read_cached");
+  walk_pdu(bufs, off, out, [&](std::uint32_t pa, std::span<std::uint8_t> dst) {
+    cost += cache.cpu_read(pa, dst);
+  });
 }
 
 OsirisDriver::OsirisDriver(sim::Engine& eng, const MachineConfig& mc,
@@ -599,15 +592,6 @@ sim::Tick OsirisDriver::force_reset(sim::Tick at) {
   ++watchdog_resets_;
   ++generation_;
   sim::trace_event(trace_, eng_->now(), "drv", "reset", generation_, 0);
-  if (trace_ != nullptr) {
-    last_postmortem_ = trace_->dump(kPostmortemTraceLines);
-    if (postmortem_os_ != nullptr) {
-      *postmortem_os_ << "osiris: adaptor reset (generation " << generation_
-                      << ", " << trace_->dropped_events()
-                      << " trace events dropped); last events:\n"
-                      << last_postmortem_;
-    }
-  }
 
   // Reset both board halves (all channels' board-side cursors and RAM
   // words are zeroed — other channel drivers on this board resynchronize

@@ -26,11 +26,9 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "atm/cell.h"
@@ -222,10 +220,6 @@ class OsirisDriver {
                   [token](const auto& e) { return e.first == token; });
   }
 
-  /// Optional stream for the human-readable reset postmortem (the trace
-  /// tail); also retained in last_postmortem().
-  void set_postmortem_stream(std::ostream* os) { postmortem_os_ = os; }
-
   /// Polls every `period`; a heartbeat stale for longer than `deadline`
   /// declares a wedge. Polling stops past `until`, so the run drains.
   void start_watchdog(sim::Duration period, sim::Duration deadline,
@@ -264,9 +258,6 @@ class OsirisDriver {
   /// next kRxNonEmpty edge.
   [[nodiscard]] std::uint64_t backpressure_events() const {
     return backpressure_events_;
-  }
-  [[nodiscard]] const std::string& last_postmortem() const {
-    return last_postmortem_;
   }
 
   /// True while the transmit path is suspended on a full queue (§2.1.2).
@@ -387,7 +378,6 @@ class OsirisDriver {
   bool detached_ = false;
   std::vector<std::pair<int, std::function<void(sim::Tick)>>> reset_hooks_;
   int next_reset_hook_token_ = 0;
-  std::ostream* postmortem_os_ = nullptr;
 
   // Watchdog state.
   sim::Duration wd_period_ = 0;
@@ -403,7 +393,6 @@ class OsirisDriver {
   std::uint64_t generation_ = 0;
   std::uint64_t board_epoch_ = 0;       // TxProcessor epoch last seen
   std::uint64_t resyncs_observed_ = 0;  // resets observed, not initiated
-  std::string last_postmortem_;
   std::vector<BufferInfo> buffers_;  // by id
   /// Partial PDUs keyed atm::VciKey::pack(vci, pdu_tag).
   flow::FlowTable<Accum> accum_;

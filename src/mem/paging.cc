@@ -63,10 +63,12 @@ PhysAddr FrameAllocator::alloc() {
 std::optional<PhysAddr> FrameAllocator::alloc_contiguous(std::uint32_t n) {
   if (n == 0) return std::nullopt;
   if (n == 1) return alloc();
-  // Best-effort scan for a run of n free frames (the paper's proposed OS
-  // support is explicitly best-effort).
+  // Best-effort first-fit scan for a run of n free frames (the paper's
+  // proposed OS support is explicitly best-effort). No run starts below
+  // the lowest free frame, so the scan skips the allocated ones up to it.
+  while (low_free_ < total_frames_ && allocated_[low_free_]) ++low_free_;
   std::uint32_t run = 0;
-  for (std::uint32_t f = 0; f < total_frames_; ++f) {
+  for (std::uint32_t f = low_free_; f < total_frames_; ++f) {
     run = allocated_[f] ? 0 : run + 1;
     if (run == n) {
       const std::uint32_t first = f + 1 - n;
@@ -91,6 +93,7 @@ void FrameAllocator::free(PhysAddr frame_base) {
     throw std::logic_error("FrameAllocator: bad free");
   }
   allocated_[frame] = false;
+  low_free_ = std::min(low_free_, frame);
   push_back(frame);
   ++free_count_;
 }
@@ -126,21 +129,6 @@ VirtAddr AddressSpace::alloc(std::uint32_t len, std::uint32_t offset_in_page) {
     owned_frames_.push_back(f);
   }
   return map_pages_at_cursor(frames, offset_in_page);
-}
-
-VirtAddr AddressSpace::alloc_prefer_contiguous(std::uint32_t len, bool* contiguous) {
-  const std::uint32_t npages = (len + kPageSize - 1) / kPageSize;
-  if (auto base = fa_->alloc_contiguous(npages)) {
-    std::vector<PhysAddr> frames(npages);
-    for (std::uint32_t i = 0; i < npages; ++i) {
-      frames[i] = *base + i * kPageSize;
-      owned_frames_.push_back(frames[i]);
-    }
-    if (contiguous != nullptr) *contiguous = true;
-    return map_pages_at_cursor(frames, 0);
-  }
-  if (contiguous != nullptr) *contiguous = false;
-  return alloc(len);
 }
 
 VirtAddr AddressSpace::map_frame(PhysAddr frame_base) {

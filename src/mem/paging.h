@@ -79,6 +79,9 @@ class FrameAllocator {
   std::unique_ptr<std::uint32_t[]> prev_;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
+  // Every frame below this one is allocated, so alloc_contiguous() starts
+  // its scan here; free() lowers it.
+  std::uint32_t low_free_ = 0;
 };
 
 /// A protection domain's virtual address space: a page table mapping
@@ -95,11 +98,6 @@ class AddressSpace {
   /// page boundary plus `offset_in_page` (non-zero models unaligned
   /// application buffers). Returns the virtual address of the first byte.
   VirtAddr alloc(std::uint32_t len, std::uint32_t offset_in_page = 0);
-
-  /// Like alloc(), but asks the frame allocator for physically contiguous
-  /// frames; falls back to ordinary allocation when unavailable. Sets
-  /// `*contiguous` to whether the fast path succeeded, if non-null.
-  VirtAddr alloc_prefer_contiguous(std::uint32_t len, bool* contiguous = nullptr);
 
   /// Maps an existing physical frame at the next free virtual page (used
   /// by fbufs to share a frame across domains). Returns the virtual base.

@@ -53,9 +53,6 @@ constexpr Row<Count> kCounters[] = {
      [](Node& n) -> Count { return n.rxp.pdus_dropped_recvfull(); }},
     {"rx.auth_violations",
      [](Node& n) -> Count { return n.rxp.auth_violations(); }},
-    {"rx.push_batches", [](Node& n) -> Count { return n.rxp.push_batches(); }},
-    {"rx.pushes_coalesced",
-     [](Node& n) -> Count { return n.rxp.pushes_coalesced(); }},
 
     // QoS and overload management (DESIGN.md §10).
     {"qos.pdus_dropped_quota",

@@ -73,9 +73,7 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
       ++gt->next_expected;
       ++gt->received;
     });
-    adc::AdcSupervisor::Budget generous;
-    generous.max_violations = 4;  // good tenants never violate anyway
-    sup.watch(*t.tx, generous);
+    sup.watch(*t.tx);
   }
 
   // --- Adversarial tenant (pair 3): floods forged descriptors --------
@@ -85,9 +83,7 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   auto attacker = std::make_unique<adc::Adc>(
       tb.a.adc_deps(), 3, std::vector<atm::Vci>{810}, 3, sc);  // higher prio
   attacker->set_fault_plane(&adversary);
-  adc::AdcSupervisor::Budget tight;
-  tight.max_violations = 4;
-  sup.watch(*attacker, tight);
+  sup.watch(*attacker);
 
   // --- Crashing tenant (pair 4): dies mid-send -----------------------
   fault::FaultPlane crasher(0xDEAD);
@@ -97,7 +93,7 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   auto dier_rx = std::make_unique<adc::Adc>(
       tb.b.adc_deps(), 4, std::vector<atm::Vci>{811}, 1, sc);
   dier->set_fault_plane(&crasher);
-  sup.watch(*dier, tight);
+  sup.watch(*dier);
 
   // --- Free-list poisoner (pair 5, on the RECEIVE node) --------------
   // Its driver corrupts every descriptor it recycles; node b's receive
@@ -110,10 +106,7 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   auto poison_rx = std::make_unique<adc::Adc>(
       tb.b.adc_deps(), 5, std::vector<atm::Vci>{812}, 1, sc);
   poison_rx->set_fault_plane(&poisoner);
-  sup_b.watch(*poison_rx, tight);
-
-  sup.start(sim::us(200), sim::ms(50));
-  sup_b.start(sim::us(200), sim::ms(50));
+  sup_b.watch(*poison_rx);
 
   // --- The soak ------------------------------------------------------
   std::map<int, proto::Message> msgs;
@@ -164,7 +157,8 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   }
 
   // --- Attacker: typed violations counted, then quarantined ----------
-  EXPECT_GT(sup.violations(attacker->pair()), tight.max_violations);
+  EXPECT_GT(sup.violations(attacker->pair()),
+            adc::AdcSupervisor::kMaxViolations);
   EXPECT_TRUE(sup.quarantined(attacker->pair()));
   EXPECT_FALSE(sup.quarantined(1));
   EXPECT_FALSE(sup.quarantined(2));
@@ -217,39 +211,33 @@ TEST(AdcIsolation, ChaosSoakAdversariesBesideWellBehaved) {
   EXPECT_EQ(tb.b.frames.free_frames(), base_free_b);
 }
 
-TEST(AdcIsolation, ConsumptionBudgetQuarantinesWellFormedFlooder) {
-  // A tenant can starve neighbours without a single malformed descriptor:
-  // sheer volume. The supervisor's polled consumption budget catches it.
+TEST(AdcIsolation, NinthViolationQuarantines) {
+  // The budget is eight typed violations per channel: eight forged
+  // descriptors leave the channel open, the ninth cuts it off.
   Testbed tb(make_3000_600_config(), make_3000_600_config());
   proto::StackConfig sc;
   sc.mode = proto::StackMode::kRawAtm;
   adc::AdcSupervisor sup(tb.a.eng, tb.a.txp, tb.a.rxp);
+  fault::FaultPlane forger(0xBAD);
+  forger.arm(fault::Point::kAdcGarbageDescriptor, {1.0, 0, ~0ull});
+  adc::Adc attacker(tb.a.adc_deps(), 3, {813}, 1, sc);
+  attacker.set_fault_plane(&forger);
+  sup.watch(attacker);
+  const proto::Message junk =
+      proto::Message::from_payload(attacker.space(), seq_payload(0, 256));
 
-  adc::Adc flooder(tb.a.adc_deps(), 1, {820}, 1, sc);
-  adc::Adc flooder_rx(tb.b.adc_deps(), 1, {820}, 1, sc);
-  adc::AdcSupervisor::Budget cap;
-  cap.max_violations = 0;            // violations alone never trip it
-  cap.max_tx_bytes_per_poll = 16 * 1024;  // ~half the wire rate per window
-  sup.watch(flooder, cap);
-  // 500 us windows: at 600 Mbit/s the flood moves ~37 KB per window, far
-  // over budget, while a couple of PDUs still complete before the first
-  // non-empty window is inspected.
-  sup.start(sim::us(500), sim::ms(20));
-
-  std::uint64_t delivered = 0;
-  flooder_rx.set_sink([&](sim::Tick, std::uint16_t,
-                          std::vector<std::uint8_t>&&) { ++delivered; });
-
-  proto::Message m = proto::Message::from_payload(
-      flooder.space(), std::vector<std::uint8_t>(8000, 0x5A));
-  flooder.authorize(m.scatter());
   sim::Tick t = 0;
-  for (int i = 0; i < 40; ++i) t = flooder.send(t, 820, m);
+  for (int i = 0; i < 8; ++i) t = attacker.send(t, 813, junk);
   tb.run();
+  EXPECT_EQ(sup.violations(attacker.pair()), 8u);
+  EXPECT_FALSE(sup.quarantined(attacker.pair()));
+  EXPECT_TRUE(tb.a.txp.queue_attached(attacker.pair()));
 
-  EXPECT_TRUE(sup.quarantined(flooder.pair()));
-  EXPECT_LT(delivered, 40u) << "quarantine should have cut the flood short";
-  EXPECT_GT(delivered, 0u) << "traffic before the budget tripped flows";
+  attacker.send(tb.a.eng.now(), 813, junk);
+  tb.run();
+  EXPECT_EQ(sup.violations(attacker.pair()), 9u);
+  EXPECT_TRUE(sup.quarantined(attacker.pair()));
+  EXPECT_FALSE(tb.a.txp.queue_attached(attacker.pair()));
 }
 
 }  // namespace

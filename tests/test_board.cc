@@ -2,7 +2,9 @@
 // into host memory, interrupt discipline, DMA combining, authorization.
 #include <gtest/gtest.h>
 
+#include "atm/sar.h"
 #include "osiris/node.h"
+#include "osiris/stats.h"
 
 namespace osiris {
 namespace {
@@ -184,6 +186,54 @@ TEST(Board, TailAdvanceSignalsCompletionWithoutInterrupt) {
   n.driver.send(f.eng.now(), 207, sc);
   f.eng.run();
   EXPECT_LE(n.driver.wiring().wired_frames(), 2u);
+}
+
+// Feeds a one-cell PDU on `vci` straight into the receive firmware.
+// Reassembly completes inside on_cell(), so on return the PDU's
+// receive-queue push is scheduled for its DMA completion and has not fired.
+void inject_pdu(Node& n, atm::Vci vci, std::uint16_t pdu_id) {
+  const std::vector<std::uint8_t> pdu(20, 6);
+  std::vector<atm::Cell> cells = atm::segment(pdu, vci, pdu_id);
+  ASSERT_EQ(cells.size(), 1u);
+  atm::seal(cells[0]);
+  n.rxp.on_cell(0, cells[0]);
+}
+
+TEST(Board, PushForADetachedChannelIsDroppedWhenItFires) {
+  Fixture f;
+  Node& n = *f.node;
+  n.map_kernel_vci(208);
+  n.driver.set_rx_handler([&](sim::Tick at, host::RxPduView&) { return at; });
+  inject_pdu(n, 208, 1);
+  f.eng.run();
+  ASSERT_EQ(n.driver.pdus_received(), 1u);
+
+  inject_pdu(n, 208, 2);
+  ASSERT_EQ(n.rxp.pdus_completed(), 2u);
+  n.rxp.remove_channel(0);  // the kernel's channel, detached mid-completion
+  f.eng.run();
+  EXPECT_EQ(stats(n).counter("qos.dead_channel_drops"), 1u);
+  // Nothing reached the receive queue: no second interrupt, no delivery.
+  EXPECT_EQ(n.intc.raised(), 1u);
+  EXPECT_EQ(n.driver.pdus_received(), 1u);
+}
+
+TEST(Board, PushScheduledBeforeResetDiesAtTheEpochCheck) {
+  Fixture f;
+  Node& n = *f.node;
+  n.map_kernel_vci(209);
+  n.driver.set_rx_handler([&](sim::Tick at, host::RxPduView&) { return at; });
+  inject_pdu(n, 209, 1);
+  f.eng.run();
+  ASSERT_EQ(n.driver.pdus_received(), 1u);
+
+  inject_pdu(n, 209, 2);
+  ASSERT_EQ(n.rxp.pdus_completed(), 2u);
+  n.rxp.reset();
+  f.eng.run();
+  EXPECT_EQ(n.intc.raised(), 1u);
+  EXPECT_EQ(n.driver.pdus_received(), 1u);
+  EXPECT_EQ(stats(n).counter("qos.dead_channel_drops"), 0u);
 }
 
 }  // namespace

@@ -391,20 +391,6 @@ TEST(AddressSpace, MapFrameSharesPhysicalPage) {
   fa.free(frame);
 }
 
-TEST(AddressSpace, PreferContiguousFallsBack) {
-  FrameAllocator fa(8 * kPageSize, false);
-  PhysicalMemory pm(8 * kPageSize);
-  AddressSpace as(pm, fa, "t");
-  bool contig = false;
-  as.alloc_prefer_contiguous(3 * kPageSize, &contig);
-  EXPECT_TRUE(contig);
-  // Exhaust so no run of 4 remains, then ask again.
-  while (fa.free_frames() > 3) fa.alloc();
-  bool contig2 = true;
-  as.alloc_prefer_contiguous(3 * kPageSize, &contig2);
-  EXPECT_TRUE(contig2);  // 3 sequential frames remain in order
-}
-
 // ---------------------------------------------------------------- cache
 
 CacheConfig small_cache(DmaCoherence c) { return {1024, 16, c}; }

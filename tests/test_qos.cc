@@ -305,12 +305,9 @@ TEST(Qos, QuarantineReclaimsSchedulerAndLimiterState) {
   auto bad = std::make_unique<adc::Adc>(tb.a.adc_deps(), 3,
                                         std::vector<atm::Vci>{930}, 1, sc);
   bad->set_fault_plane(&hostile);
-  adc::AdcSupervisor::Budget b;
-  b.max_violations = 4;
-  b.tx_weight = 7;
-  b.tx_bytes_per_sec = 1e6;
-  b.tx_burst_bytes = 2048;
-  sup.watch(*bad, b);
+  sup.watch(*bad);
+  tb.a.txp.set_queue_weight(3, 7);
+  tb.a.txp.set_rate_limit(3, 1e6, 2048);
   ASSERT_TRUE(tb.a.txp.rate_limited(3));
 
   proto::Message junk = proto::Message::from_payload(
