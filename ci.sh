@@ -79,6 +79,14 @@ tracks = {e["tid"] for e in events if e["ph"] == "i"}
 assert {"a/trace", "b/trace"} <= tracks, "instant tracks: %s" % tracks
 assert any(e["ph"] == "X" for e in events), "no PDU slice in " + sys.argv[2]
 EOF
+# The same seed must give the same dumps: a second run with the same flags,
+# writing to other paths, must reproduce both files byte for byte.
+./build/examples/quickstart --stats-json=build/stats.rerun.json \
+  --trace-out=build/trace.rerun.json >/dev/null
+for f in stats trace; do
+  cmp "build/$f.json" "build/$f.rerun.json" \
+    || { echo "quickstart: build/$f.json differs between two runs" >&2; exit 1; }
+done
 
 echo "== chaos sweep (fixed seeds) =="
 # Deterministic fault-injection sweep over generated schedules: every run

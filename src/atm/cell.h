@@ -77,13 +77,12 @@ struct Cell {
   std::uint16_t seq = 0;     // cell index within the PDU (strategy A)
   std::uint8_t flags = 0;
   std::uint8_t len = 0;      // valid payload bytes, 1..44
-  std::uint8_t hec = 0;      // header checksum, set by seal()
   std::array<std::uint8_t, kCellPayload> payload{};
 
   // Observability sidecar (simulation metadata, NOT wire bytes): excluded
-  // from serialize_header()/encode_cell() and therefore from the HEC and
-  // from link bandwidth accounting.  Both are simulated ticks, so they are
-  // deterministic across serial and parallel runs.
+  // from encode_cell() and therefore from the HEC and from link bandwidth
+  // accounting.  Both are simulated ticks, so they are deterministic across
+  // serial and parallel runs.
   std::uint64_t t_origin = 0;  // sender driver-enqueue tick (0 = unstamped)
   std::uint64_t t_depart = 0;  // this cell's wire-departure tick
 
@@ -91,18 +90,5 @@ struct Cell {
   [[nodiscard]] bool lane_eom() const { return (flags & kFlagLaneEom) != 0; }
   [[nodiscard]] bool last_cell() const { return (flags & kFlagLastCell) != 0; }
 };
-
-/// Serializes the header fields (excluding hec) for HEC computation.
-std::array<std::uint8_t, 9> serialize_header(const Cell& c);
-
-/// 8-bit header checksum (stand-in for ATM HEC). A cell whose header was
-/// corrupted in flight fails this check and is dropped by the receiver.
-std::uint8_t header_check(const Cell& c);
-
-/// Stamps the header checksum. Called by the transmit firmware.
-inline void seal(Cell& c) { c.hec = header_check(c); }
-
-/// Verifies the header checksum on arrival.
-inline bool header_ok(const Cell& c) { return c.hec == header_check(c); }
 
 }  // namespace osiris::atm

@@ -100,7 +100,6 @@ std::optional<Cell> decode_cell(const WireCell& w) {
   c.len = static_cast<std::uint8_t>(len6 == 0 ? kCellPayload : len6);
 
   std::copy(w.begin() + 9, w.begin() + 9 + c.len, c.payload.begin());
-  seal(c);
   return c;
 }
 

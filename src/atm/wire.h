@@ -42,8 +42,8 @@ std::uint8_t hec8(const std::uint8_t* header4);
 WireCell encode_cell(const Cell& c);
 
 /// Parses 53 bytes. Returns nullopt if the HEC does not match (header
-/// corrupted in flight) or a field is malformed. The returned cell is
-/// sealed (header_ok() holds).
+/// corrupted in flight) or a field is malformed. This is the only header
+/// check a cell meets: the receiving framer drops what it rejects.
 std::optional<Cell> decode_cell(const WireCell& w);
 
 }  // namespace osiris::atm

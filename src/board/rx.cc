@@ -263,13 +263,6 @@ void RxProcessor::on_cell(int lane, const atm::Cell& c) {
     ++cells_stalled_;
     return;
   }
-  if (!atm::header_ok(c)) {
-    // Header protection failed (or the cell was corrupted onto an unknown
-    // VCI); the cell is discarded here, and the PDU it belonged to will
-    // never complete.
-    ++cells_bad_header_;
-    return;
-  }
   if (fifo_occupancy() >= kFifoDepth) {
     ++cells_fifo_dropped_;
     sim::trace_event(trace_, eng_->now(), "rx", "fifo_drop", c.vci, c.seq);
@@ -742,11 +735,6 @@ std::uint64_t RxProcessor::purge_incomplete(sim::Duration max_age) {
   return purged;
 }
 
-void RxProcessor::start_generator(atm::Vci vci, std::vector<std::uint8_t> pdu,
-                                  std::uint64_t count, sim::Duration cell_period) {
-  start_generator_multi(vci, {std::move(pdu)}, count, cell_period);
-}
-
 void RxProcessor::start_generator_multi(
     atm::Vci vci, const std::vector<std::vector<std::uint8_t>>& pdus,
     std::uint64_t count, sim::Duration cell_period) {
@@ -778,7 +766,6 @@ void RxProcessor::step_generator() {
   }
   atm::Cell c = gen_trains_[gen_train_idx_][gen_cell_idx_];
   c.pdu_id = gen_pdu_id_;
-  atm::seal(c);
   accept_cell(static_cast<int>(c.seq % atm::kLanes), c);
   ++cells_received_;
   ++cells_generated_;

@@ -136,15 +136,10 @@ class RxProcessor {
   void on_cell(int lane, const atm::Cell& c);
 
   /// Receive-side isolation mode (§4, Figures 2 and 3): the receive
-  /// processor synthesizes `count` copies of `pdu` on `vci`, one cell every
-  /// `cell_period` (the link cell rate by default), throttled by the
-  /// on-board FIFO — i.e. as fast as the host can absorb them.
-  void start_generator(atm::Vci vci, std::vector<std::uint8_t> pdu,
-                       std::uint64_t count, sim::Duration cell_period);
-
-  /// Multi-PDU variant: each generated "message" is the given sequence of
-  /// PDUs (e.g. the IP fragments of one large UDP message), repeated
-  /// `count` times.
+  /// processor synthesizes `count` "messages" on `vci`, each the given
+  /// sequence of PDUs (e.g. the IP fragments of one large UDP message), one
+  /// cell every `cell_period` (the link cell rate by default), throttled by
+  /// the on-board FIFO — i.e. as fast as the host can absorb them.
   void start_generator_multi(atm::Vci vci,
                              const std::vector<std::vector<std::uint8_t>>& pdus,
                              std::uint64_t count, sim::Duration cell_period);
@@ -154,10 +149,8 @@ class RxProcessor {
   /// Cells synthesized locally by the fictitious-PDU generator (a subset of
   /// cells_received; lets conservation audits separate wire arrivals).
   [[nodiscard]] std::uint64_t cells_generated() const { return cells_generated_; }
-  /// Cells that failed the header check (wire corruption).
-  [[nodiscard]] std::uint64_t cells_bad_header() const { return cells_bad_header_; }
-  /// Cells with a good header on a VCI that is not mapped, e.g. a closed
-  /// path's traffic still in flight.
+  /// Cells on a VCI that is not mapped, e.g. a closed path's traffic
+  /// still in flight.
   [[nodiscard]] std::uint64_t cells_unmapped() const { return cells_unmapped_; }
   [[nodiscard]] std::uint64_t cells_fifo_dropped() const { return cells_fifo_dropped_; }
   [[nodiscard]] std::uint64_t dma_ops() const { return dma_ops_; }
@@ -381,7 +374,6 @@ class RxProcessor {
 
   std::uint64_t cells_received_ = 0;
   std::uint64_t cells_generated_ = 0;
-  std::uint64_t cells_bad_header_ = 0;
   std::uint64_t cells_unmapped_ = 0;
   std::uint64_t cells_fifo_dropped_ = 0;
   std::uint64_t dma_ops_ = 0;

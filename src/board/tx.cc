@@ -626,7 +626,6 @@ void TxProcessor::step_job() {
   sim::Tick dep = 0;
   for (auto& c : cells) {
     c.t_origin = j.t_origin;
-    atm::seal(c);
     dep = link_->submit(handover, c);
     j.departures.push_back(dep);
     ++cells_sent_;
@@ -748,7 +747,6 @@ void TxProcessor::step_job_fixed() {
   }
 
   c.t_origin = j.t_origin;
-  atm::seal(c);
   const sim::Tick handover = std::max(ready, j.handover_floor);
   j.handover_floor = handover;
   const sim::Tick dep = link_->submit(handover, c);

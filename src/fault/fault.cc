@@ -32,7 +32,6 @@ bool FaultPlane::fires(Point p) {
   if (hit) {
     ++s.fired;
     ++s.lifetime_fired;
-    if (ledger_.size() < kLedgerCap) ledger_.push_back(Firing{p, s.consulted});
   }
   return hit;
 }
@@ -44,7 +43,6 @@ void FaultPlane::reset_stats() {
     s.lifetime_consulted = 0;
     s.lifetime_fired = 0;
   }
-  ledger_.clear();
 }
 
 std::uint32_t FaultPlane::corrupt_word(std::uint32_t v) {

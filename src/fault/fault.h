@@ -19,7 +19,6 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/rng.h"
 
@@ -105,27 +104,18 @@ struct FaultSpec {
   friend bool operator==(const FaultSpec&, const FaultSpec&) = default;
 };
 
-/// One ledger entry per firing: which point fired, on which of its
-/// consultations (1-based, since the arm() that made it fire).
-struct Firing {
-  Point point = Point::kCount;
-  std::uint64_t consultation = 0;
-
-  friend bool operator==(const Firing&, const Firing&) = default;
-};
-
 class FaultPlane {
  public:
   explicit FaultPlane(std::uint64_t seed = 0xFA177) : rng_(seed) {}
 
   /// Arms (or re-arms) `p`. Per-spec consulted/fired counters restart at
   /// zero — `after` and the consultation window are relative to this arm —
-  /// but the lifetime counters and the firing ledger are preserved.
+  /// but the lifetime counters are preserved.
   void arm(Point p, FaultSpec spec);
-  /// Clears the armed flag only: per-spec statistics, lifetime counters
-  /// and the firing ledger all survive, so a scenario driver can disarm a
-  /// point mid-run and still account for everything it did. Use
-  /// reset_stats() for a clean slate between scenario phases.
+  /// Clears the armed flag only: per-spec statistics and lifetime counters
+  /// survive, so a scenario driver can disarm a point mid-run and still
+  /// account for everything it did. Use reset_stats() for a clean slate
+  /// between scenario phases.
   void disarm(Point p);
   [[nodiscard]] bool armed(Point p) const { return slot(p).armed; }
   [[nodiscard]] FaultSpec spec(Point p) const { return slot(p).spec; }
@@ -155,20 +145,14 @@ class FaultPlane {
     return slot(p).lifetime_fired;
   }
 
-  /// Chronological record of every firing, up to kLedgerCap entries.
-  /// arm() and disarm() leave it intact.
-  [[nodiscard]] const std::vector<Firing>& ledger() const { return ledger_; }
-
-  /// Clears every statistic — per-spec and lifetime counters, the firing
-  /// ledger — while leaving armed specs armed. This is the between-phases
-  /// reset a scenario driver wants; note it restarts `after`/window
-  /// consultation counting for armed points, exactly like a fresh arm().
+  /// Clears every statistic — per-spec and lifetime counters — while
+  /// leaving armed specs armed. This is the between-phases reset a
+  /// scenario driver wants; note it restarts `after`/window consultation
+  /// counting for armed points, exactly like a fresh arm().
   void reset_stats();
 
   /// One line per armed or fired point.
   [[nodiscard]] std::string summary() const;
-
-  static constexpr std::size_t kLedgerCap = 4096;
 
  private:
   struct Slot {
@@ -186,7 +170,6 @@ class FaultPlane {
   }
 
   std::array<Slot, static_cast<std::size_t>(Point::kCount)> slots_{};
-  std::vector<Firing> ledger_;
   sim::Rng rng_;
 };
 

@@ -60,7 +60,7 @@ sim::Tick StripedLink::submit(sim::Tick from, const atm::Cell& c) {
 
   atm::Cell delivered = c;
   if (cfg_.wire_ber > 0.0) {
-    // Byte-accurate path: serialize, flip bits, reparse.
+    // Serialize, flip bits, reparse.
     atm::WireCell w = atm::encode_cell(c);
     bool flipped = false;
     for (std::size_t bit = 0; bit < w.size() * 8; ++bit) {
@@ -81,15 +81,6 @@ sim::Tick StripedLink::submit(sim::Tick from, const atm::Cell& c) {
     delivered.t_origin = c.t_origin;
   }
   delivered.t_depart = departed;
-  if (cfg_.payload_err_p > 0.0 && rng_.chance(cfg_.payload_err_p)) {
-    const auto bit = rng_.below(static_cast<std::uint64_t>(delivered.len) * 8);
-    delivered.payload[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-    ++cells_corrupted_;
-  }
-  if (cfg_.header_err_p > 0.0 && rng_.chance(cfg_.header_err_p)) {
-    delivered.vci ^= atm::Vci{1} << rng_.below(atm::kVciBits);
-    ++cells_corrupted_;
-  }
 
   if (!sink_) throw std::logic_error("StripedLink: no sink registered");
   const std::uint32_t slot = acquire_slot(lane, delivered);

@@ -37,12 +37,11 @@ struct LinkConfig {
   double mux_jitter_us = 0.0;                        // skew cause (2)
   double queue_jitter_us = 0.0;                      // skew cause (3)
   double cell_loss_p = 0.0;     // probability a cell vanishes
-  double payload_err_p = 0.0;   // probability one payload bit flips
-  double header_err_p = 0.0;    // probability one header field flips
-  // Byte-accurate mode: serialize each cell to its 53-byte wire form and
-  // flip each of the 424 bits with this probability. Header damage is
-  // caught by the real CRC-8 HEC (cell dropped at the framer); payload
-  // damage flows through to the AAL CRC / UDP checksum.
+  // Bit errors, the only way a cell is damaged in flight: each cell is
+  // serialized to its 53-byte wire form and each of the 424 bits flips
+  // with this probability. Header damage is caught by the CRC-8 HEC (cell
+  // dropped at the framer); payload damage flows through to the AAL CRC /
+  // UDP checksum.
   double wire_ber = 0.0;
   std::uint64_t seed = 42;
 };
@@ -75,8 +74,7 @@ class StripedLink {
   [[nodiscard]] std::uint64_t cells_sent() const { return cells_sent_; }
   [[nodiscard]] std::uint64_t cells_lost() const { return cells_lost_; }
   [[nodiscard]] std::uint64_t cells_corrupted() const { return cells_corrupted_; }
-  /// Cells whose wire header failed the HEC at the receiving framer
-  /// (byte-accurate mode only).
+  /// Cells whose wire header failed the HEC at the receiving framer.
   [[nodiscard]] std::uint64_t cells_hec_dropped() const { return cells_hec_dropped_; }
 
  private:

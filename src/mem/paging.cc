@@ -131,21 +131,6 @@ VirtAddr AddressSpace::alloc(std::uint32_t len, std::uint32_t offset_in_page) {
   return map_pages_at_cursor(frames, offset_in_page);
 }
 
-VirtAddr AddressSpace::map_frame(PhysAddr frame_base) {
-  if (page_offset(frame_base) != 0) {
-    throw std::invalid_argument("AddressSpace::map_frame: not page aligned");
-  }
-  const std::uint32_t vpage = next_vpage_++;
-  table_[vpage] = frame_base;
-  return vpage << kPageShift;
-}
-
-void AddressSpace::unmap_page(VirtAddr va) {
-  if (table_.erase(page_of(va)) == 0) {
-    throw std::logic_error("AddressSpace::unmap_page: not mapped");
-  }
-}
-
 PhysAddr AddressSpace::translate(VirtAddr va) const {
   const auto it = table_.find(page_of(va));
   if (it == table_.end()) {

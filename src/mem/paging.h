@@ -99,14 +99,6 @@ class AddressSpace {
   /// application buffers). Returns the virtual address of the first byte.
   VirtAddr alloc(std::uint32_t len, std::uint32_t offset_in_page = 0);
 
-  /// Maps an existing physical frame at the next free virtual page (used
-  /// by fbufs to share a frame across domains). Returns the virtual base.
-  VirtAddr map_frame(PhysAddr frame_base);
-
-  /// Removes the mapping of the virtual page containing `va`. The frame is
-  /// not freed (caller owns it).
-  void unmap_page(VirtAddr va);
-
   /// Translates a virtual address. Throws if unmapped.
   [[nodiscard]] PhysAddr translate(VirtAddr va) const;
 

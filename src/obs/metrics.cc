@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
-#include <utility>
 
 namespace osiris::obs {
 namespace {
@@ -60,6 +59,13 @@ Snapshot::Hist summarize(const std::string& name, const std::string& unit,
   out.p99 = h.quantile(0.99);
   out.p999 = h.quantile(0.999);
   return out;
+}
+
+void Snapshot::sort_by_name() {
+  const auto by_name = [](const auto& x, const auto& y) { return x.name < y.name; };
+  std::sort(counters.begin(), counters.end(), by_name);
+  std::sort(gauges.begin(), gauges.end(), by_name);
+  std::sort(hists.begin(), hists.end(), by_name);
 }
 
 std::uint64_t Snapshot::counter(const std::string& name) const {
@@ -125,32 +131,6 @@ std::string Snapshot::to_json() const {
   }
   os << (hists.empty() ? "" : "\n  ") << "}\n}\n";
   return os.str();
-}
-
-void Registry::counter(std::string name, std::function<std::uint64_t()> read) {
-  counters_[std::move(name)] = std::move(read);
-}
-
-void Registry::gauge(std::string name, std::function<double()> fn) {
-  gauges_[std::move(name)] = std::move(fn);
-}
-
-void Registry::histogram_ref(std::string name, const sim::Log2Histogram* h,
-                             std::string unit) {
-  hists_[std::move(name)] = HistRef{h, std::move(unit)};
-}
-
-Snapshot Registry::snapshot() const {
-  Snapshot out;
-  out.counters.reserve(counters_.size());
-  for (const auto& [name, read] : counters_) out.counters.push_back({name, read()});
-  out.gauges.reserve(gauges_.size());
-  for (const auto& [name, fn] : gauges_) out.gauges.push_back({name, fn()});
-  out.hists.reserve(hists_.size());
-  for (const auto& [name, h] : hists_) {
-    out.hists.push_back(summarize(name, h.unit, *h.source));
-  }
-  return out;
 }
 
 }  // namespace osiris::obs

@@ -1,16 +1,15 @@
-// Metrics registry: named counters, gauges and log2-bucketed histograms.
+// Metrics snapshot: named counters, gauges and log2-bucketed histograms,
+// read at one point in time.
 //
-// The registry is a *naming* layer, not a storage layer: hot paths keep
-// owning their own counters (a `++member_` stays a `++member_`), and the
-// registry holds readers it calls only at snapshot() time: exact uint64
-// counter readers, double gauges, and histograms owned elsewhere (e.g.
-// PduSpans stages).  One registry can name a whole testbed: prefix each
-// node's names ("a.", "b.").
+// A snapshot is a *rendering*, not a storage layer: hot paths keep owning
+// their own counters (a `++member_` stays a `++member_`), and a reader such
+// as osiris::stats() copies them out when asked: exact uint64 counters,
+// double gauges, and summaries of histograms owned elsewhere (e.g. PduSpans
+// stages).  One snapshot can cover a whole testbed: prefix each node's
+// names ("a.", "b.").
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -18,7 +17,7 @@
 
 namespace osiris::obs {
 
-/// Point-in-time rendering of a Registry.
+/// Point-in-time rendering of named instruments.
 struct Snapshot {
   struct Counter {
     std::string name;
@@ -46,6 +45,10 @@ struct Snapshot {
   std::vector<Gauge> gauges;
   std::vector<Hist> hists;
 
+  /// Sorts each section by name, so a rendering is diffable across runs
+  /// whatever order its pieces were added in.
+  void sort_by_name();
+
   /// The named counter's or gauge's value. Both throw std::out_of_range on
   /// an unknown name, so a misspelt name fails loudly.
   [[nodiscard]] std::uint64_t counter(const std::string& name) const;
@@ -60,38 +63,5 @@ struct Snapshot {
 /// Fills a Snapshot::Hist's derived fields from a histogram.
 Snapshot::Hist summarize(const std::string& name, const std::string& unit,
                          const sim::Log2Histogram& h);
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  /// Registers a pull-model counter: `read` is called at snapshot time,
-  /// and whatever it reads must outlive the registry.  Re-registering a
-  /// name replaces it (likewise for gauges and histograms).
-  void counter(std::string name, std::function<std::uint64_t()> read);
-
-  /// Registers a computed gauge (evaluated at snapshot time).
-  void gauge(std::string name, std::function<double()> fn);
-
-  /// Registers a histogram owned elsewhere; it must outlive the registry.
-  void histogram_ref(std::string name, const sim::Log2Histogram* h,
-                     std::string unit = "ticks");
-
-  /// Reads every instrument, sorted by name.
-  [[nodiscard]] Snapshot snapshot() const;
-
- private:
-  struct HistRef {
-    const sim::Log2Histogram* source;
-    std::string unit;
-  };
-  // Keyed by name, so a snapshot comes out sorted and diffable across runs
-  // regardless of registration order.
-  std::map<std::string, std::function<std::uint64_t()>> counters_;
-  std::map<std::string, std::function<double()>> gauges_;
-  std::map<std::string, HistRef> hists_;
-};
 
 }  // namespace osiris::obs

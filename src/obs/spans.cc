@@ -78,10 +78,10 @@ std::vector<PduSpans::Span> PduSpans::completed_spans() const {
   return out;
 }
 
-void PduSpans::register_into(Registry& reg, const std::string& prefix) const {
+void PduSpans::append_to(Snapshot& s, const std::string& prefix) const {
   for (std::size_t i = 0; i < static_cast<std::size_t>(Stage::kCount); ++i) {
-    reg.histogram_ref(prefix + stage_name(static_cast<Stage>(i)), &stages_[i],
-                      "ticks");
+    s.hists.push_back(
+        summarize(prefix + stage_name(static_cast<Stage>(i)), "ticks", stages_[i]));
   }
 }
 

@@ -34,7 +34,7 @@
 
 namespace osiris::obs {
 
-class Registry;
+struct Snapshot;
 
 enum class Stage : std::uint8_t {
   kEnqueueToDpram = 0,
@@ -100,9 +100,9 @@ class PduSpans {
   [[nodiscard]] std::vector<Span> completed_spans() const;
   [[nodiscard]] std::uint64_t spans_recorded() const { return spans_seen_; }
 
-  /// Registers every stage histogram into `reg`
-  /// under `prefix` (e.g. "a.span.").  Refs only; `this` must outlive reads.
-  void register_into(Registry& reg, const std::string& prefix) const;
+  /// Appends a summary of every stage histogram to `s`, named `prefix`
+  /// plus the stage name (e.g. "a.span.wire").
+  void append_to(Snapshot& s, const std::string& prefix) const;
 
   /// Folds all of `other`'s stage histograms into `this` (for merging the
   /// two directions of a testbed before printing).

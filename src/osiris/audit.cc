@@ -24,15 +24,15 @@ void check_le(std::vector<std::string>& out, const std::string& what,
 /// `dst`'s receive processor.
 void audit_direction(std::vector<std::string>& out, const std::string& label,
                      const Snapshot& src, const Snapshot& dst) {
-  // Every cell the SAR loop sealed was submitted to the link: the firmware
+  // Every cell the SAR loop built was submitted to the link: the firmware
   // counts after submit(), so a mismatch means a counting bug, not a fault.
   check_eq(out, label + ": tx.cells_sent vs link.cells_sent",
            src.counter("tx.cells_sent"), src.counter("link.cells_sent"));
 
-  // Wire conservation: a submitted cell is dropped by BER loss, dropped by
-  // the receiver's HEC check in the link, or delivered to on_cell() (which
-  // counts before any FIFO/demux drop). Generator cells are board-local and
-  // excluded from the wire budget.
+  // Wire conservation: a submitted cell is lost, dropped at the receiving
+  // framer by the HEC, or delivered to on_cell() (which counts before any
+  // FIFO/demux drop). Generator cells are board-local and excluded from
+  // the wire budget.
   const std::uint64_t delivered =
       dst.counter("rx.cells_received") - dst.counter("rx.cells_generated");
   check_eq(out,

@@ -1,6 +1,6 @@
 // Cross-counter invariant checker (the observability subsystem's sanity
 // net): after a run drains, independently-maintained counters on the two
-// nodes must agree — every cell the transmit firmware sealed hit the wire,
+// nodes must agree — every cell the transmit firmware built hit the wire,
 // every wire cell was delivered or accounted as lost, the driver never
 // delivered more PDUs than the board completed. Fault and QoS soaks call
 // audit() at the end so a bookkeeping bug (a counter bumped on one side of

@@ -235,14 +235,16 @@ OutputFlags parse_output_flags(int argc, char** argv) {
 bool write_stats_json(const std::string& path, Testbed& tb,
                       const obs::PduSpans* spans_a,
                       const obs::PduSpans* spans_b) {
-  obs::Registry reg;
-  register_metrics(reg, tb.a, "a.");
-  register_metrics(reg, tb.b, "b.");
-  if (spans_a != nullptr) spans_a->register_into(reg, "a.span.");
-  if (spans_b != nullptr) spans_b->register_into(reg, "b.span.");
+  obs::Snapshot s = stats(tb.a, "a.");
+  const obs::Snapshot b = stats(tb.b, "b.");
+  s.counters.insert(s.counters.end(), b.counters.begin(), b.counters.end());
+  s.gauges.insert(s.gauges.end(), b.gauges.begin(), b.gauges.end());
+  if (spans_a != nullptr) spans_a->append_to(s, "a.span.");
+  if (spans_b != nullptr) spans_b->append_to(s, "b.span.");
+  s.sort_by_name();
   std::ofstream os(path);
   if (!os) return false;
-  os << reg.snapshot().to_json() << "\n";
+  os << s.to_json() << "\n";
   return os.good();
 }
 

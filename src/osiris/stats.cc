@@ -38,8 +38,6 @@ constexpr Row<Count> kCounters[] = {
     {"rx.cells_received", [](Node& n) -> Count { return n.rxp.cells_received(); }},
     {"rx.cells_generated",
      [](Node& n) -> Count { return n.rxp.cells_generated(); }},
-    {"rx.cells_bad_header",
-     [](Node& n) -> Count { return n.rxp.cells_bad_header(); }},
     {"rx.cells_unmapped", [](Node& n) -> Count { return n.rxp.cells_unmapped(); }},
     {"rx.cells_fifo_dropped",
      [](Node& n) -> Count { return n.rxp.cells_fifo_dropped(); }},
@@ -71,8 +69,9 @@ constexpr Row<Count> kCounters[] = {
     {"flow.occupancy", [](Node& n) -> Count { return n.rxp.flow_occupancy(); }},
     {"flow.capacity", [](Node& n) -> Count { return n.rxp.flow_capacity(); }},
 
-    // The node's outgoing link: every submitted cell is lost, dropped by
-    // the receiver's HEC check or delivered; corrupted cells may be either.
+    // The node's outgoing link: every submitted cell is lost, dropped at the
+    // receiving framer by the HEC or delivered; a corrupted cell is one of
+    // the last two.
     {"link.cells_sent", [](Node& n) -> Count { return n.out.cells_sent(); }},
     {"link.cells_lost", [](Node& n) -> Count { return n.out.cells_lost(); }},
     {"link.cells_corrupted",
@@ -144,33 +143,29 @@ constexpr Row<double> kGauges[] = {
 
 }  // namespace
 
-void register_metrics(obs::Registry& r, Node& n, const std::string& prefix) {
-  Node* np = &n;
+obs::Snapshot stats(Node& n, const std::string& prefix) {
+  obs::Snapshot s;
   for (const auto& [name, read] : kCounters) {
-    r.counter(prefix + name, [np, read = read] { return read(*np); });
+    s.counters.push_back({prefix + name, read(n)});
   }
   for (const auto& [name, read] : kGauges) {
-    r.gauge(prefix + name, [np, read = read] { return read(*np); });
+    s.gauges.push_back({prefix + name, read(n)});
   }
 
   // Per-point fault-plane activity. The lifetime counts survive
   // arm()/disarm() cycles, so a chaos schedule's full activity shows up in
   // --stats-json without parsing FaultPlane::summary() text.
   if (n.cfg.faults != nullptr) {
-    const fault::FaultPlane* fp = n.cfg.faults;
+    const fault::FaultPlane& fp = *n.cfg.faults;
     for (int i = 0; i < static_cast<int>(fault::Point::kCount); ++i) {
       const auto p = static_cast<fault::Point>(i);
       const std::string base = prefix + "fault.point." + fault::point_name(p);
-      r.counter(base + ".consulted", [fp, p] { return fp->lifetime_consulted(p); });
-      r.counter(base + ".fired", [fp, p] { return fp->lifetime_fired(p); });
+      s.counters.push_back({base + ".consulted", fp.lifetime_consulted(p)});
+      s.counters.push_back({base + ".fired", fp.lifetime_fired(p)});
     }
   }
-}
-
-obs::Snapshot stats(Node& n) {
-  obs::Registry r;
-  register_metrics(r, n);
-  return r.snapshot();
+  s.sort_by_name();
+  return s;
 }
 
 }  // namespace osiris

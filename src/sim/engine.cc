@@ -171,12 +171,6 @@ bool Engine::cancel(TimerHandle& h) {
   return true;
 }
 
-bool Engine::step() {
-  if (peek_live() == nullptr) return false;
-  dispatch_front();
-  return true;
-}
-
 std::size_t Engine::step_tick() {
   Node* n = peek_live();
   if (n == nullptr) return 0;

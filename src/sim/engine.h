@@ -242,9 +242,6 @@ class Engine {
     if (t > now_) now_ = t;
   }
 
-  /// Fires the single earliest event. Returns false if the queue is empty.
-  bool step();
-
   /// Batch dispatch: fires every event sharing the earliest pending tick —
   /// including events the batch itself schedules at that same tick — in
   /// one call, without re-entering the drain scan between them. Returns

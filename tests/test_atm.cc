@@ -156,17 +156,6 @@ TEST(InternetChecksum, Rfc1071WorkedExample) {
   EXPECT_EQ(inet_bytewise(d), 0x220d);
 }
 
-TEST(Cell, SealAndVerify) {
-  Cell c;
-  c.vci = 42;
-  c.seq = 7;
-  c.len = 44;
-  seal(c);
-  EXPECT_TRUE(header_ok(c));
-  c.vci ^= 0x100;
-  EXPECT_FALSE(header_ok(c));
-}
-
 TEST(Trailer, EncodeDecodeRoundTrip) {
   const Trailer t{123456, 0xDEADBEEF};
   const auto bytes = encode_trailer(t);

@@ -90,7 +90,7 @@ TEST(Board, ReceiveInterruptOnlyOnEmptyToNonEmpty) {
 
   // A burst of PDUs: far fewer interrupts than PDUs (§2.1.2).
   std::vector<std::uint8_t> pdu(2000, 1);
-  n.rxp.start_generator(202, pdu, 50, 0);
+  n.rxp.start_generator_multi(202, {pdu}, 50, 0);
   f.eng.run();
   EXPECT_EQ(n.driver.pdus_received(), 50u);
   EXPECT_LT(n.intc.raised(), 10u);
@@ -105,7 +105,7 @@ TEST(Board, DoubleCellDmaCombinesContiguousPayloads) {
   n.map_kernel_vci(203);
   n.driver.set_rx_handler([&](sim::Tick at, host::RxPduView&) { return at; });
   std::vector<std::uint8_t> pdu(16000, 2);
-  n.rxp.start_generator(203, pdu, 5, 0);
+  n.rxp.start_generator_multi(203, {pdu}, 5, 0);
   f.eng.run();
   EXPECT_GT(n.rxp.combine_fraction(), 0.8) << "in-order cells should combine";
 }
@@ -118,7 +118,7 @@ TEST(Board, SingleCellDmaNeverCombines) {
   n.map_kernel_vci(204);
   n.driver.set_rx_handler([&](sim::Tick at, host::RxPduView&) { return at; });
   std::vector<std::uint8_t> pdu(8000, 3);
-  n.rxp.start_generator(204, pdu, 3, 0);
+  n.rxp.start_generator_multi(204, {pdu}, 3, 0);
   f.eng.run();
   EXPECT_EQ(n.rxp.combined_dma_ops(), 0u);
 }
@@ -163,7 +163,7 @@ TEST(Board, FreeQueueExhaustionDropsPdusBeforeHostCycles) {
   n.driver.set_rx_handler(
       [&](sim::Tick at, host::RxPduView&) { return at + sim::ms(50); });
   std::vector<std::uint8_t> pdu(16000, 4);
-  n.rxp.start_generator(206, pdu, 30, 0);
+  n.rxp.start_generator_multi(206, {pdu}, 30, 0);
   f.eng.run();
   EXPECT_GT(n.rxp.pdus_dropped_nobuf(), 0u);
   EXPECT_LT(n.driver.pdus_received(), 30u);
@@ -193,9 +193,8 @@ TEST(Board, TailAdvanceSignalsCompletionWithoutInterrupt) {
 // receive-queue push is scheduled for its DMA completion and has not fired.
 void inject_pdu(Node& n, atm::Vci vci, std::uint16_t pdu_id) {
   const std::vector<std::uint8_t> pdu(20, 6);
-  std::vector<atm::Cell> cells = atm::segment(pdu, vci, pdu_id);
+  const std::vector<atm::Cell> cells = atm::segment(pdu, vci, pdu_id);
   ASSERT_EQ(cells.size(), 1u);
-  atm::seal(cells[0]);
   n.rxp.on_cell(0, cells[0]);
 }
 

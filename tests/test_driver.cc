@@ -71,7 +71,7 @@ TEST(Driver, EagerInvalidationActuallyInvalidates) {
     return at;
   });
   std::vector<std::uint8_t> pdu_bytes(3000, 6);
-  n.rxp.start_generator(302, pdu_bytes, 2, 0);
+  n.rxp.start_generator_multi(302, {pdu_bytes}, 2, 0);
   f.eng.run();
   EXPECT_TRUE(saw);
 }
@@ -110,7 +110,7 @@ TEST(Driver, LazyModeCanServeStaleBytesUntilRecovered) {
   // visibly stale.
   for (int i = 0; i < 4; ++i) {
     std::vector<std::uint8_t> pdu_bytes(3000, static_cast<std::uint8_t>(0x10 + i));
-    n.rxp.start_generator(303, pdu_bytes, 1, 0);
+    n.rxp.start_generator_multi(303, {pdu_bytes}, 1, 0);
     f.eng.run();
   }
   EXPECT_EQ(round, 4);
@@ -125,7 +125,7 @@ TEST(Driver, RecycledBuffersAreReused) {
   n.map_kernel_vci(304);
   n.driver.set_rx_handler([](sim::Tick at, host::RxPduView&) { return at; });
   std::vector<std::uint8_t> pdu_bytes(8000, 7);
-  n.rxp.start_generator(304, pdu_bytes, 40, 0);
+  n.rxp.start_generator_multi(304, {pdu_bytes}, 40, 0);
   f.eng.run();
   EXPECT_EQ(n.driver.pdus_received(), 40u) << "3 buffers suffice when recycled";
 }

@@ -82,7 +82,6 @@ TEST(Paths, CloseUnbindsAndTrafficIsDropped) {
   tb.run();
   EXPECT_EQ(got, 0u) << "cells on a closed VCI are discarded at the board";
   EXPECT_GT(tb.b.rxp.cells_unmapped(), 0u);
-  EXPECT_EQ(tb.b.rxp.cells_bad_header(), 0u) << "a closed path is not corruption";
 }
 
 TEST(Paths, VciReuseAfterCloseWorks) {

@@ -126,27 +126,20 @@ TEST(FaultPlane, DisarmAndNullPlaneAreSafe) {
 TEST(FaultPlane, DisarmPreservesLedgerResetStatsClearsIt) {
   fault::FaultPlane fp;
   fp.arm(fault::Point::kDmaError, {.probability = 1.0, .budget = 2});
-  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));
-  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));
-  ASSERT_EQ(fp.ledger().size(), 2u);
-  EXPECT_EQ(fp.ledger()[0].point, fault::Point::kDmaError);
-  EXPECT_EQ(fp.ledger()[0].consultation, 1u);
-  EXPECT_EQ(fp.ledger()[1].consultation, 2u);
+  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));  // consultation 1
+  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));  // consultation 2
 
   // Disarming mid-scenario must not destroy the accounting of what the
-  // point already did: the ledger and lifetime counters survive.
+  // point already did: the lifetime counters survive.
   fp.disarm(fault::Point::kDmaError);
   EXPECT_FALSE(fp.armed(fault::Point::kDmaError));
-  EXPECT_EQ(fp.ledger().size(), 2u);
   EXPECT_EQ(fp.lifetime_fired(fault::Point::kDmaError), 2u);
   EXPECT_EQ(fp.lifetime_consulted(fault::Point::kDmaError), 2u);
 
   // Re-arming restarts per-spec counters (so `after` is relative to the
-  // new arm) but keeps appending to the same lifetime ledger.
+  // new arm) but keeps adding to the same lifetime counters.
   fp.arm(fault::Point::kDmaError, {.probability = 0.0, .after = 1, .budget = 1});
-  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));
-  EXPECT_EQ(fp.ledger().size(), 3u);
-  EXPECT_EQ(fp.ledger()[2].consultation, 1u);  // counted since the re-arm
+  EXPECT_TRUE(fp.fires(fault::Point::kDmaError));  // counted since the re-arm
   EXPECT_EQ(fp.lifetime_fired(fault::Point::kDmaError), 3u);
 
   // reset_stats() is the between-phases clean slate: every statistic goes,
@@ -155,7 +148,6 @@ TEST(FaultPlane, DisarmPreservesLedgerResetStatsClearsIt) {
   fp.reset_stats();
   EXPECT_TRUE(fp.armed(fault::Point::kDmaError));
   EXPECT_TRUE(fp.armed(fault::Point::kIrqLost));
-  EXPECT_TRUE(fp.ledger().empty());
   EXPECT_EQ(fp.lifetime_fired(fault::Point::kDmaError), 0u);
   EXPECT_EQ(fp.lifetime_consulted(fault::Point::kDmaError), 0u);
   EXPECT_EQ(fp.consulted(fault::Point::kDmaError), 0u);
@@ -168,14 +160,11 @@ TEST(FaultPlane, ConsultationWindowGatesFiring) {
   fp.arm(fault::Point::kIrqLost, {.probability = 1.0,
                                   .window_from = 3,
                                   .window_until = 5});
-  int fired = 0;
-  for (int i = 0; i < 10; ++i) {
-    if (fp.fires(fault::Point::kIrqLost)) ++fired;
+  std::vector<int> fired;  // 1-based consultation numbers
+  for (int i = 1; i <= 10; ++i) {
+    if (fp.fires(fault::Point::kIrqLost)) fired.push_back(i);
   }
-  EXPECT_EQ(fired, 3);
-  ASSERT_EQ(fp.ledger().size(), 3u);
-  EXPECT_EQ(fp.ledger()[0].consultation, 3u);
-  EXPECT_EQ(fp.ledger()[2].consultation, 5u);
+  EXPECT_EQ(fired, (std::vector<int>{3, 4, 5}));
 }
 
 TEST(FaultPlane, CorruptWordFlipsExactlyOneBit) {

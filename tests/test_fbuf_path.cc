@@ -36,7 +36,7 @@ TEST(FbufPath, IncomingPdusLandInThePathsPool) {
     return at;
   });
   std::vector<std::uint8_t> pdu_bytes(6000, 0x21);
-  n.rxp.start_generator(600, pdu_bytes, 3, 0);
+  n.rxp.start_generator_multi(600, {pdu_bytes}, 3, 0);
   f.eng.run();
 
   ASSERT_FALSE(seen_addrs.empty());
@@ -57,7 +57,7 @@ TEST(FbufPath, RecyclingKeepsThePoolAlive) {
   n.open_fbuf_path(*f.pool, 601, {0, 1});
   n.driver.set_rx_handler([](sim::Tick at, host::RxPduView&) { return at; });
   std::vector<std::uint8_t> pdu_bytes(3000, 0x22);
-  n.rxp.start_generator(601, pdu_bytes, 200, 0);
+  n.rxp.start_generator_multi(601, {pdu_bytes}, 200, 0);
   f.eng.run();
   EXPECT_EQ(n.driver.pdus_received(), 200u);
   EXPECT_EQ(n.rxp.pdus_dropped_nobuf(), 0u);
@@ -84,7 +84,7 @@ TEST(FbufPath, ExhaustedPathFallsBackToKernelPool) {
     return at + sim::ms(100);  // wedge: buffers held a long time
   });
   std::vector<std::uint8_t> pdu_bytes(16000, 0x23);
-  n.rxp.start_generator(602, pdu_bytes, 40, 0);
+  n.rxp.start_generator_multi(602, {pdu_bytes}, 40, 0);
   f.eng.run();
   EXPECT_GT(from_pool, 0u);
   EXPECT_GT(from_kernel, 0u) << "fallback to the kernel pool must kick in";
@@ -104,9 +104,9 @@ TEST(FbufPath, MultiplePathsAreIsolated) {
     return at;
   });
   std::vector<std::uint8_t> pdu_bytes(2000, 0x24);
-  n.rxp.start_generator(603, pdu_bytes, 5, 0);
+  n.rxp.start_generator_multi(603, {pdu_bytes}, 5, 0);
   f.eng.run();
-  n.rxp.start_generator(604, pdu_bytes, 5, 0);
+  n.rxp.start_generator_multi(604, {pdu_bytes}, 5, 0);
   f.eng.run();
 
   auto all_in = [](const std::vector<std::uint32_t>& addrs,

@@ -375,22 +375,6 @@ TEST(AddressSpace, UnmappedTranslateThrows) {
   EXPECT_FALSE(as.mapped(0x100));
 }
 
-TEST(AddressSpace, MapFrameSharesPhysicalPage) {
-  PhysicalMemory pm(1 << 20);
-  FrameAllocator fa(1 << 20);
-  AddressSpace a(pm, fa, "a");
-  AddressSpace b(pm, fa, "b");
-  const PhysAddr frame = fa.alloc();
-  const VirtAddr va = a.map_frame(frame);
-  const VirtAddr vb = b.map_frame(frame);
-  std::vector<std::uint8_t> data{1, 2, 3, 4};
-  a.write(va, data);
-  std::vector<std::uint8_t> out(4);
-  b.read(vb, out);
-  EXPECT_EQ(out, data);
-  fa.free(frame);
-}
-
 // ---------------------------------------------------------------- cache
 
 CacheConfig small_cache(DmaCoherence c) { return {1024, 16, c}; }

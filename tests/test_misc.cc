@@ -12,25 +12,12 @@
 namespace osiris {
 namespace {
 
-TEST(Misc, UnmapPageInvalidatesTranslation) {
-  mem::PhysicalMemory pm(1 << 20);
-  mem::FrameAllocator fa(1 << 20);
-  mem::AddressSpace as(pm, fa, "t");
-  const mem::VirtAddr va = as.alloc(100);
-  EXPECT_TRUE(as.mapped(va));
-  as.unmap_page(va);
-  EXPECT_FALSE(as.mapped(va));
-  EXPECT_THROW((void)as.translate(va), std::out_of_range);
-  EXPECT_THROW(as.unmap_page(va), std::logic_error);
-}
-
 TEST(Misc, AllocRejectsBadArguments) {
   mem::PhysicalMemory pm(1 << 20);
   mem::FrameAllocator fa(1 << 20);
   mem::AddressSpace as(pm, fa, "t");
   EXPECT_THROW(as.alloc(0), std::invalid_argument);
   EXPECT_THROW(as.alloc(10, mem::kPageSize), std::invalid_argument);
-  EXPECT_THROW(as.map_frame(123), std::invalid_argument);  // unaligned
 }
 
 TEST(Misc, MessagePopBytesAcrossSegments) {

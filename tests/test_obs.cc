@@ -1,4 +1,4 @@
-// Observability subsystem: Log2Histogram edges, the metrics registry, PDU
+// Observability subsystem: Log2Histogram edges, the metrics snapshot, PDU
 // lifecycle spans end to end (including under ARQ retransmission), Chrome
 // trace export, the cross-counter audit and the node counter schema.
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include "osiris/node.h"
 #include "osiris/stats.h"
 #include "proto/arq.h"
+#include "proto/message.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -104,29 +105,30 @@ TEST(Trace, ZeroCapacityIsClampedToOne) {
   EXPECT_EQ(t.dropped_events(), 1u);
 }
 
-// ------------------------------------------------------------- registry
+// ------------------------------------------------------------- snapshot
 
 TEST(Registry, CountersGaugesAndHistogramsSnapshot) {
-  obs::Registry r;
-  std::uint64_t hits = 0;
-  r.counter("cache.hits", [&hits] { return hits; });
-  r.gauge("load", [] { return 0.75; });
   sim::Log2Histogram lat;
-  r.histogram_ref("latency", &lat, "ns");
-  hits = 41;
-  ++hits;
   lat.record(100);
   lat.record(300);
+  obs::Snapshot s;
+  s.counters.push_back({"cache.misses", 7});
+  s.counters.push_back({"cache.hits", 42});
+  s.gauges.push_back({"load", 0.75});
+  s.hists.push_back(obs::summarize("latency", "ns", lat));
+  s.sort_by_name();
 
-  const obs::Snapshot s = r.snapshot();
-  ASSERT_EQ(s.counters.size(), 1u);
+  ASSERT_EQ(s.counters.size(), 2u);
   EXPECT_EQ(s.counters[0].name, "cache.hits");
   EXPECT_EQ(s.counters[0].value, 42u);
+  EXPECT_EQ(s.counters[1].name, "cache.misses");
   ASSERT_EQ(s.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(s.gauges[0].value, 0.75);
   ASSERT_EQ(s.hists.size(), 1u);
   EXPECT_EQ(s.hists[0].count, 2u);
   EXPECT_EQ(s.hists[0].unit, "ns");
+  EXPECT_EQ(s.hists[0].min, 100u);
+  EXPECT_EQ(s.hists[0].max, 300u);
 
   const std::string json = s.to_json();
   EXPECT_NE(json.find("\"cache.hits\": 42"), std::string::npos);
@@ -138,15 +140,6 @@ TEST(Registry, CountersGaugesAndHistogramsSnapshot) {
   EXPECT_DOUBLE_EQ(s.gauge("load"), 0.75);
   EXPECT_THROW((void)s.counter("cache.hit"), std::out_of_range);
   EXPECT_THROW((void)s.gauge("cache.hits"), std::out_of_range);
-}
-
-TEST(Registry, ReRegisteringANameReplaces) {
-  obs::Registry r;
-  r.counter("c", [] { return std::uint64_t{1}; });
-  r.counter("c", [] { return std::uint64_t{2}; });
-  const obs::Snapshot s = r.snapshot();
-  ASSERT_EQ(s.counters.size(), 1u);
-  EXPECT_EQ(s.counters[0].value, 2u);
 }
 
 // ----------------------------------------------------------------- spans
@@ -288,6 +281,30 @@ TEST(Audit, CleanRunBalances) {
   for (const std::string& v : violations) ADD_FAILURE() << v;
 }
 
+TEST(Audit, BitErrorsBalance) {
+  // A checksummed stream under bit errors: some messages arrive, some fail
+  // the checksum, some lose a cell at the framer. Every damaged cell is
+  // dropped there or delivered, so the wire books still balance.
+  NodeConfig ca = make_3000_600_config();
+  ca.link.wire_ber = 2e-5;
+  Testbed tb(ca, make_3000_600_config());
+  const atm::Vci vci = tb.open_kernel_path();
+  proto::StackConfig sc;
+  sc.udp_checksum = true;
+  auto sa = tb.a.make_stack(sc);
+  auto sb = tb.b.make_stack(sc);
+  proto::Message m = proto::Message::from_payload(
+      tb.a.kernel_space, std::vector<std::uint8_t>(6000, 0x3C));
+  sim::Tick t = 0;
+  for (int i = 0; i < 40; ++i) t = sa->send(t, vci, m);
+  tb.run();
+  EXPECT_GT(tb.a.out.cells_hec_dropped(), 0u);
+  EXPECT_GT(sb->checksum_failures(), 0u);
+  EXPECT_GT(sb->delivered(), 0u);
+  const std::vector<std::string> violations = obs::audit(tb);
+  for (const std::string& v : violations) ADD_FAILURE() << v;
+}
+
 // ----------------------------------------------------------------- stats
 
 TEST(Stats, EveryNodeCounterIsExactAndNamedOnce) {
@@ -303,19 +320,24 @@ TEST(Stats, EveryNodeCounterIsExactAndNamedOnce) {
   auto sb = tb.b.make_stack(sc);
   harness::ping_pong(tb, *sa, *sb, vci, 1024, 5);
 
-  obs::Registry reg;
-  register_metrics(reg, tb.a, "a.");
-  register_metrics(reg, tb.b, "b.");
-  const obs::Snapshot s = reg.snapshot();
+  const std::string prefix[2] = {"a.", "b."};
+  const obs::Snapshot snap[2] = {stats(tb.a, prefix[0]), stats(tb.b, prefix[1])};
 
-  // Unprefixed names per node: [0] = "a.", [1] = "b.".
+  // Unprefixed names per node. A name read twice would collapse in the
+  // set, so each set must be as large as its section.
   std::set<std::string> counters[2], gauges[2];
-  const auto split = [](const std::string& name, std::set<std::string>* sets) {
-    ASSERT_TRUE(name.starts_with("a.") || name.starts_with("b.")) << name;
-    sets[name[0] == 'a' ? 0 : 1].insert(name.substr(2));
-  };
-  for (const auto& c : s.counters) split(c.name, counters);
-  for (const auto& g : s.gauges) split(g.name, gauges);
+  for (int i = 0; i < 2; ++i) {
+    for (const auto& c : snap[i].counters) {
+      ASSERT_TRUE(c.name.starts_with(prefix[i])) << c.name;
+      counters[i].insert(c.name.substr(2));
+    }
+    for (const auto& g : snap[i].gauges) {
+      ASSERT_TRUE(g.name.starts_with(prefix[i])) << g.name;
+      gauges[i].insert(g.name.substr(2));
+    }
+    EXPECT_EQ(counters[i].size(), snap[i].counters.size()) << prefix[i];
+    EXPECT_EQ(gauges[i].size(), snap[i].gauges.size()) << prefix[i];
+  }
 
   // Both nodes expose the same schema, and no name is both kinds.
   EXPECT_FALSE(counters[0].empty());
@@ -328,26 +350,26 @@ TEST(Stats, EveryNodeCounterIsExactAndNamedOnce) {
                            "host.bus_utilization", "host.cpu_utilization",
                            "host.dpram_accesses_per_pdu",
                            "host.interrupts_per_pdu", "rx.combine_fraction"}));
-  EXPECT_GT(s.counter("a.tx.pdus_sent"), 0u);
-  EXPECT_GT(s.counter("b.host.pdus_received"), 0u);
+  EXPECT_GT(snap[0].counter("a.tx.pdus_sent"), 0u);
+  EXPECT_GT(snap[1].counter("b.host.pdus_received"), 0u);
   EXPECT_TRUE(counters[0].contains(std::string("fault.point.") +
                                    fault::point_name(fault::Point::kDmaError) +
                                    ".fired"));
 
-  // Cross-checks over the same names: each node's firmware sealed exactly
+  // Cross-checks over the same names: each node's firmware built exactly
   // the cells its link carried.
-  for (const std::string node : {"a.", "b."}) {
-    EXPECT_GT(s.counter(node + "tx.cells_sent"), 0u) << node;
-    EXPECT_EQ(s.counter(node + "link.cells_sent"),
-              s.counter(node + "tx.cells_sent"))
+  for (int i = 0; i < 2; ++i) {
+    const std::string& node = prefix[i];
+    EXPECT_GT(snap[i].counter(node + "tx.cells_sent"), 0u) << node;
+    EXPECT_EQ(snap[i].counter(node + "link.cells_sent"),
+              snap[i].counter(node + "tx.cells_sent"))
         << node;
   }
 
   // Counters stay exact past 2^53, where a double would round to ...992.
-  obs::Registry big;
-  big.counter("big", [] { return (std::uint64_t{1} << 53) + 1; });
-  EXPECT_NE(big.snapshot().to_json().find("\"big\": 9007199254740993"),
-            std::string::npos);
+  obs::Snapshot big;
+  big.counters.push_back({"big", (std::uint64_t{1} << 53) + 1});
+  EXPECT_NE(big.to_json().find("\"big\": 9007199254740993"), std::string::npos);
 }
 
 }  // namespace

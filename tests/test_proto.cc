@@ -113,7 +113,7 @@ TEST(Stack, ChecksumCatchesWireCorruption) {
   proto::StackConfig sc;
   sc.udp_checksum = true;
   NodeConfig ca = make_3000_600_config();
-  ca.link.payload_err_p = 1.0;  // corrupt every cell a->b
+  ca.link.wire_ber = 2e-4;  // every message takes several payload flips
   Net net{sc, std::move(ca)};
   const atm::Vci vci = net.tb.open_kernel_path();
   std::uint64_t delivered = 0;
@@ -121,10 +121,12 @@ TEST(Stack, ChecksumCatchesWireCorruption) {
     ++delivered;
   });
   Message m = Message::from_payload(net.tb.a.kernel_space, pattern(5000, 6));
-  net.sa->send(0, vci, m);
+  sim::Tick t = 0;
+  for (int i = 0; i < 10; ++i) t = net.sa->send(t, vci, m);
   net.tb.run();
   EXPECT_EQ(delivered, 0u);
-  EXPECT_EQ(net.sb->checksum_failures(), 1u);
+  // The messages the framer did not cut short all fail the checksum.
+  EXPECT_GT(net.sb->checksum_failures(), 0u);
   EXPECT_EQ(net.sb->stale_recoveries(), 0u) << "wire damage is not stale cache";
 }
 

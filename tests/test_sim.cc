@@ -85,11 +85,6 @@ TEST(Engine, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(Engine, StepReturnsFalseWhenEmpty) {
-  Engine eng;
-  EXPECT_FALSE(eng.step());
-}
-
 TEST(StepTick, FiresWholeTickIncludingSameTickFollowups) {
   Engine eng;
   std::vector<int> order;

@@ -1,5 +1,5 @@
 // Wire-format tests: the 53-byte cell codec, the CRC-8 HEC, and the
-// byte-accurate link error mode.
+// link's bit errors.
 #include <gtest/gtest.h>
 
 #include "atm/sar.h"
@@ -24,7 +24,6 @@ Cell make_cell(atm::Vci vci, std::uint16_t pdu_id, std::uint16_t seq,
     c.payload[static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(i * 7 + seq);
   }
-  seal(c);
   return c;
 }
 
@@ -46,7 +45,6 @@ TEST(Wire, RoundTripAllFields) {
     EXPECT_EQ(back->len, c.len);
     EXPECT_TRUE(std::equal(c.payload.begin(), c.payload.begin() + c.len,
                            back->payload.begin()));
-    EXPECT_TRUE(header_ok(*back));
   }
 }
 
@@ -82,8 +80,7 @@ TEST(Wire, PayloadDamagePassesHecButBreaksPduCrc) {
   // Payload and AAL bytes are not covered by the HEC (as in real ATM);
   // end-to-end integrity is the AAL CRC / checksum layer's job.
   std::vector<std::uint8_t> pdu(300, 0x5C);
-  auto cells = segment(pdu, 9, 0);
-  for (auto& c : cells) seal(c);
+  const auto cells = segment(pdu, 9, 0);
   PduAssembler asm_ok, asm_bad;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     WireCell w = encode_cell(cells[i]);
