@@ -97,16 +97,20 @@ class Writer {
 /// The standard perf-trajectory fields every BENCH_*.json carries, so
 /// tools/bench_trend.py can fold them all into one table: setup_seconds
 /// (building testbeds and nodes), run_seconds (everything else),
-/// wall_seconds (their sum), engine_events, and events_per_sec (events /
-/// run_seconds, so it measures the simulator, not the builds).
+/// wall_seconds (their sum), engine_events, sim_seconds (the simulated time
+/// the runs covered) and sim_us_per_sec (simulated microseconds per
+/// run second). The rate measures the simulator, not the builds, and it
+/// does not depend on how many engine events a run takes to cover its
+/// simulated time.
 inline void perf_fields(Writer& w, double setup_seconds, double run_seconds,
-                        std::uint64_t events) {
+                        std::uint64_t events, double sim_seconds) {
   w.field("setup_seconds", setup_seconds);
   w.field("run_seconds", run_seconds);
   w.field("wall_seconds", setup_seconds + run_seconds);
   w.field("engine_events", events);
-  w.field("events_per_sec",
-          run_seconds > 0 ? static_cast<double>(events) / run_seconds : 0.0);
+  w.field("sim_seconds", sim_seconds);
+  w.field("sim_us_per_sec",
+          run_seconds > 0 ? sim_seconds * 1e6 / run_seconds : 0.0);
 }
 
 }  // namespace benchjson

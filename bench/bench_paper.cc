@@ -95,7 +95,8 @@ bool write_json(const Experiment& e) {
     w.close_object();
     w.close_object();
   }
-  benchjson::perf_fields(w, e.setup_seconds, e.run_seconds, e.engine_events);
+  benchjson::perf_fields(w, e.setup_seconds, e.run_seconds, e.engine_events,
+                         e.sim_seconds);
   w.close_object();
   return w.dump(e.name);
 }

@@ -58,6 +58,12 @@ NodeConfig machine(bool alpha) {
 
 std::string machine_name(bool alpha) { return alpha ? "3000_600" : "5000_200"; }
 
+// Adds one drained run to `e`: its engine events and simulated end time.
+void count_run(Experiment& e, const sim::Engine& eng) {
+  e.engine_events += eng.dispatched();
+  e.sim_seconds += static_cast<double>(eng.now()) / 1e12;
+}
+
 std::unique_ptr<Testbed> testbed(Experiment& e, NodeConfig a, NodeConfig b) {
   const benchjson::WallTimer build;
   auto tb = std::make_unique<Testbed>(std::move(a), std::move(b));
@@ -93,7 +99,7 @@ Received receive(Experiment& e, const NodeConfig& c,
   auto stack = n.make_stack(sc);
   const auto r = harness::receive_throughput(n, *stack, vci, bytes, msgs, sc);
   if (after) after(n, *stack);
-  e.engine_events += eng.dispatched();
+  count_run(e, eng);
   return {r, static_cast<double>(r.messages) / static_cast<double>(msgs)};
 }
 
@@ -118,7 +124,7 @@ harness::ThroughputResult transmit(
   const auto r =
       harness::transmit_throughput(*tb, tb->a, *sa, *sb, vci, bytes, msgs);
   if (after) after(*tb);
-  e.engine_events += tb->dispatched();
+  count_run(e, tb->eng);
   return r;
 }
 
@@ -134,7 +140,7 @@ harness::LatencyResult rtt(Experiment& e, NodeConfig a, NodeConfig b,
   auto sa = tb->a.make_stack(sc);
   auto sb = tb->b.make_stack(sc);
   const auto r = harness::ping_pong(*tb, *sa, *sb, vci, bytes, iterations);
-  e.engine_events += tb->dispatched();
+  count_run(e, tb->eng);
   return r;
 }
 
@@ -167,7 +173,7 @@ Streamed stream(Experiment& e, Testbed& tb, const proto::StackConfig& sc,
   sim::Tick t = 0;
   for (int i = 0; i < msgs; ++i) t = sa->send(t, vci, m);
   tb.run();
-  e.engine_events += tb.dispatched();
+  count_run(e, tb.eng);
   Streamed out;
   out.delivered = static_cast<double>(delivered) / msgs;
   out.intact = static_cast<double>(intact) / msgs;
@@ -484,7 +490,7 @@ Experiment fragmentation() {
       sa->send(0, vci, proto::Message::from_payload(tb->a.kernel_space, data,
                                                     c.offset));
       tb->run();
-      e.engine_events += tb->dispatched();
+      count_run(e, tb->eng);
       const std::string series = c.offset == 0 ? "aligned" : "unaligned";
       const bool worst = c.mtu == 4096 && c.offset != 0;
       e.add(series + ".frags", c.mtu,
@@ -744,7 +750,7 @@ double access_rtt(Experiment& e, bool alpha, std::uint32_t bytes,
     sa->send(tb->a.cpu.exec(0, toll), vci, ma);
     tb->run();
   }
-  e.engine_events += tb->dispatched();
+  count_run(e, tb->eng);
   return rtts.mean();
 }
 
@@ -828,7 +834,7 @@ Experiment wiring() {
               proto::Message::from_payload(
                   tb->a.kernel_space, std::vector<std::uint8_t>(kb * 1024, 0x31)));
           tb->run();
-          e.engine_events += tb->dispatched();
+          count_run(e, tb->eng);
           e.add(m + "." + w.name + "_us", kb, sim::to_us(done));
         }
       }
@@ -884,7 +890,7 @@ Experiment priority() {
       ts = slow_tx.send(ts, 801, ms);
     }
     tb->run();
-    e.engine_events += tb->dispatched();
+    count_run(e, tb->eng);
     e.add("fast.delivered_pdus", kMsgs, static_cast<double>(fast_got));
     e.add("fast.host_pdus", kMsgs,
           static_cast<double>(fast_rx.driver().pdus_received()));
@@ -960,7 +966,7 @@ Experiment fault() {
         });
       }
       tb->run();
-      e.engine_events += tb->dispatched();
+      count_run(e, tb->eng);
       e.add("delivered", loss_pct, static_cast<double>(delivered) / kMessages);
       e.add("retransmissions", loss_pct,
             static_cast<double>(arq_a.retransmissions()));
@@ -1059,7 +1065,7 @@ Experiment adc_isolation() {
         tb->a.eng.schedule_at(0, [&] { flood(); });
       }
       tb->run();
-      e.engine_events += tb->dispatched();
+      count_run(e, tb->eng);
 
       const std::string s = adversary ? "adversary" : "baseline";
       for (const Tenant& t : tenants) {
@@ -1140,7 +1146,7 @@ Incast incast(Experiment& e, double load, const std::vector<std::uint32_t>& weig
     });
   }
   tb->run();
-  e.engine_events += tb->dispatched();
+  count_run(e, tb->eng);
 
   Incast r;
   double squares = 0;
@@ -1199,6 +1205,7 @@ Experiment chaos() {
     for (std::uint64_t seed = 1; seed <= 12; ++seed) {
       const chaos::Report r = chaos::run_schedule(chaos::generate(seed));
       e.engine_events += r.events;
+      e.sim_seconds += static_cast<double>(r.end) / 1e12;
       const auto x = static_cast<double>(seed);
       e.add("faults_fired", x, static_cast<double>(r.faults_fired));
       e.add("resets", x, static_cast<double>(r.resets_a + r.resets_b));

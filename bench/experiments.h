@@ -47,6 +47,7 @@ struct Experiment {
   double setup_seconds = 0;  // wall time spent building nodes and testbeds
   double run_seconds = 0;    // the rest of the experiment's wall time
   std::uint64_t engine_events = 0;
+  double sim_seconds = 0;  // simulated time the runs covered, summed
 
   void add(std::string series, double x, double measured,
            double paper = kNoPaper);

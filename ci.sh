@@ -50,9 +50,9 @@ done
 
 echo "== bench smoke (machine-readable output) =="
 # bench_paper runs every experiment, the paper's 16 and then the four
-# robustness ones (about 2.5 s), and writes one JSON file each; the
-# Table 1, Figure 2-4 and chaos files carry the whole-system events/sec
-# that the floors below gate.
+# robustness ones (about 1 s), and writes one JSON file each; the
+# Table 1, Figure 2-4 and chaos files carry the whole-system simulated
+# microseconds per run second that the floors below gate.
 ( cd build/bench && ./bench_paper >/dev/null )
 for b in table1_latency fig2_receive_5000 fig3_receive_3000 fig4_transmit \
          dma_length interrupts lockfree fragmentation cache skew dma_vs_pio \
@@ -99,10 +99,11 @@ chaos_sweep_pinned ./build/tools/chaos_sweep 40 \
 
 echo "== perf trend table + per-bench floors =="
 # Fold every BENCH_*.json's common perf fields (setup_seconds, run_seconds,
-# wall_seconds, engine_events, events_per_sec) into one table, then gate
-# on bench/floors.tsv: the whole-system events/sec of the paper benches
-# and the chaos experiment (bench_trend.py skips them when OSIRIS_SANITIZE
-# is set in the environment, as sanitized binaries are slower).
+# wall_seconds, engine_events, sim_seconds, sim_us_per_sec) into one table,
+# then gate on bench/floors.tsv: the whole-system simulated microseconds
+# per run second of the paper benches and the chaos experiment
+# (bench_trend.py skips them when OSIRIS_SANITIZE is set in the
+# environment, as sanitized binaries are slower).
 python3 tools/bench_trend.py build/bench --floors bench/floors.tsv
 
 echo "== sanitized build (address,undefined; warnings are errors) =="

@@ -140,6 +140,23 @@ void QuadRouter::place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
   }
 }
 
+std::uint32_t QuadRouter::head_seq(int lane) {
+  Lane& l = lanes_[lane];
+  const auto ln = static_cast<std::uint32_t>(lane);
+  // Mid-portion: unambiguous continuation of the current PDU.
+  if (l.in_lane > 0) return l.in_lane * kLanes + ln;
+  // Portion start: the head is the first lane-`lane` cell of l.pdu only if
+  // l.pdu provably has one; skip l.pdu if it provably lacks one; otherwise
+  // wait for more information. Every PDU has a lane-0 cell.
+  if (lane == 0) return 0;
+  while (true) {
+    const Pdu& p = pdu_state(l.pdu);
+    if (p.min_cells > ln) return ln;
+    if (p.max_cells > ln) return kWait;  // ambiguous; wait for bounds to tighten
+    ++l.pdu;  // l.pdu has no cell on this lane; try the next PDU
+  }
+}
+
 void QuadRouter::drain(std::vector<Placement>& place, std::vector<Completion>& done) {
   bool progress = true;
   while (progress) {
@@ -147,40 +164,11 @@ void QuadRouter::drain(std::vector<Placement>& place, std::vector<Completion>& d
     for (int lane = 0; lane < kLanes; ++lane) {
       Lane& l = lanes_[lane];
       while (!l.queue.empty()) {
-        const Cell head = l.queue.front();
-        if (l.in_lane > 0) {
-          // Mid-portion: unambiguous continuation of the current PDU.
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu,
-                     l.in_lane * kLanes + static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-          continue;
-        }
-        // Portion start: the head is the first lane-`lane` cell of l.pdu
-        // only if l.pdu provably has one; skip l.pdu if it provably lacks
-        // one; otherwise wait for more information.
-        if (lane == 0) {
-          // Every PDU has a lane-0 cell; always attributable.
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu, static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-          continue;
-        }
-        const Pdu& p = pdu_state(l.pdu);
-        if (p.min_cells > static_cast<std::uint32_t>(lane)) {
-          l.queue.pop_front();
-          place_cell(lane, head, l.pdu, static_cast<std::uint32_t>(lane),
-                     place, done);
-          progress = true;
-        } else if (p.max_cells <= static_cast<std::uint32_t>(lane)) {
-          // l.pdu has no cell on this lane; try the next PDU.
-          ++l.pdu;
-          progress = true;
-        } else {
-          break;  // ambiguous; wait for bounds to tighten
-        }
+        const std::uint32_t seq = head_seq(lane);
+        if (seq == kWait) break;
+        place_cell(lane, l.queue.front(), l.pdu, seq, place, done);
+        l.queue.pop_front();
+        progress = true;
       }
     }
   }
@@ -216,8 +204,26 @@ void QuadRouter::on_cell(int lane, const Cell& c, std::vector<Placement>& place,
   if (lane < 0 || lane >= kLanes) {
     throw std::invalid_argument("QuadRouter: bad lane " + std::to_string(lane));
   }
-  lanes_[lane].queue.push_back(c);
-  drain(place, done);
+  // Every call leaves the queues at drain()'s fixed point: each nonempty
+  // lane's head waits. A cell behind a waiting head waits too, and changes
+  // nothing for the other lanes.
+  Lane& l = lanes_[lane];
+  const std::uint32_t seq = l.queue.empty() ? head_seq(lane) : kWait;
+  if (seq == kWait) {
+    l.queue.push_back(c);
+    return;
+  }
+  // An empty lane: the head rule places `c` in hand, unqueued. Its PDU had
+  // min_cells > seq >= lane already, so no lower lane waits on that PDU,
+  // and the drain() below places what queueing `c` would have, in the
+  // same order.
+  place_cell(lane, c, l.pdu, seq, place, done);
+  for (const Lane& other : lanes_) {
+    if (!other.queue.empty()) {
+      drain(place, done);
+      return;
+    }
+  }
 }
 
 std::unique_ptr<CellRouter> make_router(const char* strategy) {

@@ -133,7 +133,13 @@ class QuadRouter final : public CellRouter {
     std::uint32_t in_lane = 0;  // cells delivered for that PDU on this lane
   };
 
+  static constexpr std::uint32_t kWait = ~std::uint32_t{0};
+
   Pdu& pdu_state(std::uint64_t idx);
+  /// The head rule: the seq that lane `lane`'s next cell takes in the
+  /// lane's current PDU, after skipping PDUs that provably lack a cell on
+  /// the lane; kWait while the current PDU may or may not have one.
+  std::uint32_t head_seq(int lane);
   void place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
                   std::uint32_t seq, std::vector<Placement>& place,
                   std::vector<Completion>& done);

@@ -208,6 +208,7 @@ void RxProcessor::reset() {
   eng_->cancel(flush_timer_);
   inflight_.clear();
   gen_active_ = false;
+  eng_->cancel(gen_step_);
   // Reassembly and held-buffer state die with the reset; mappings, quota
   // overrides and quarantine flags are host-side policy and survive.
   flows_.for_each([this](std::uint64_t vci, VciState& st) {
@@ -742,7 +743,6 @@ void RxProcessor::start_generator_multi(
   for (const auto& p : pdus) {
     gen_trains_.push_back(atm::segment({p.data(), p.size()}, vci, 0));
   }
-  gen_vci_ = vci;
   gen_remaining_ = count;
   gen_train_idx_ = 0;
   gen_cell_idx_ = 0;
@@ -750,40 +750,39 @@ void RxProcessor::start_generator_multi(
   gen_period_ = cell_period == 0 ? sim::ns(681.6) : cell_period;
   if (!gen_active_ && count > 0 && !gen_trains_.empty()) {
     gen_active_ = true;
-    eng_->schedule(0, [this] { step_generator(); });
+    gen_step_ = eng_->schedule_timer(0, [this] { step_generator(); });
   }
 }
 
 void RxProcessor::step_generator() {
-  if (gen_remaining_ == 0 || stalled_) {
-    gen_active_ = false;
-    return;
-  }
-  if (fifo_occupancy() >= kFifoDepth) {
-    // Host can't absorb yet: stall the generator one cell period.
-    eng_->schedule(gen_period_, [this] { step_generator(); });
-    return;
-  }
-  atm::Cell c = gen_trains_[gen_train_idx_][gen_cell_idx_];
-  c.pdu_id = gen_pdu_id_;
-  accept_cell(static_cast<int>(c.seq % atm::kLanes), c);
-  ++cells_received_;
-  ++cells_generated_;
-  ++gen_cell_idx_;
-  if (gen_cell_idx_ == gen_trains_[gen_train_idx_].size()) {
-    gen_cell_idx_ = 0;
-    ++gen_pdu_id_;
-    ++gen_train_idx_;
-    if (gen_train_idx_ == gen_trains_.size()) {
-      gen_train_idx_ = 0;
-      --gen_remaining_;
-      if (gen_remaining_ == 0) {
-        gen_active_ = false;
-        return;
+  // One cell, or one wait while the FIFO is full (the host can't absorb
+  // yet), per cell period. Each period runs a loop pass in this one event
+  // for as long as nothing else is due first (sim::Engine::try_advance_to);
+  // only then is the next step queued.
+  while (gen_remaining_ > 0 && !stalled_) {
+    if (fifo_occupancy() < kFifoDepth) {
+      atm::Cell c = gen_trains_[gen_train_idx_][gen_cell_idx_];
+      c.pdu_id = gen_pdu_id_;
+      accept_cell(static_cast<int>(c.seq % atm::kLanes), c);
+      ++cells_received_;
+      ++cells_generated_;
+      ++gen_cell_idx_;
+      if (gen_cell_idx_ == gen_trains_[gen_train_idx_].size()) {
+        gen_cell_idx_ = 0;
+        ++gen_pdu_id_;
+        ++gen_train_idx_;
+        if (gen_train_idx_ == gen_trains_.size()) {
+          gen_train_idx_ = 0;
+          if (--gen_remaining_ == 0) break;
+        }
       }
     }
+    if (!eng_->try_advance_to(eng_->now() + gen_period_)) {
+      gen_step_ = eng_->schedule_timer(gen_period_, [this] { step_generator(); });
+      return;
+    }
   }
-  eng_->schedule(gen_period_, [this] { step_generator(); });
+  gen_active_ = false;
 }
 
 }  // namespace osiris::board

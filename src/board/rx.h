@@ -364,13 +364,13 @@ class RxProcessor {
 
   // Generator state.
   std::vector<std::vector<atm::Cell>> gen_trains_;  // one per fragment PDU
-  atm::Vci gen_vci_ = 0;
   std::uint64_t gen_remaining_ = 0;  // messages left
   std::size_t gen_train_idx_ = 0;
   std::size_t gen_cell_idx_ = 0;
   std::uint16_t gen_pdu_id_ = 0;
   sim::Duration gen_period_ = 0;
   bool gen_active_ = false;
+  sim::TimerHandle gen_step_;  // the queued step_generator(), if any
 
   std::uint64_t cells_received_ = 0;
   std::uint64_t cells_generated_ = 0;

@@ -171,6 +171,15 @@ bool Engine::cancel(TimerHandle& h) {
   return true;
 }
 
+bool Engine::try_advance_to(Tick t) {
+  if (t < now_) throw std::logic_error("Engine::try_advance_to: time in the past");
+  if (t > deadline_) return false;
+  const Node* n = peek_live();
+  if (n != nullptr && n->at <= t) return false;
+  now_ = t;
+  return true;
+}
+
 std::size_t Engine::step_tick() {
   Node* n = peek_live();
   if (n == nullptr) return 0;
@@ -201,11 +210,18 @@ Tick Engine::run() {
 }
 
 Tick Engine::run_until(Tick deadline) {
+  // try_advance_to() must not carry an event's work past the deadline. An
+  // outer run_until()'s tighter deadline still holds. (Should an event
+  // throw, the deadline stays set; try_advance_to() then merely refuses
+  // more often, which never changes an outcome.)
+  const Tick outer = deadline_;
+  deadline_ = std::min(outer, deadline);
   while (true) {
     Node* n = peek_live();
     if (n == nullptr || n->at > deadline) break;
     dispatch_front();
   }
+  deadline_ = outer;
   if (now_ < deadline) now_ = deadline;
   return now_;
 }

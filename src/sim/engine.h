@@ -242,13 +242,21 @@ class Engine {
     if (t > now_) now_ = t;
   }
 
+  /// Advances now() to `t` (not in the past) and returns true only when no
+  /// live event is due at or before `t` and `t` lies within the deadline of
+  /// any running run_until(); otherwise returns false and leaves now()
+  /// alone. An event that would otherwise schedule its own continuation at
+  /// `t` may run it in place when this succeeds: that continuation would
+  /// take the highest sequence number so far, and with nothing live at or
+  /// before `t`, it would be the next event dispatched anyway, so
+  /// (tick, seq) order is kept.
+  bool try_advance_to(Tick t);
+
   /// Batch dispatch: fires every event sharing the earliest pending tick —
   /// including events the batch itself schedules at that same tick — in
   /// one call, without re-entering the drain scan between them. Returns
-  /// the number of events fired; 0 means the queue is drained. run() and
-  /// run_until() are built on this, and callers that coalesce same-tick
-  /// work (e.g. the board receive path's burst handling) step the clock
-  /// one tick-batch at a time with it.
+  /// the number of events fired; 0 means the queue is drained. run() is
+  /// built on this.
   std::size_t step_tick();
 
   /// Number of live (uncancelled) events currently queued.
@@ -302,6 +310,7 @@ class Engine {
   void rewindow();        // re-bases the wheel on the far heap's minimum
 
   Tick now_ = 0;
+  Tick deadline_ = ~Tick{0};  // the innermost running run_until()'s, else none
   std::uint64_t next_seq_ = 0;
   std::uint64_t dispatched_ = 0;
   std::uint64_t cancelled_ = 0;

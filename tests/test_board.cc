@@ -235,5 +235,89 @@ TEST(Board, PushScheduledBeforeResetDiesAtTheEpochCheck) {
   EXPECT_EQ(stats(n).counter("qos.dead_channel_drops"), 0u);
 }
 
+// The generator's default period: one cell per 622 Mbps cell time. Started
+// at tick 0 with room in the FIFO, it generates cell i (from 0) at i
+// periods.
+constexpr sim::Duration kCellPeriod = sim::ns(681.6);
+
+/// Has `f`'s generator offer `msgs` 4000-byte PDUs on `vci`, to a driver
+/// that absorbs them at once.
+void start_generating(Fixture& f, atm::Vci vci, std::uint64_t msgs) {
+  Node& n = *f.node;
+  n.map_kernel_vci(vci);
+  n.driver.set_rx_handler([](sim::Tick at, host::RxPduView&) { return at; });
+  n.rxp.start_generator_multi(vci, {std::vector<std::uint8_t>(4000, 7)}, msgs, 0);
+}
+
+TEST(Board, GeneratorTrainKeepsTickSeqOrder) {
+  // A train runs cells in one engine event only while nothing else is
+  // due: an event queued before the run at cell k's tick still runs
+  // before cell k, and one scheduled at that tick once cell k's step is
+  // queued runs after it.
+  constexpr std::uint64_t k = 40;
+  std::uint64_t before = 0;
+  {
+    Fixture f;
+    start_generating(f, 210, 3);
+    f.eng.schedule_at(k * kCellPeriod,
+                      [&] { before = f.node->rxp.cells_generated(); });
+    f.eng.run();
+  }
+  EXPECT_EQ(before, k);
+
+  std::uint64_t after = 0;
+  {
+    Fixture f;
+    start_generating(f, 210, 3);
+    // Between cells k-1 and k, cell k's step is already queued.
+    f.eng.schedule_at(k * kCellPeriod - 1, [&] {
+      f.eng.schedule_at(k * kCellPeriod,
+                        [&] { after = f.node->rxp.cells_generated(); });
+    });
+    f.eng.run();
+  }
+  EXPECT_EQ(after, k + 1);
+}
+
+TEST(Board, GeneratorTrainStopsAtARunUntilDeadline) {
+  // run_until() to a deadline mid-train, then run(), ends where one run()
+  // does; at the deadline, exactly the cells due by then exist.
+  const auto run = [](bool split) {
+    Fixture f;
+    start_generating(f, 211, 3);
+    const Node& n = *f.node;
+    if (split) {
+      f.eng.run_until(sim::us(20) + 1);
+      EXPECT_EQ(n.rxp.cells_generated(), (sim::us(20) + 1) / kCellPeriod + 1);
+    }
+    f.eng.run();
+    return std::vector<std::uint64_t>{f.eng.now(), n.rxp.cells_generated(),
+                                      n.rxp.dma_ops(), n.rxp.combined_dma_ops(),
+                                      n.rxp.pdus_completed(),
+                                      n.driver.pdus_received()};
+  };
+  const std::vector<std::uint64_t> whole = run(false);
+  EXPECT_EQ(whole[1], 3 * 92u);  // 3 PDUs of 4008 wire bytes, 92 cells each
+  EXPECT_EQ(run(true), whole);
+}
+
+TEST(Board, ResetStopsTheGenerator) {
+  // A reset cancels the generator's queued step: no cells come between
+  // the reset and a restart, and after the restart one per period, not
+  // two chains' worth.
+  Fixture f;
+  start_generating(f, 212, 1000);
+  Node& n = *f.node;
+  f.eng.run_until(sim::us(200));
+  const std::uint64_t at_reset = n.rxp.cells_generated();
+  EXPECT_EQ(at_reset, sim::us(200) / kCellPeriod + 1);
+  n.rxp.reset();
+  f.eng.run_until(sim::us(400));
+  EXPECT_EQ(n.rxp.cells_generated(), at_reset);
+  n.rxp.start_generator_multi(212, {std::vector<std::uint8_t>(4000, 7)}, 1000, 0);
+  f.eng.run_until(sim::us(410));
+  EXPECT_EQ(n.rxp.cells_generated() - at_reset, sim::us(10) / kCellPeriod + 1);
+}
+
 }  // namespace
 }  // namespace osiris

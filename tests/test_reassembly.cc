@@ -6,6 +6,9 @@
 // reassemble correctly under ANY such interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
 #include <map>
 #include <numeric>
 
@@ -331,6 +334,277 @@ TEST(QuadRouter, QueuedCellsAwaitAttribution) {
   r.on_cell(0, lanes[0][0], pl, dn);
   EXPECT_EQ(pl.size(), 2u);
   EXPECT_EQ(r.queued(), 0u);
+}
+
+/// QuadRouter as it was before a cell arriving on an empty lane was placed
+/// unqueued: every cell joins its lane's queue, then drain() runs to a
+/// fixed point. It counts the cases a comparison against it must cover.
+class QueueEverythingQuadRouter {
+ public:
+  struct Counts {
+    std::uint64_t placed_at_once = 0;  // empty lane, placed in its own call
+    std::uint64_t waited = 0;          // empty lane, ambiguous: stays queued
+    std::uint64_t queued_behind = 0;   // nonempty lane: stays queued
+    std::uint64_t drained = 0;         // queued earlier, placed by drain()
+    std::uint64_t skips = 0;           // lane moved past a PDU it lacks
+  };
+
+  void on_cell(int lane, const Cell& c, std::vector<Placement>& place,
+               std::vector<Completion>& done) {
+    const bool was_empty = lanes_[lane].queue.empty();
+    const std::size_t placed = place.size();
+    lanes_[lane].queue.push_back(c);
+    drain(place, done);
+    const bool still_queued = !lanes_[lane].queue.empty();
+    const bool self_placed = was_empty && !still_queued;
+    counts.placed_at_once += self_placed ? 1 : 0;
+    counts.waited += was_empty && still_queued ? 1 : 0;
+    counts.queued_behind += was_empty ? 0 : 1;
+    counts.drained += place.size() - placed - (self_placed ? 1 : 0);
+  }
+
+  [[nodiscard]] std::size_t inflight() const {
+    std::size_t n = 0;
+    for (const Pdu& p : ring_) {
+      if (!p.completed && p.received > 0) ++n;
+    }
+    return n;
+  }
+
+  [[nodiscard]] std::size_t queued() const {
+    std::size_t n = 0;
+    for (const Lane& l : lanes_) n += l.queue.size();
+    return n;
+  }
+
+  std::uint64_t purge() {
+    std::uint64_t abandoned = 0;
+    for (const Pdu& p : ring_) {
+      if (!p.completed && p.received > 0) {
+        ++abandoned;
+        dropped_ += p.received;
+      }
+    }
+    std::uint64_t next = 0;
+    for (const Lane& l : lanes_) next = std::max(next, l.pdu);
+    if (!ring_.empty()) next = std::max(next, base_ + ring_.size() - 1);
+    ++next;
+    for (Lane& l : lanes_) {
+      dropped_ += l.queue.size();
+      l.queue.clear();
+      l.pdu = next;
+      l.in_lane = 0;
+    }
+    ring_.clear();
+    base_ = next;
+    return abandoned;
+  }
+
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
+
+  Counts counts;
+
+ private:
+  struct Pdu {
+    std::uint32_t received = 0;
+    std::uint32_t ncells = 0;
+    std::uint32_t min_cells = 1;
+    std::uint32_t max_cells = ~0u;
+    std::uint32_t wire_bytes = 0;
+    bool completed = false;
+  };
+  struct Lane {
+    std::deque<Cell> queue;
+    std::uint64_t pdu = 0;
+    std::uint32_t in_lane = 0;
+  };
+
+  Pdu& pdu_state(std::uint64_t idx) {
+    while (idx - base_ >= ring_.size()) ring_.emplace_back();
+    return ring_[idx - base_];
+  }
+
+  void place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
+                  std::uint32_t seq, std::vector<Placement>& place,
+                  std::vector<Completion>& done) {
+    Pdu& p = pdu_state(pdu_idx);
+    ++p.received;
+    p.min_cells = std::max(p.min_cells, seq + 1);
+    if (c.last_cell()) {
+      p.ncells = seq + 1;
+      p.min_cells = std::max(p.min_cells, p.ncells);
+      p.max_cells = std::min(p.max_cells, p.ncells);
+      p.wire_bytes = seq * kCellPayload + c.len;
+    } else {
+      p.min_cells = std::max(p.min_cells, seq + 2);
+    }
+    if (c.lane_eom()) {
+      p.max_cells = std::min(p.max_cells, seq + kLanes);
+    } else {
+      p.min_cells = std::max(p.min_cells, seq + kLanes + 1);
+    }
+    place.push_back({pdu_idx, seq * kCellPayload, c});
+    if (p.ncells != 0 && p.received == p.ncells) {
+      done.push_back({pdu_idx, p.wire_bytes});
+      p.completed = true;
+    }
+    Lane& l = lanes_[lane];
+    if (c.lane_eom()) {
+      l.pdu = pdu_idx + 1;
+      l.in_lane = 0;
+    } else {
+      l.in_lane = seq / kLanes + 1;
+    }
+    while (!ring_.empty()) {
+      if (!ring_.front().completed) break;
+      bool referenced = false;
+      for (const Lane& ln : lanes_) {
+        if (ln.pdu <= base_) referenced = true;
+      }
+      if (referenced) break;
+      ring_.pop_front();
+      ++base_;
+    }
+  }
+
+  void drain(std::vector<Placement>& place, std::vector<Completion>& done) {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (int lane = 0; lane < kLanes; ++lane) {
+        Lane& l = lanes_[lane];
+        while (!l.queue.empty()) {
+          const Cell head = l.queue.front();
+          if (l.in_lane > 0) {
+            l.queue.pop_front();
+            place_cell(lane, head, l.pdu,
+                       l.in_lane * kLanes + static_cast<std::uint32_t>(lane),
+                       place, done);
+            progress = true;
+            continue;
+          }
+          if (lane == 0) {
+            l.queue.pop_front();
+            place_cell(lane, head, l.pdu, 0, place, done);
+            progress = true;
+            continue;
+          }
+          const Pdu& p = pdu_state(l.pdu);
+          if (p.min_cells > static_cast<std::uint32_t>(lane)) {
+            l.queue.pop_front();
+            place_cell(lane, head, l.pdu, static_cast<std::uint32_t>(lane),
+                       place, done);
+            progress = true;
+          } else if (p.max_cells <= static_cast<std::uint32_t>(lane)) {
+            ++l.pdu;
+            ++counts.skips;
+            progress = true;
+          } else {
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  std::deque<Pdu> ring_;
+  std::uint64_t base_ = 0;
+  Lane lanes_[kLanes];
+  std::uint64_t dropped_ = 0;
+};
+
+TEST(QuadRouter, MatchesQueueEverythingReferenceUnderRandomSkew) {
+  // Each seed stripes a run of 1- to 40-cell PDUs (short ones skip the
+  // higher lanes) and merges the lanes at random, keeping per-lane order,
+  // with per-seed lane weights so that some lanes run far ahead. Now and
+  // then both routers purge mid-run, so their PDU keys afterwards depend
+  // on the whole ring. Every placement and completion must match, in
+  // order.
+  const auto same_placement = [](const Placement& a, const Placement& b) {
+    return a.pdu == b.pdu && a.offset == b.offset && a.cell.seq == b.cell.seq &&
+           a.cell.len == b.cell.len && a.cell.payload == b.cell.payload;
+  };
+  const auto same_completion = [](const Completion& a, const Completion& b) {
+    return a.pdu == b.pdu && a.wire_bytes == b.wire_bytes;
+  };
+  constexpr std::uint64_t kSeeds = 3000;
+  std::uint64_t placements = 0;
+  std::uint64_t completions = 0;
+  std::uint64_t purges = 0;
+  QueueEverythingQuadRouter::Counts counts;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<std::vector<std::uint8_t>> pdus(1 + rng.below(8));
+    for (auto& pdu : pdus) {
+      const auto cells = static_cast<std::uint32_t>(rng.between(1, 40));
+      // Bytes that, with the trailer, fill exactly `cells` cells.
+      const std::uint32_t lo =
+          cells == 1 ? 1 : (cells - 1) * kCellPayload - kTrailerBytes + 1;
+      const std::uint32_t hi = cells * kCellPayload - kTrailerBytes;
+      pdu = pattern(rng.between(lo, hi), static_cast<std::uint32_t>(seed));
+    }
+    const auto lanes = stripe(pdus);
+    std::array<std::uint64_t, kLanes> weight{};
+    for (auto& w : weight) w = rng.between(1, 8);
+    QuadRouter got_router;
+    QueueEverythingQuadRouter want_router;
+    std::array<std::size_t, kLanes> pos{};
+    std::size_t left = 0;
+    for (const auto& l : lanes) left += l.size();
+    const bool purge_midway = rng.chance(0.1);
+    const std::size_t purge_at = rng.below(left);
+    std::vector<Placement> got_pl, want_pl;
+    std::vector<Completion> got_dn, want_dn;
+    for (std::size_t step = 0; left > 0; ++step) {
+      if (purge_midway && step == purge_at) {
+        ASSERT_EQ(got_router.purge(), want_router.purge()) << "seed " << seed;
+        ASSERT_EQ(got_router.dropped(), want_router.dropped()) << "seed " << seed;
+        ++purges;
+      }
+      std::uint64_t pick = rng.below(weight[0] + weight[1] + weight[2] + weight[3]);
+      int lane = 0;
+      while (pick >= weight[static_cast<std::size_t>(lane)]) {
+        pick -= weight[static_cast<std::size_t>(lane)];
+        ++lane;
+      }
+      const auto li = static_cast<std::size_t>(lane);
+      if (pos[li] == lanes[li].size()) continue;
+      const Cell& c = lanes[li][pos[li]++];
+      --left;
+      got_pl.clear();
+      want_pl.clear();
+      got_dn.clear();
+      want_dn.clear();
+      got_router.on_cell(lane, c, got_pl, got_dn);
+      want_router.on_cell(lane, c, want_pl, want_dn);
+      ASSERT_TRUE(std::equal(got_pl.begin(), got_pl.end(), want_pl.begin(),
+                             want_pl.end(), same_placement))
+          << "seed " << seed << " step " << step;
+      ASSERT_TRUE(std::equal(got_dn.begin(), got_dn.end(), want_dn.begin(),
+                             want_dn.end(), same_completion))
+          << "seed " << seed << " step " << step;
+      ASSERT_EQ(got_router.queued(), want_router.queued()) << "seed " << seed;
+      ASSERT_EQ(got_router.inflight(), want_router.inflight()) << "seed " << seed;
+      placements += got_pl.size();
+      completions += got_dn.size();
+    }
+    ASSERT_EQ(got_router.purge(), want_router.purge()) << "seed " << seed;
+    ASSERT_EQ(got_router.dropped(), want_router.dropped()) << "seed " << seed;
+    const auto& w = want_router.counts;
+    counts.placed_at_once += w.placed_at_once;
+    counts.waited += w.waited;
+    counts.queued_behind += w.queued_behind;
+    counts.drained += w.drained;
+    counts.skips += w.skips;
+  }
+  EXPECT_GT(placements, 250000u);
+  EXPECT_GT(completions, 12000u);
+  EXPECT_GT(purges, 250u);
+  EXPECT_GT(counts.placed_at_once, 150000u);
+  EXPECT_GT(counts.waited, 10000u);
+  EXPECT_GT(counts.queued_behind, 50000u);
+  EXPECT_GT(counts.drained, 50000u);
+  EXPECT_GT(counts.skips, 1000u);
 }
 
 }  // namespace

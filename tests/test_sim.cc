@@ -104,6 +104,53 @@ TEST(StepTick, FiresWholeTickIncludingSameTickFollowups) {
   EXPECT_EQ(eng.step_tick(), 0u);
 }
 
+TEST(TryAdvanceTo, RefusesWhenALiveEventIsDueAtTheTick) {
+  Engine eng;
+  bool fired = false;
+  eng.schedule_at(us(2), [&] { fired = true; });
+  // Due exactly at t: that event holds a lower sequence number than
+  // anything scheduled at t from here, so it must run first.
+  EXPECT_FALSE(eng.try_advance_to(us(2)));
+  EXPECT_EQ(eng.now(), 0u);
+  EXPECT_TRUE(eng.try_advance_to(us(2) - 1));
+  EXPECT_EQ(eng.now(), us(2) - 1);
+  EXPECT_THROW(eng.try_advance_to(us(1)), std::logic_error);
+  eng.run();
+  EXPECT_TRUE(fired);
+}
+
+TEST(TryAdvanceTo, PassesCancelledTimers) {
+  Engine eng;
+  bool fired = false;
+  TimerHandle h = eng.schedule_timer(us(1), [&] { fired = true; });
+  eng.schedule_at(us(5), [] {});
+  ASSERT_TRUE(eng.cancel(h));
+  EXPECT_TRUE(eng.try_advance_to(us(3)));
+  EXPECT_EQ(eng.now(), us(3));
+  EXPECT_FALSE(eng.try_advance_to(us(5)));
+  EXPECT_EQ(eng.now(), us(3));
+  eng.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(eng.now(), us(5));
+}
+
+TEST(TryAdvanceTo, StopsAtARunUntilDeadline) {
+  Engine eng;
+  std::vector<bool> got;
+  eng.schedule_at(us(1), [&] {
+    got.push_back(eng.try_advance_to(us(4)));      // the deadline itself
+    got.push_back(eng.try_advance_to(us(4) + 1));  // past it
+  });
+  eng.run_until(us(4));
+  EXPECT_EQ(got, (std::vector<bool>{true, false}));
+  EXPECT_EQ(eng.now(), us(4));
+  // The deadline ends with its run_until(); run() sets none.
+  eng.schedule_at(us(5), [&] { got.push_back(eng.try_advance_to(us(50))); });
+  eng.run();
+  EXPECT_EQ(got, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(eng.now(), us(50));
+}
+
 TEST(Resource, SerializesReservations) {
   Engine eng;
   Resource r(eng, "r");

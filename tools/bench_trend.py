@@ -3,10 +3,10 @@
 
 Every BENCH_*.json that bench_paper writes carries the common
 perf-trajectory fields (setup_seconds, run_seconds, wall_seconds,
-engine_events, events_per_sec) via benchjson::perf_fields;
-events_per_sec is events / run_seconds. This script sweeps one or more
-directories (or explicit files) for BENCH_*.json and prints an aligned
-table of those fields.
+engine_events, sim_seconds, sim_us_per_sec) via benchjson::perf_fields;
+sim_us_per_sec is simulated microseconds per run second. This script
+sweeps one or more directories (or explicit files) for BENCH_*.json and
+prints an aligned table of those fields.
 
 Usage:
     tools/bench_trend.py [paths...] [--floors FILE]
@@ -72,7 +72,7 @@ def fmt(value, spec):
 
 
 def print_table(benches):
-    header = ("bench", "setup_s", "run_s", "wall_s", "events", "events/sec")
+    header = ("bench", "setup_s", "run_s", "wall_s", "events", "sim_us/sec")
     width = max([len(header[0])] + [len(b) for b in benches])
     line = "%-" + str(width) + "s  %9s  %9s  %9s  %12s  %13s"
     print(line % header)
@@ -86,7 +86,7 @@ def print_table(benches):
             fmt(data.get("run_seconds"), "%.3f"),
             fmt(data.get("wall_seconds"), "%.3f"),
             fmt(data.get("engine_events"), "%d"),
-            fmt(data.get("events_per_sec"), "%.0f"),
+            fmt(data.get("sim_us_per_sec"), "%.0f"),
         ))
 
 
