@@ -57,11 +57,8 @@ Adc::Adc(const Deps& d, int pair_index, std::vector<atm::Vci> vcis,
   };
 
   d.txp.add_queue(pair_index, lay.tx, priority, auth, vcis_);
-  const int free_id = d.rxp.add_free_source(lay.free, auth, pair_index);
-  const int recv_idx = d.rxp.add_recv_channel(lay.recv, pair_index);
-  for (const atm::Vci vci : vcis_) {
-    d.rxp.map_vci(vci, free_id, -1, recv_idx);
-  }
+  const int channel = d.rxp.add_channel(lay, auth, pair_index);
+  for (const atm::Vci vci : vcis_) d.rxp.map_vci(vci, channel);
 
   irq_token_ = d.intc.add_handler(board::Irq::kAccessViolation,
                                   [this](sim::Tick done, int ch) {

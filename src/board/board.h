@@ -16,7 +16,7 @@
 namespace osiris::board {
 
 /// Receive-side overload discipline: what the firmware does when a PDU
-/// needs a buffer and its free queue (plus fallback) is dry.
+/// needs a buffer and its free queue is dry.
 enum class RxDropPolicy {
   kTailDrop,            // drop the arriving PDU (the classic §3.1 behaviour)
   kDropIncompleteFirst, // evict the oldest incomplete reassembly instead,

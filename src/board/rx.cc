@@ -44,19 +44,13 @@ RxProcessor::RxProcessor(sim::Engine& eng, const BoardConfig& cfg,
       ram_(&ram),
       i960_(eng, "rx.i960") {}
 
-int RxProcessor::add_free_source(const dpram::QueueLayout& lay, PageAuth auth,
-                                 int channel_id) {
-  free_sources_.push_back(FreeSource{
-      dpram::QueueReader(*ram_, lay, dpram::Side::kBoard), std::move(auth),
-      channel_id, false});
-  return static_cast<int>(free_sources_.size()) - 1;
-}
-
-int RxProcessor::add_recv_channel(const dpram::QueueLayout& lay, int channel_id) {
-  recv_channels_.push_back(RecvChannel{
-      dpram::QueueWriter(*ram_, lay, dpram::Side::kBoard), channel_id, 0,
-      false});
-  return static_cast<int>(recv_channels_.size()) - 1;
+int RxProcessor::add_channel(const dpram::ChannelLayout& lay, PageAuth auth,
+                             int channel_id) {
+  channels_.push_back(
+      Channel{dpram::QueueReader(*ram_, lay.free, dpram::Side::kBoard),
+              dpram::QueueWriter(*ram_, lay.recv, dpram::Side::kBoard),
+              std::move(auth), channel_id});
+  return static_cast<int>(channels_.size()) - 1;
 }
 
 RxProcessor::VciState& RxProcessor::state_insert(atm::Vci vci) {
@@ -110,23 +104,20 @@ void RxProcessor::abort_pdu_buffers(std::uint64_t key, RxPdu& p) {
 }
 
 void RxProcessor::remove_channel(int channel_id) {
-  for (auto& fs : free_sources_) {
-    if (fs.channel_id == channel_id) fs.detached = true;
-  }
-  for (std::size_t i = 0; i < recv_channels_.size(); ++i) {
-    RecvChannel& ch = recv_channels_[i];
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    Channel& ch = channels_[i];
     if (ch.channel_id != channel_id || ch.detached) continue;
     ch.detached = true;
     // Discard reassembly state headed for the dead channel; its buffers
     // belong to an address space being torn down, not to the free pool.
     if (pending_.valid) {
       const RxPdu* p = pdus_.find(pending_.key);
-      if (p != nullptr && p->recv_idx == static_cast<int>(i)) {
+      if (p != nullptr && p->channel == static_cast<int>(i)) {
         pending_.valid = false;
       }
     }
     pdus_.erase_if([this, i](std::uint64_t, RxPdu& p) {
-      if (p.recv_idx != static_cast<int>(i)) return false;
+      if (p.channel != static_cast<int>(i)) return false;
       release_quota(p.vci, p.bufs.size());
       return true;
     });
@@ -154,16 +145,13 @@ void RxProcessor::quarantine_vci(atm::Vci vci) {
   sim::trace_event(trace_, eng_->now(), "rx", "vci_quarantine", vci, 0);
 }
 
-void RxProcessor::map_vci(atm::Vci vci, int free_id, int fallback_free_id,
-                          int recv_idx) {
+void RxProcessor::map_vci(atm::Vci vci, int channel) {
   VciState& st = state_insert(vci);
   // A fresh kernel-established mapping lifts any quarantine left from a
   // previous owner of the VCI.
   st.flags = (st.flags | VciState::kMapped) &
              ~static_cast<std::uint32_t>(VciState::kQuarantined);
-  st.free_id = free_id;
-  st.fallback = fallback_free_id;
-  st.recv_idx = recv_idx;
+  st.channel = channel;
 }
 
 void RxProcessor::unmap_vci(atm::Vci vci) {
@@ -219,13 +207,11 @@ void RxProcessor::reset() {
   // reset_all, not reset: a stale head word published by a channel driver
   // the firmware cannot see would make the reborn board DMA into free
   // buffers whose owners no longer expect them.
-  for (auto& fs : free_sources_) {
-    fs.reader.reset_all();
-    fs.low_raised = false;
-  }
-  for (auto& ch : recv_channels_) {
-    ch.writer.reset();
+  for (auto& ch : channels_) {
+    ch.free.reset_all();
+    ch.recv.reset();
     ch.push_horizon = 0;
+    ch.low_raised = false;
   }
   sim::trace_event(trace_, eng_->now(), "rx", "reset", epoch_, 0);
 }
@@ -329,9 +315,7 @@ RxProcessor::RxPdu* RxProcessor::pdu_for(atm::Vci vci, std::uint64_t pdu,
       pdus_.erase(key);
       return nullptr;
     }
-    p->recv_idx = st->recv_idx;
-    p->free_id = st->free_id;
-    p->fallback = st->fallback;
+    p->channel = st->channel;
     p->vci = vci;
     p->started = eng_->now();
   }
@@ -348,64 +332,60 @@ bool RxProcessor::ensure_capacity(RxPdu& p, std::uint64_t need) {
       alloc_fail_quota_ = true;
       return false;
     }
-    int src = p.free_id;
     std::optional<dpram::Descriptor> d;
-    while (src >= 0) {
-      FreeSource& fs = free_sources_[static_cast<std::size_t>(src)];
-      if (fs.detached) {
-        src = (src == p.free_id && p.fallback != p.free_id) ? p.fallback : -1;
-        continue;
-      }
+    Channel& ch = channels_[static_cast<std::size_t>(p.channel)];
+    // A removed channel's free queue is never popped: its dpram pages may
+    // already belong to a reopened channel.
+    while (!ch.detached) {
       if (fault::fires(faults_, fault::Point::kRxBufferExhausted)) {
         // The pop comes back empty as if the host had fallen behind
         // recycling — exercising the same backpressure path as a
         // genuinely dry queue.
         d.reset();
       } else {
-        d = fs.reader.pop();
+        d = ch.free.pop();
       }
       if (d) {
-        fs.low_raised = false;
+        ch.low_raised = false;
         // Free-list validation (§3.2): an application recycles buffers by
         // writing descriptors the firmware will later trust for DMA, so a
         // poisoned entry (zero/absurd length, wrapping range) or one
         // pointing outside the channel's authorized pages is rejected here
         // — skipped, counted, and escalated — never used as a DMA target.
-        if (fs.auth) {
+        if (ch.auth) {
           Violation why = Violation::kCount;
           if (d->len == 0 || d->len > kMaxAdcDescriptorBytes ||
               static_cast<std::uint64_t>(d->addr) + d->len > (1ull << 32)) {
             why = Violation::kFreeListPoison;
-          } else if (!fs.auth(d->addr, d->len)) {
+          } else if (!ch.auth(d->addr, d->len)) {
             why = Violation::kUnauthorizedPage;
           }
           if (why != Violation::kCount) {
             ++auth_violations_;
             ++violation_counts_[static_cast<std::size_t>(why)];
             sim::trace_event(trace_, eng_->now(), "rx", violation_name(why),
-                             static_cast<std::uint64_t>(fs.channel_id), d->addr);
-            if (irq_) irq_(Irq::kAccessViolation, fs.channel_id);
-            if (violation_sink_) violation_sink_(why, fs.channel_id);
+                             static_cast<std::uint64_t>(ch.channel_id), d->addr);
+            if (irq_) irq_(Irq::kAccessViolation, ch.channel_id);
+            if (violation_sink_) violation_sink_(why, ch.channel_id);
             d.reset();
-            continue;  // try the next descriptor from the same source
+            continue;  // try the next descriptor from the same queue
           }
         }
         break;
       }
-      // Source exhausted: raise the backpressure interrupt toward its
+      // Queue exhausted: raise the backpressure interrupt toward its
       // owner (edge-triggered — once per empty episode, cleared by the
       // next successful pop) so the host recycles or tops up instead of
-      // discovering the shortage as silent PDU drops, then fall back
-      // (cached fbuf queue -> uncached, §3.1).
-      if (!fs.low_raised) {
-        fs.low_raised = true;
+      // discovering the shortage as silent PDU drops.
+      if (!ch.low_raised) {
+        ch.low_raised = true;
         ++backpressure_irqs_;
         sim::trace_event(trace_, eng_->now(), "rx", "free_low",
-                         static_cast<std::uint64_t>(fs.channel_id),
-                         static_cast<std::uint64_t>(src));
-        if (irq_) irq_(Irq::kRxFreeLow, fs.channel_id);
+                         static_cast<std::uint64_t>(ch.channel_id),
+                         static_cast<std::uint64_t>(p.channel));
+        if (irq_) irq_(Irq::kRxFreeLow, ch.channel_id);
       }
-      src = (src == p.free_id && p.fallback != p.free_id) ? p.fallback : -1;
+      break;
     }
     if (!d) {
       if (cfg_.rx_drop_policy == RxDropPolicy::kDropIncompleteFirst &&
@@ -423,7 +403,7 @@ bool RxProcessor::ensure_capacity(RxPdu& p, std::uint64_t need) {
 }
 
 bool RxProcessor::evict_incomplete(RxPdu& keep) {
-  // Oldest incomplete reassembly drawing on the same free source, none of
+  // Oldest incomplete reassembly drawing on the same channel, none of
   // whose buffers have reached the host yet (those are the driver's to
   // reclaim): its buffers are re-issued to the arriving PDU directly, no
   // host round-trip. Ties break on the key for deterministic replay.
@@ -431,7 +411,7 @@ bool RxProcessor::evict_incomplete(RxPdu& keep) {
   RxPdu* victim = nullptr;
   pdus_.for_each([&](std::uint64_t key, RxPdu& p) {
     if (&p == &keep || p.complete || p.dropped) return;
-    if (p.free_id != keep.free_id) return;
+    if (p.channel != keep.channel) return;
     if (p.next_push != 0 || p.bufs.empty()) return;
     if (victim == nullptr || p.started < victim->started ||
         (p.started == victim->started && key < victim_key)) {
@@ -526,7 +506,7 @@ void RxProcessor::issue_dma(RxPdu& p, std::uint32_t offset,
     } else {
       ++pdus_dropped_nobuf_;
       sim::trace_event(trace_, eng_->now(), "rx", "drop_nobuf",
-                       static_cast<std::uint64_t>(p.recv_idx), need);
+                       static_cast<std::uint64_t>(p.channel), need);
     }
     return;
   }
@@ -649,7 +629,7 @@ void RxProcessor::try_push(std::uint64_t key, RxPdu& p) {
 void RxProcessor::push_buffer(RxPdu& p, std::uint32_t idx, bool eop,
                               std::uint64_t pdu_tag, atm::Vci vci,
                               sim::Tick at, std::uint16_t extra_flags) {
-  RecvChannel& ch = recv_channels_[static_cast<std::size_t>(p.recv_idx)];
+  Channel& ch = channels_[static_cast<std::size_t>(p.channel)];
   const PduBuf& b = p.bufs[idx];
   dpram::Descriptor d;
   d.addr = b.addr;
@@ -661,7 +641,6 @@ void RxProcessor::push_buffer(RxPdu& p, std::uint32_t idx, bool eop,
   sim::Tick when = std::max(at, ch.push_horizon);
   if (when < eng_->now()) when = eng_->now();
   ch.push_horizon = when;
-  const int recv_idx = p.recv_idx;
 
   // Publish the span handoff the driver closes at delivery, keyed exactly
   // as the driver demultiplexes: (vci, 5-bit descriptor tag). Aborted
@@ -684,7 +663,7 @@ void RxProcessor::push_buffer(RxPdu& p, std::uint32_t idx, bool eop,
     push_pool_.emplace_back();
   }
   push_pool_[slot].desc = d;
-  push_pool_[slot].recv_idx = recv_idx;
+  push_pool_[slot].channel = p.channel;
   push_pool_[slot].epoch = epoch_;
   eng_->schedule_at(when, [this, slot] { fire_push(slot); });
 }
@@ -699,19 +678,19 @@ void RxProcessor::fire_push(std::uint32_t slot) {
   // A completion scheduled before an adaptor reset must not leak a
   // pre-reset buffer descriptor into the fresh receive queue.
   if (pp.epoch != epoch_) return;
-  RecvChannel& c = recv_channels_[static_cast<std::size_t>(pp.recv_idx)];
+  Channel& c = channels_[static_cast<std::size_t>(pp.channel)];
   if (c.detached) {
     // The tenant died between DMA and completion: its dpram page may be
     // someone else's now. Account the drop; nothing is delivered.
     ++dead_channel_drops_;
     return;
   }
-  const bool was_empty = c.writer.size() == 0;
-  const auto res = c.writer.push(pp.desc);
+  const bool was_empty = c.recv.size() == 0;
+  const auto res = c.recv.push(pp.desc);
   if (!res.ok) {
     ++pdus_dropped_recvfull_;
     sim::trace_event(trace_, eng_->now(), "rx", "drop_recvfull",
-                     static_cast<std::uint64_t>(pp.recv_idx), pp.desc.vci);
+                     static_cast<std::uint64_t>(pp.channel), pp.desc.vci);
     return;
   }
   if (was_empty && irq_) {

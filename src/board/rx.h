@@ -91,21 +91,20 @@ class RxProcessor {
   /// beating resumes automatically after reset().
   void start_heartbeat(sim::Duration period, sim::Tick until);
 
-  /// Registers a free-buffer queue; returns its id. `auth` guards ADC
-  /// buffers (§3.2); violations raise kAccessViolation and skip the buffer.
-  int add_free_source(const dpram::QueueLayout& lay, PageAuth auth = nullptr,
-                      int channel_id = 0);
+  /// Registers a channel: the firmware pops its receive buffers from
+  /// `lay.free` and pushes them, filled, onto `lay.recv`. Returns its
+  /// index. `auth` guards ADC buffers (§3.2); violations raise
+  /// kAccessViolation and skip the buffer. `channel_id` identifies the
+  /// channel in interrupts.
+  int add_channel(const dpram::ChannelLayout& lay, PageAuth auth,
+                  int channel_id);
 
-  /// Registers a receive queue; returns its index. `channel_id` identifies
-  /// it in interrupts.
-  int add_recv_channel(const dpram::QueueLayout& lay, int channel_id);
-
-  /// Detaches every free source and receive channel registered for
-  /// `channel_id` and discards reassembly state routed at them. Buffer
-  /// pushes already scheduled for a detached channel are dropped when they
-  /// fire (counted in dead_channel_drops) — a dead tenant's dpram pages
-  /// may already belong to a reopened channel. Indices stay stable so
-  /// in-flight lambdas remain valid.
+  /// Detaches every channel registered for `channel_id` and discards
+  /// reassembly state routed at them. A detached channel's free queue is
+  /// never popped again, and buffer pushes already scheduled for it are
+  /// dropped when they fire (counted in dead_channel_drops) — a dead
+  /// tenant's dpram pages may already belong to a reopened channel.
+  /// Indices stay stable so in-flight lambdas remain valid.
   void remove_channel(int channel_id);
 
   /// Quarantines `vci`: arriving cells are dropped and counted instead of
@@ -115,9 +114,8 @@ class RxProcessor {
   void quarantine_vci(atm::Vci vci);
 
   /// Early demultiplexing table: incoming PDUs on `vci` take buffers from
-  /// `free_id` (falling back to `fallback_free_id` when exhausted; pass -1
-  /// for none) and are delivered on `recv_idx`.
-  void map_vci(atm::Vci vci, int free_id, int fallback_free_id, int recv_idx);
+  /// `channel`'s free queue and are delivered on its receive queue.
+  void map_vci(atm::Vci vci, int channel);
   void unmap_vci(atm::Vci vci);
 
   /// Per-VCI buffer quota (0, the default, is unlimited): once `vci` holds
@@ -164,7 +162,7 @@ class RxProcessor {
   /// (RxDropPolicy::kDropIncompleteFirst).
   [[nodiscard]] std::uint64_t pdus_evicted() const { return pdus_evicted_; }
   /// kRxFreeLow backpressure interrupts raised (edge-triggered per free
-  /// source: one per empty episode, cleared by the next successful pop).
+  /// queue: one per empty episode, cleared by the next successful pop).
   [[nodiscard]] std::uint64_t backpressure_irqs() const { return backpressure_irqs_; }
   [[nodiscard]] std::uint64_t auth_violations() const { return auth_violations_; }
   /// Free-list rejections / drops by typed reason (see board.h).
@@ -202,30 +200,24 @@ class RxProcessor {
   }
 
  private:
-  struct FreeSource {
-    dpram::QueueReader reader;
+  struct Channel {
+    dpram::QueueReader free;  // empty buffers, host -> board
+    dpram::QueueWriter recv;  // filled buffers, board -> host
     PageAuth auth;
-    int channel_id;
-    bool detached = false;
-    bool low_raised = false;  // kRxFreeLow edge state for this source
-  };
-  struct RecvChannel {
-    dpram::QueueWriter writer;
     int channel_id;
     sim::Tick push_horizon = 0;
     bool detached = false;
+    bool low_raised = false;  // kRxFreeLow edge state for the free queue
   };
   /// Everything the Rx hot path touches per VCI, consolidated into one
-  /// flow-table entry: demux ids, quarantine bit, buffer quota, live
+  /// flow-table entry: channel index, quarantine bit, buffer quota, live
   /// held count, and the reassembly router. One bucket probe + one slab
   /// read replaces the five separate map lookups this used to take.
   struct VciState {
     static constexpr std::uint32_t kMapped = 1u << 0;
     static constexpr std::uint32_t kQuarantined = 1u << 1;
 
-    std::int32_t free_id = -1;
-    std::int32_t fallback = -1;
-    std::int32_t recv_idx = -1;
+    std::int32_t channel = -1;
     std::uint32_t flags = 0;
     std::uint32_t quota = 0;  // 0 = unlimited
     std::uint32_t held = 0;   // free-list buffers held by reassemblies
@@ -246,9 +238,7 @@ class RxProcessor {
     bool pushed = false;
   };
   struct RxPdu {
-    int recv_idx = 0;
-    int free_id = 0;
-    int fallback = -1;
+    int channel = 0;
     atm::Vci vci = 0;  // quota accounting
     sim::Tick started = 0;
     std::vector<PduBuf> bufs;
@@ -273,7 +263,7 @@ class RxProcessor {
   static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
   struct PendingPush {
     dpram::Descriptor desc;
-    int recv_idx = 0;
+    int channel = 0;
     std::uint64_t epoch = 0;
     std::uint32_t next_free = kNoSlot;
   };
@@ -292,7 +282,8 @@ class RxProcessor {
   void maybe_release(atm::Vci vci, VciState& st);
   atm::CellRouter& router_for(VciState& st);
   RxPdu* pdu_for(atm::Vci vci, std::uint64_t pdu, std::uint64_t* key_out);
-  /// Ensures buffers cover byte range end `need`; pops from free queues.
+  /// Ensures buffers cover byte range end `need`; pops from the PDU's
+  /// channel's free queue.
   /// On failure sets alloc_fail_quota_ when the VCI's quota (not the pool)
   /// was the limit, so the caller counts the right drop statistic.
   bool ensure_capacity(RxPdu& p, std::uint64_t need);
@@ -301,7 +292,7 @@ class RxProcessor {
   /// Drops `held` buffers from `vci`'s quota count.
   void release_quota(atm::Vci vci, std::size_t held);
   /// kDropIncompleteFirst: evicts the oldest incomplete reassembly sharing
-  /// `keep`'s free source whose buffers are all still board-held, moving
+  /// `keep`'s channel whose buffers are all still board-held, moving
   /// those buffers to `keep`. Returns true when something was evicted.
   bool evict_incomplete(RxPdu& keep);
   /// Pushes `p`'s still-held buffers host-ward as aborted descriptors so
@@ -346,8 +337,7 @@ class RxProcessor {
   sim::Tick hb_until_ = 0;
   std::uint32_t hb_count_ = 0;
 
-  std::vector<FreeSource> free_sources_;
-  std::vector<RecvChannel> recv_channels_;
+  std::vector<Channel> channels_;
   /// Early-demultiplexing state, one entry per VCI (replaces five maps).
   flow::FlowTable<VciState> flows_;
   bool alloc_fail_quota_ = false;  // last ensure_capacity failure cause

@@ -1,6 +1,5 @@
 #include "dpram/dpram.h"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -36,23 +35,27 @@ void DualPortRam::maybe_corrupt(Side side, std::uint32_t first_word,
   ++corrupted_words_;
 }
 
-ChannelLayout channel_layout(std::uint32_t index, std::uint32_t tx_capacity,
-                             std::uint32_t rx_capacity) {
+namespace {
+// Descriptor slots per queue. A free or receive queue gets half a page,
+// which holds up to 127.
+constexpr std::uint32_t kQueueSlots = 64;
+static_assert(3 + kQueueSlots * kDescriptorWords <= kPageWords / 2,
+              "a free or receive queue must fit in half a page");
+}  // namespace
+
+ChannelLayout channel_layout(std::uint32_t index) {
   if (index >= kPagesPerHalf) {
     throw std::out_of_range("channel_layout: index " + std::to_string(index));
   }
-  // Transmit half occupies words [0, 16K), receive half [16K, 32K).
+  // Transmit half occupies words [0, 16K), receive half [16K, 32K); the
+  // free and receive queues split their receive page.
   const std::uint32_t tx_page = index * kPageWords;
   const std::uint32_t rx_page = kPagesPerHalf * kPageWords + index * kPageWords;
 
-  // Max slots that fit: tx uses the whole page; free/recv split the rx page.
-  const std::uint32_t tx_max = (kPageWords - 3) / kDescriptorWords;
-  const std::uint32_t rx_max = (kPageWords / 2 - 3) / kDescriptorWords;
-
   ChannelLayout cl;
-  cl.tx = {tx_page, std::min(tx_capacity, tx_max)};
-  cl.free = {rx_page, std::min(rx_capacity, rx_max)};
-  cl.recv = {rx_page + kPageWords / 2, std::min(rx_capacity, rx_max)};
+  cl.tx = {tx_page, kQueueSlots};
+  cl.free = {rx_page, kQueueSlots};
+  cl.recv = {rx_page + kPageWords / 2, kQueueSlots};
   return cl;
 }
 

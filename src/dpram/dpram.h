@@ -124,8 +124,8 @@ enum CtrlFlags : std::uint32_t {
 
 /// Firmware heartbeat words (proof-of-life for the host watchdog): the
 /// last word of each half's page 0, which no queue layout reaches — a
-/// full-page transmit queue uses 3 + 255*4 = 1023 of the 1024 words, and
-/// the receive half's page 0 splits into two sub-half-page queues. Each
+/// 64-entry queue uses 3 + 64*4 = 259 words, and the receive half's page
+/// 0 splits into two half-page queues. Each
 /// board processor increments its word on a bounded timer; a word that
 /// stops advancing means that half's firmware loop is wedged.
 constexpr std::uint32_t kTxHeartbeatWord = kPageWords - 1;
@@ -140,10 +140,8 @@ struct ChannelLayout {
   QueueLayout recv;  // board -> host: filled receive buffers
 };
 
-/// Computes the layout of pair `index` (0..15). `tx_capacity` and
-/// `rx_capacity` default to the paper's 64-entry queues and are clamped to
-/// what fits in a page.
-ChannelLayout channel_layout(std::uint32_t index, std::uint32_t tx_capacity = 64,
-                             std::uint32_t rx_capacity = 64);
+/// Computes the layout of pair `index` (0..15): three 64-entry queues, the
+/// paper's (§2.3).
+ChannelLayout channel_layout(std::uint32_t index);
 
 }  // namespace osiris::dpram

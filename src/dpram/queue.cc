@@ -133,12 +133,6 @@ std::optional<Descriptor> QueueReader::peek_at(std::uint32_t k, OpResult* res) c
   return d;
 }
 
-void QueueReader::advance() {
-  tail_ = (tail_ + 1) % lay_.capacity;
-  if (tail_ == 0) lap_odd_ = !lap_odd_;
-  ram_->write(side_, lay_.tail_word(), tail_);
-}
-
 std::uint32_t QueueReader::consume(std::uint32_t n) {
   if (tail_ + n >= lay_.capacity) lap_odd_ = !lap_odd_;
   tail_ = (tail_ + n) % lay_.capacity;

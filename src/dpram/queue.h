@@ -80,14 +80,11 @@ class QueueReader {
   /// tail advance is the host's transmit-completion signal, §2.1.2).
   std::optional<Descriptor> peek_at(std::uint32_t k, OpResult* res = nullptr) const;
 
-  /// Advances the tail past one previously peeked descriptor.
-  void advance();
-
-  /// Splits advance() for the transmit processor: consume() moves the
-  /// reader-side tail immediately (so subsequent peeks see fresh entries)
-  /// while the RAM tail word — the host-visible completion signal — is
-  /// published later, when the buffer has actually been transmitted.
-  /// Returns the tail value to publish after these n entries complete.
+  /// Moves the reader-side tail past `n` previously peeked descriptors at
+  /// once (so subsequent peeks see fresh entries), while the RAM tail word
+  /// — the host-visible completion signal — is published later, when the
+  /// buffer has actually been transmitted. Returns the tail value to
+  /// publish after these n entries complete.
   std::uint32_t consume(std::uint32_t n);
 
   /// Writes a tail value (previously returned by consume) to the RAM word.

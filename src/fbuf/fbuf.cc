@@ -22,37 +22,10 @@ int FbufPool::create_path(std::vector<DomainId> domains) {
   Path p;
   p.domains = std::move(domains);
   for (std::size_t i = 0; i < kBufsPerPath; ++i) {
-    const mem::PhysAddr f = frames_->alloc();
-    p.pool.push_back(f);
-    p.free.push_back(f);
+    p.free.push_back(frames_->alloc());
   }
   paths_.push_back(std::move(p));
   return static_cast<int>(paths_.size()) - 1;
-}
-
-void FbufPool::precache(int path) {
-  Path& p = paths_.at(static_cast<std::size_t>(path));
-  if (p.cached) return;
-  if (mru_.size() >= kCachedPaths) {
-    const int victim = mru_.back();
-    mru_.pop_back();
-    paths_[static_cast<std::size_t>(victim)].cached = false;
-    ++evictions_;
-  }
-  mru_.push_front(path);
-  p.cached = true;
-}
-
-bool FbufPool::is_path_cached(int path) const {
-  return paths_.at(static_cast<std::size_t>(path)).cached;
-}
-
-std::vector<mem::PhysBuffer> FbufPool::path_pool(int path) const {
-  const Path& p = paths_.at(static_cast<std::size_t>(path));
-  std::vector<mem::PhysBuffer> out;
-  out.reserve(p.pool.size());
-  for (const mem::PhysAddr a : p.pool) out.push_back({a, mem::kPageSize});
-  return out;
 }
 
 void FbufPool::install(sim::Tick at, int path, sim::Tick* done) {
@@ -68,7 +41,7 @@ void FbufPool::install(sim::Tick at, int path, sim::Tick* done) {
   mru_.push_front(path);
   p.cached = true;
   const auto crossings =
-      static_cast<sim::Duration>(p.pool.size() * (p.domains.size() - 1));
+      static_cast<sim::Duration>(kBufsPerPath * (p.domains.size() - 1));
   *done = cpu_->exec(at, host::Work{mc_->fbuf_uncached_map_per_page * crossings, 0});
 }
 

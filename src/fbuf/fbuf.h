@@ -12,7 +12,8 @@
 // OSIRIS driver's strategy. Early demultiplexing (the board choosing a
 // buffer by VCI) is what makes the cached case possible: the incoming
 // packet lands directly in a buffer that is already mapped into the right
-// set of domains.
+// set of domains. Here the pool is a cost model only: no receive channel
+// places PDUs in a path's fbufs (EXPERIMENTS.md, deviation 6).
 #pragma once
 
 #include <cstdint>
@@ -50,11 +51,6 @@ class FbufPool {
   /// (e.g. {driver, protocol server, application}). Returns the path id.
   int create_path(std::vector<DomainId> domains);
 
-  /// Installs the path into the cached (MRU) set immediately, without
-  /// charging time — used at path-open, a setup operation. Evicts the LRU
-  /// path if the set is full.
-  void precache(int path);
-
   /// Allocates a buffer for `path`, preferring the path's cached pool.
   /// Promotes the path to most-recently-used; if the path was not among
   /// the cached set, it is installed (evicting the LRU path) and — since
@@ -71,19 +67,12 @@ class FbufPool {
 
   void free(sim::Tick at, Fbuf f);
 
-  /// All physical buffers of a path's cached pool (to prefill a board free
-  /// queue for early demultiplexing).
-  [[nodiscard]] std::vector<mem::PhysBuffer> path_pool(int path) const;
-
-  [[nodiscard]] bool is_path_cached(int path) const;
-
   // Statistics.
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
   struct Path {
     std::vector<DomainId> domains;
-    std::vector<mem::PhysAddr> pool;   // frames reserved for this path
     std::deque<mem::PhysAddr> free;    // available cached fbufs
     bool cached = false;
   };

@@ -103,18 +103,17 @@ void OsirisDriver::attach(int adc_channel) {
     if (free_writer_.full()) break;
     if (auto base = frames_->alloc_contiguous(pages)) {
       const auto id = static_cast<std::uint32_t>(buffers_.size());
-      buffers_.push_back(BufferInfo{*base, cfg_.rx_buffer_bytes, 0, true});
+      buffers_.push_back(BufferInfo{*base, cfg_.rx_buffer_bytes});
       free_writer_.push({*base, cfg_.rx_buffer_bytes, 0, 0, id});
     } else {
       for (std::uint32_t p = 0; p < pages && !free_writer_.full(); ++p) {
         const mem::PhysAddr pa = frames_->alloc();
         const auto id = static_cast<std::uint32_t>(buffers_.size());
-        buffers_.push_back(BufferInfo{pa, mem::kPageSize, 0, true});
+        buffers_.push_back(BufferInfo{pa, mem::kPageSize});
         free_writer_.push({pa, mem::kPageSize, 0, 0, id});
       }
     }
   }
-  source_to_writer_[0] = 0;  // default pool recycles to free_writer_
 
   rx_irq_token_ = intc_->add_handler(
       board::Irq::kRxNonEmpty, [this, adc_channel](sim::Tick done, int ch) {
@@ -158,7 +157,6 @@ void OsirisDriver::detach() {
   // Return the pool frames attach() allocated. Board-side queues must be
   // detached by now, so no DMA can target them.
   for (const BufferInfo& b : buffers_) {
-    if (!b.owned) continue;
     const std::uint32_t pages = (b.cap + mem::kPageSize - 1) / mem::kPageSize;
     for (std::uint32_t p = 0; p < pages; ++p) {
       frames_->free(b.pa + p * mem::kPageSize);
@@ -166,21 +164,6 @@ void OsirisDriver::detach() {
   }
   buffers_.clear();
   sim::trace_event(trace_, eng_->now(), "drv", "detach", generation_, 0);
-}
-
-void OsirisDriver::add_free_pool(const dpram::QueueLayout& lay, int source_tag,
-                                 const std::vector<mem::PhysBuffer>& bufs) {
-  extra_free_writers_.emplace_back(*ram_, lay, dpram::Side::kHost);
-  source_to_writer_[source_tag] = extra_free_writers_.size();  // 1-based
-  auto& w = extra_free_writers_.back();
-  // Setup path, like attach(): not charged.
-  for (const auto& b : bufs) {
-    const auto id = static_cast<std::uint32_t>(buffers_.size());
-    buffers_.push_back(BufferInfo{b.addr, b.len, source_tag});
-    if (!w.push({b.addr, b.len, 0, 0, id}).ok) {
-      throw std::logic_error("add_free_pool: queue overflow");
-    }
-  }
 }
 
 sim::Tick OsirisDriver::reap_tx(sim::Tick at) {
@@ -413,7 +396,7 @@ sim::Tick OsirisDriver::deliver(sim::Tick at, atm::Vci vci,
                                 std::uint32_t tag, Accum&& acc) {
   sim::Tick t = at;
   if (acc.bytes < atm::kTrailerBytes) {
-    ++crc_failures_;
+    ++runt_pdus_;
     if (spans_ != nullptr) {
       spans_->rx_aborted(vci, static_cast<std::uint8_t>(tag));
     }
@@ -486,11 +469,8 @@ sim::Tick OsirisDriver::recycle(sim::Tick at, const std::vector<RxBuffer>& bufs)
       sim::trace_event(trace_, eng_->now(), "drv", "free_poison", rb.id,
                        d.addr);
     }
-    const std::size_t widx = source_to_writer_.at(info.source_tag);
-    dpram::QueueWriter& w =
-        widx == 0 ? free_writer_ : extra_free_writers_[widx - 1];
     t = cpu_->pio(t, kPushReads, kPushWrites);
-    if (!w.push(d).ok) {
+    if (!free_writer_.push(d).ok) {
       // Double-release (e.g. a handler returning buffers it retained from
       // before an adaptor reset, after the pool was re-posted wholesale).
       ++bad_descriptors_;
@@ -629,7 +609,6 @@ sim::Tick OsirisDriver::resync_host_state(sim::Tick at) {
   // they disagree after the reset).
   tx_writer_.reset();
   free_writer_.reset();
-  for (auto& w : extra_free_writers_) w.reset();
   recv_reader_.reset();
 
   // Every in-flight transmit chain is gone with the board state. Their
@@ -649,12 +628,9 @@ sim::Tick OsirisDriver::resync_host_state(sim::Tick at) {
   sim::Tick t = cpu_->exec(at, Work{mc_->thread_dispatch, 0});
   for (std::uint32_t id = 0; id < buffers_.size(); ++id) {
     const BufferInfo& info = buffers_[id];
-    const std::size_t widx = source_to_writer_.at(info.source_tag);
-    dpram::QueueWriter& w =
-        widx == 0 ? free_writer_ : extra_free_writers_[widx - 1];
-    if (w.full()) continue;
+    if (free_writer_.full()) continue;
     t = cpu_->pio(t, kPushReads, kPushWrites);
-    w.push({info.pa, info.cap, 0, 0, id});
+    free_writer_.push({info.pa, info.cap, 0, 0, id});
   }
 
   // Replay sends that were parked behind a full transmit queue. (Chains
@@ -673,7 +649,7 @@ sim::Tick OsirisDriver::resync_host_state(sim::Tick at) {
 sim::Tick OsirisDriver::recover_stale(sim::Tick at, const RxPduView& pdu) {
   std::uint64_t words = 0;
   for (const auto& b : pdu.bufs) words += cache_->invalidate(b.pa, b.len);
-  ++crc_failures_;
+  ++checksum_invalidations_;
   return cpu_->exec(
       at, Work{mc_->cpu_cycles(static_cast<double>(words) *
                                kInvalidateCyclesPerWord),

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -109,8 +108,8 @@ class OsirisDriver {
   OsirisDriver(const OsirisDriver&) = delete;
   OsirisDriver& operator=(const OsirisDriver&) = delete;
 
-  /// Allocates and queues the receive buffer pool, and hooks interrupts.
-  /// `free_source_id` is the board-side id of the default free queue.
+  /// Allocates the receive buffer pool, queues it on the channel's free
+  /// queue, and hooks the interrupts the board raises for `adc_channel`.
   void attach(int adc_channel = 0);
 
   /// Crash-safe teardown (idempotent): unhooks the interrupt handlers,
@@ -142,8 +141,8 @@ class OsirisDriver {
   sim::Tick send(sim::Tick at, atm::Vci vci,
                  const std::vector<mem::PhysBuffer>& bufs);
 
-  /// Returns retained receive buffers to their free pools. Each push costs
-  /// the usual dual-port-RAM PIO.
+  /// Returns retained receive buffers to the channel's free queue. Each
+  /// push costs the usual dual-port-RAM PIO.
   sim::Tick release(sim::Tick at, const std::vector<RxBuffer>& bufs) {
     return recycle(maybe_resync(at), bufs);
   }
@@ -164,11 +163,6 @@ class OsirisDriver {
   /// invalidate the PDU's cache lines so a re-read sees memory. Returns
   /// completion time (invalidation costs ~1 cycle/word).
   sim::Tick recover_stale(sim::Tick at, const RxPduView& pdu);
-
-  /// Registers `n` extra buffers of `bytes` each for an additional free
-  /// queue (used by the fbuf per-path pools). Returns descriptors pushed.
-  void add_free_pool(const dpram::QueueLayout& lay, int source_tag,
-                     const std::vector<mem::PhysBuffer>& bufs);
 
   // ---- Watchdog / adaptor reset --------------------------------------
   //
@@ -294,15 +288,21 @@ class OsirisDriver {
   [[nodiscard]] std::uint64_t pdus_received() const { return pdus_received_; }
   [[nodiscard]] std::uint64_t tx_suspensions() const { return tx_suspensions_; }
   [[nodiscard]] std::uint64_t stale_partial_pdus() const { return stale_partial_; }
-  [[nodiscard]] std::uint64_t crc_failures() const { return crc_failures_; }
+  /// PDUs shorter than their own AAL trailer, recycled undelivered.
+  [[nodiscard]] std::uint64_t runt_pdus() const { return runt_pdus_; }
+  /// recover_stale() calls: PDUs whose buffers a consumer had re-invalidated
+  /// after a checksum mismatch, stale data or damaged alike.
+  [[nodiscard]] std::uint64_t checksum_invalidations() const {
+    return checksum_invalidations_;
+  }
   [[nodiscard]] const mem::PageWiring& wiring() const { return wiring_; }
   [[nodiscard]] const MachineConfig& machine() const { return *mc_; }
 
   /// Exposes the kernel receive-queue reader fill level (tests).
   [[nodiscard]] std::uint32_t recv_backlog() const { return recv_reader_.size(); }
 
-  /// All buffers this driver has registered (receive pool + extra pools);
-  /// used by ADCs to build their authorized-page lists.
+  /// All buffers of this driver's receive pool; used by ADCs to build
+  /// their authorized-page lists.
   [[nodiscard]] std::vector<mem::PhysBuffer> buffer_pool() const {
     std::vector<mem::PhysBuffer> out;
     out.reserve(buffers_.size());
@@ -314,8 +314,6 @@ class OsirisDriver {
   struct BufferInfo {
     std::uint32_t pa = 0;
     std::uint32_t cap = 0;
-    int source_tag = 0;   // which free queue it returns to
-    bool owned = false;   // frames allocated by attach(); detach() frees
   };
   struct PendingSend {
     atm::Vci vci;
@@ -359,8 +357,6 @@ class OsirisDriver {
   dpram::QueueWriter tx_writer_;
   dpram::QueueWriter free_writer_;
   dpram::QueueReader recv_reader_;
-  std::vector<dpram::QueueWriter> extra_free_writers_;
-  std::map<int, std::size_t> source_to_writer_;  // tag -> index (0 = default)
 
   RxHandler rx_handler_;
   sim::Trace* trace_ = nullptr;
@@ -409,7 +405,8 @@ class OsirisDriver {
   std::uint64_t pdus_received_ = 0;
   std::uint64_t tx_suspensions_ = 0;
   std::uint64_t stale_partial_ = 0;
-  std::uint64_t crc_failures_ = 0;
+  std::uint64_t runt_pdus_ = 0;
+  std::uint64_t checksum_invalidations_ = 0;
   std::uint64_t watchdog_resets_ = 0;
   std::uint64_t watchdog_polls_ = 0;
   std::uint64_t spurious_irqs_ = 0;

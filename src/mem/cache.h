@@ -67,10 +67,12 @@ class DataCache {
   bool dma_write(PhysAddr addr, std::span<const std::uint8_t> src);
 
   /// Scatter form of dma_write(): each segment is an independent DMA burst
-  /// taking `src` bytes in order, with per-segment fault/error semantics
-  /// (see PhysicalMemory::dma_scatter) and the same per-segment cache
-  /// coherence effects as dma_write(). Returns the number of segments that
-  /// transferred.
+  /// taking `src` bytes in order, exactly as if the caller had called
+  /// dma_write() once per segment: faults are consulted and errors counted
+  /// per segment, a failed segment moves no bytes, and each has
+  /// dma_write()'s cache coherence effects. Returns the number of segments
+  /// that transferred. Throws only on a `src` span shorter than the
+  /// segments' total length.
   std::size_t dma_scatter(std::span<const PhysBuffer> segs,
                           std::span<const std::uint8_t> src);
 

@@ -100,22 +100,6 @@ std::size_t PhysicalMemory::dma_gather(std::span<const PhysBuffer> segs,
   return ok;
 }
 
-std::size_t PhysicalMemory::dma_scatter(std::span<const PhysBuffer> segs,
-                                        std::span<const std::uint8_t> src) {
-  std::size_t total = 0;
-  for (const auto& s : segs) total += s.len;
-  if (src.size() < total) {
-    throw std::out_of_range("PhysicalMemory::dma_scatter: src span too short");
-  }
-  std::size_t off = 0;
-  std::size_t ok = 0;
-  for (const auto& s : segs) {
-    if (dma_write(s.addr, src.subspan(off, s.len))) ++ok;
-    off += s.len;
-  }
-  return ok;
-}
-
 std::span<const std::uint8_t> PhysicalMemory::view(PhysAddr addr, std::size_t len) const {
   check(addr, len);
   return {data_.get() + addr, len};

@@ -61,17 +61,14 @@ class PhysicalMemory {
   bool dma_read(PhysAddr addr, std::span<std::uint8_t> dst);
   bool dma_write(PhysAddr addr, std::span<const std::uint8_t> src);
 
-  /// Scatter/gather transfers used by the DMA engines. Each segment is an
+  /// Gather transfer used by the transmit DMA engine. Each segment is an
   /// independent DMA burst: faults are consulted and errors counted per
-  /// segment, exactly as if the caller had issued one dma_read/dma_write
-  /// per buffer. A failed gather segment leaves its slice of `dst`
-  /// zero-filled; a failed scatter segment moves no bytes. Returns the
-  /// number of segments that transferred. Throws only on a dst/src span
+  /// segment, exactly as if the caller had called dma_read once per buffer.
+  /// A failed segment leaves its slice of `dst` zero-filled. Returns the
+  /// number of segments that transferred. Throws only on a `dst` span
   /// shorter than the segment list's total length.
   std::size_t dma_gather(std::span<const PhysBuffer> segs,
                          std::span<std::uint8_t> dst);
-  std::size_t dma_scatter(std::span<const PhysBuffer> segs,
-                          std::span<const std::uint8_t> src);
 
   [[nodiscard]] std::uint64_t dma_errors() const { return dma_errors_; }
 

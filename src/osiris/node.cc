@@ -1,7 +1,5 @@
 #include "osiris/node.h"
 
-#include <stdexcept>
-
 namespace osiris {
 
 Node::Node(sim::Engine& engine, NodeConfig c)
@@ -42,34 +40,13 @@ Node::Node(sim::Engine& engine, NodeConfig c)
   }
 
   txp.add_queue(0, kernel_layout.tx, /*priority=*/0, nullptr);
-  kernel_free_id = rxp.add_free_source(kernel_layout.free, nullptr, 0);
-  kernel_recv_idx = rxp.add_recv_channel(kernel_layout.recv, 0);
+  kernel_channel = rxp.add_channel(kernel_layout, nullptr, 0);
 
   driver.attach(0);
 }
 
 void Node::map_kernel_vci(atm::Vci vci) {
-  rxp.map_vci(vci, kernel_free_id, -1, kernel_recv_idx);
-}
-
-int Node::open_fbuf_path(fbuf::FbufPool& pool, atm::Vci vci,
-                         std::vector<fbuf::DomainId> domains) {
-  if (next_fbuf_pair_ >= dpram::kPagesPerHalf) {
-    throw std::runtime_error("open_fbuf_path: out of dual-port RAM pages");
-  }
-  const int path = pool.create_path(std::move(domains));
-  pool.precache(path);  // opening the path maps its pool into the domains
-  // Borrow an unused channel pair's free-queue layout for the per-path
-  // queue; its buffers are the path's preallocated cached fbufs.
-  const dpram::ChannelLayout lay =
-      dpram::channel_layout(next_fbuf_pair_++, 64,
-                            static_cast<std::uint32_t>(
-                                fbuf::FbufPool::kBufsPerPath + 1));
-  const int tag = next_fbuf_tag_++;
-  driver.add_free_pool(lay.free, tag, pool.path_pool(path));
-  const int free_id = rxp.add_free_source(lay.free, nullptr, 0);
-  rxp.map_vci(vci, free_id, kernel_free_id, kernel_recv_idx);
-  return path;
+  rxp.map_vci(vci, kernel_channel);
 }
 
 void Node::start_watchdog(sim::Duration period, sim::Duration deadline,

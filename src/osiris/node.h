@@ -11,7 +11,6 @@
 #include "board/tx.h"
 #include "dpram/dpram.h"
 #include "fault/fault.h"
-#include "fbuf/fbuf.h"
 #include "host/driver.h"
 #include "host/interrupts.h"
 #include "host/machine.h"
@@ -62,16 +61,6 @@ class Node {
   /// on it use the kernel free queue and receive queue.
   void map_kernel_vci(atm::Vci vci);
 
-  /// Binds the receive side of `vci` to a per-path cached fbuf pool
-  /// (§3.1): creates the path in `pool` for `domains`, places its
-  /// preallocated buffers on a dedicated board free queue (in an unused
-  /// dual-port-RAM page — the memory's structure is firmware-defined), and
-  /// points the VCI's early-demultiplexing entry at it, falling back to
-  /// the kernel's uncached pool when the path pool runs dry. Returns the
-  /// fbuf path id.
-  int open_fbuf_path(fbuf::FbufPool& pool, atm::Vci vci,
-                     std::vector<fbuf::DomainId> domains);
-
   /// Creates a protocol stack bound to the kernel driver.
   std::unique_ptr<proto::ProtoStack> make_stack(proto::StackConfig cfg);
 
@@ -100,12 +89,7 @@ class Node {
   mem::AddressSpace kernel_space;
   dpram::ChannelLayout kernel_layout;
   host::OsirisDriver driver;
-  int kernel_free_id = -1;
-  int kernel_recv_idx = -1;
-
- private:
-  std::uint32_t next_fbuf_pair_ = 8;  // dpram pages used for fbuf queues
-  int next_fbuf_tag_ = 1;
+  int kernel_channel = -1;  // RxProcessor index of channel pair 0
 };
 
 /// Two nodes with their boards linked back-to-back, driven by one engine.

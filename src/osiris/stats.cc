@@ -85,6 +85,11 @@ constexpr Row<Count> kCounters[] = {
      [](Node& n) -> Count { return n.driver.pdus_received(); }},
     {"host.stale_partial_pdus",
      [](Node& n) -> Count { return n.driver.stale_partial_pdus(); }},
+    // Received PDUs whose buffers the driver re-invalidated after a
+    // consumer's checksum mismatch (§2.3 lazy invalidation), whether the
+    // data was stale or damaged: one per recover_stale() call.
+    {"host.checksum_invalidations",
+     [](Node& n) -> Count { return n.driver.checksum_invalidations(); }},
     {"host.wired_frames",
      [](Node& n) -> Count { return n.driver.wiring().wired_frames(); }},
     {"host.dpram_host_accesses",
@@ -113,8 +118,8 @@ constexpr Row<Count> kCounters[] = {
     {"fault.irqs_lost", [](Node& n) -> Count { return n.intc.lost(); }},
     {"fault.spurious_irqs",
      [](Node& n) -> Count { return n.driver.spurious_irqs(); }},
-    {"fault.crc_failures",
-     [](Node& n) -> Count { return n.driver.crc_failures(); }},
+    // PDUs shorter than their 8-byte AAL trailer, recycled undelivered.
+    {"fault.runt_pdus", [](Node& n) -> Count { return n.driver.runt_pdus(); }},
     {"fault.resyncs_observed",
      [](Node& n) -> Count { return n.driver.resyncs_observed(); }},
     {"fault.watchdog_polls",

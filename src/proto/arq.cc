@@ -72,15 +72,6 @@ bool ArqEndpoint::dead(atm::Vci vci) const {
   return it != tx_.end() && it->second.dead;
 }
 
-std::vector<mem::PhysBuffer> ArqEndpoint::arena_buffers() const {
-  std::vector<mem::PhysBuffer> out;
-  for (const Slot& s : slots_) {
-    const auto sc = space_->scatter(s.va, kSlotBytes);
-    out.insert(out.end(), sc.begin(), sc.end());
-  }
-  return out;
-}
-
 std::vector<std::uint8_t> ArqEndpoint::frame(
     std::uint8_t type, atm::Vci vci, std::uint32_t seq, std::uint32_t ack,
     const std::vector<std::uint8_t>& payload) {

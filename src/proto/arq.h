@@ -55,7 +55,7 @@ class ArqEndpoint {
   using Sink = ProtoStack::Sink;
 
   /// `space` backs the outgoing-frame slot ring (same registered-buffer
-  /// discipline as RpcEndpoint; expose arena_buffers() for ADC use).
+  /// discipline as RpcEndpoint).
   ArqEndpoint(sim::Engine& eng, ProtoStack& stack, mem::AddressSpace& space,
               host::HostCpu& cpu, const host::MachineConfig& mc,
               ArqConfig cfg = {});
@@ -87,9 +87,6 @@ class ArqEndpoint {
 
   /// True once `vci` exhausted its retry budget; its traffic is dropped.
   [[nodiscard]] bool dead(atm::Vci vci) const;
-
-  /// Physical buffers of the outgoing-frame arena (ADC authorization).
-  [[nodiscard]] std::vector<mem::PhysBuffer> arena_buffers() const;
 
   // Statistics.
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }

@@ -217,6 +217,25 @@ TEST(Board, PushForADetachedChannelIsDroppedWhenItFires) {
   EXPECT_EQ(n.driver.pdus_received(), 1u);
 }
 
+TEST(Board, CellOnARemovedChannelTakesNoBuffer) {
+  // A removed channel's free queue may already belong to a reopened
+  // channel on the same pages, so the firmware never pops it again: the
+  // PDU drops for want of a buffer before any DMA or push.
+  Fixture f;
+  Node& n = *f.node;
+  n.map_kernel_vci(210);
+  n.driver.set_rx_handler([&](sim::Tick at, host::RxPduView&) { return at; });
+  const std::uint32_t free_tail = n.kernel_layout.free.tail_word();
+  const std::uint32_t tail_before = n.ram.read(dpram::Side::kHost, free_tail);
+  n.rxp.remove_channel(0);
+  inject_pdu(n, 210, 1);
+  f.eng.run();
+  EXPECT_EQ(stats(n).counter("rx.pdus_dropped_nobuf"), 1u);
+  EXPECT_EQ(n.ram.read(dpram::Side::kHost, free_tail), tail_before);
+  EXPECT_EQ(n.intc.raised(), 0u);
+  EXPECT_EQ(n.driver.pdus_received(), 0u);
+}
+
 TEST(Board, PushScheduledBeforeResetDiesAtTheEpochCheck) {
   Fixture f;
   Node& n = *f.node;

@@ -29,14 +29,6 @@ TEST(ChannelLayout, SixteenPairsFitTheDualPortRam) {
   EXPECT_THROW(channel_layout(16), std::out_of_range);
 }
 
-TEST(ChannelLayout, CapacityClampedToPage)
-{
-  const ChannelLayout cl = channel_layout(0, 100000, 100000);
-  EXPECT_LE(cl.tx.words(), kPageWords);
-  EXPECT_LE(cl.free.words(), kPageWords / 2);
-  EXPECT_LE(cl.recv.words(), kPageWords / 2);
-}
-
 TEST(LockFreeQueue, PushPopRoundTrip) {
   DualPortRam ram;
   const QueueLayout lay = channel_layout(0).tx;

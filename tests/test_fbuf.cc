@@ -20,10 +20,8 @@ struct Fx {
 TEST(Fbuf, FirstAllocationInstallsPath) {
   Fx f;
   const int p = f.pool.create_path({0, 1, 2});
-  EXPECT_FALSE(f.pool.is_path_cached(p));
   auto [b, t] = f.pool.alloc(0, p);
   EXPECT_FALSE(b.cached);  // install happens for future allocations
-  EXPECT_TRUE(f.pool.is_path_cached(p));
   EXPECT_GT(t, 0u);  // installation took time
   auto [b2, t2] = f.pool.alloc(t, p);
   EXPECT_TRUE(b2.cached);
@@ -49,11 +47,12 @@ TEST(Fbuf, LruEvictsOldestPath) {
     auto [b, t2] = f.pool.alloc(t, p);
     t = t2;
   }
-  // 18 installs into a 16-entry cache: the first two are evicted.
+  // 18 installs into a 16-entry cache: the first two are evicted. A probe
+  // of an uncached path installs it, so the cached one goes first.
   EXPECT_EQ(f.pool.evictions(), 2u);
-  EXPECT_FALSE(f.pool.is_path_cached(paths[0]));
-  EXPECT_FALSE(f.pool.is_path_cached(paths[1]));
-  EXPECT_TRUE(f.pool.is_path_cached(paths[17]));
+  EXPECT_TRUE(f.pool.alloc(t, paths[17]).first.cached);
+  EXPECT_FALSE(f.pool.alloc(t, paths[0]).first.cached);
+  EXPECT_FALSE(f.pool.alloc(t, paths[1]).first.cached);
 }
 
 TEST(Fbuf, MruTouchPreventsEviction) {
@@ -66,8 +65,9 @@ TEST(Fbuf, MruTouchPreventsEviction) {
   t = f.pool.alloc(t, paths[0]).second;
   const int extra = f.pool.create_path({0, 1});
   t = f.pool.alloc(t, extra).second;
-  EXPECT_TRUE(f.pool.is_path_cached(paths[0]));
-  EXPECT_FALSE(f.pool.is_path_cached(paths[1]));  // LRU victim
+  // The cached path first: probing the LRU victim installs it again.
+  EXPECT_TRUE(f.pool.alloc(t, paths[0]).first.cached);
+  EXPECT_FALSE(f.pool.alloc(t, paths[1]).first.cached);
 }
 
 TEST(Fbuf, FreeReturnsToTheRightPool) {
@@ -99,14 +99,6 @@ TEST(Fbuf, DeliverChargesPerHop) {
   const sim::Tick base = f.cpu.resource().free_at();
   const sim::Tick three = f.pool.deliver(base, b, 3) - base;
   EXPECT_EQ(three, 3 * one);
-}
-
-TEST(Fbuf, PathPoolExportsPhysicalBuffers) {
-  Fx f;
-  const int p = f.pool.create_path({0, 1});
-  const auto bufs = f.pool.path_pool(p);
-  EXPECT_EQ(bufs.size(), FbufPool::kBufsPerPath);
-  for (const auto& b : bufs) EXPECT_EQ(b.len, mem::kPageSize);
 }
 
 }  // namespace
