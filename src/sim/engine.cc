@@ -13,56 +13,50 @@ Engine::Engine()
 
 Engine::~Engine() = default;  // chunks_ destroys queued events with the nodes
 
-Engine::Node* Engine::alloc_node() {
-  if (free_ == nullptr) {
-    auto chunk = std::make_unique<Node[]>(kChunkNodes);
-    for (std::size_t i = 0; i < kChunkNodes; ++i) {
-      chunk[i].next = free_;
-      free_ = &chunk[i];
-    }
-    chunks_.push_back(std::move(chunk));
+void Engine::grow_arena() {
+  auto chunk = std::make_unique<Node[]>(kChunkNodes);
+  for (std::size_t i = 0; i < kChunkNodes; ++i) {
+    chunk[i].next = free_;
+    free_ = &chunk[i];
   }
-  Node* n = free_;
-  free_ = n->next;
-  return n;
+  chunks_.push_back(std::move(chunk));
 }
 
 void Engine::recycle(Node* n) {
   n->seq = 0;  // invalidates any outstanding TimerHandle
-  n->ev = Event();
   n->next = free_;
   free_ = n;
-  --nodes_queued_;
 }
 
 void Engine::bucket_append(std::size_t idx, Node* n) {
   Bucket& b = wheel_[idx];
+  n->next = nullptr;
+  n->prev = b.tail;
   if (b.head == nullptr) {
-    b.head = b.tail = n;
+    b.head = n;
     occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
   } else {
     b.tail->next = n;
-    b.tail = n;
   }
+  b.tail = n;
 }
 
-Engine::Node* Engine::insert_node(Tick t, Event fn) {
-  if (t < now_) throw std::logic_error("Engine::schedule_at: time in the past");
-  if (!fn) throw std::logic_error("Engine::schedule_at: empty event");
-  Node* n = alloc_node();
+void Engine::insert_node(Node* n, Tick t) {
+  if (t < now_) {
+    n->ev.reset();
+    throw std::logic_error("Engine::schedule_at: time in the past");
+  }
+  free_ = n->next;
   n->at = t;
   n->seq = ++next_seq_;
-  n->next = nullptr;
-  n->ev = std::move(fn);
   ++size_;
-  ++nodes_queued_;
   if (size_ > high_water_) high_water_ = size_;
 
   if (t >= base_ + kSpan) {
     far_.push_back(n);
     std::push_heap(far_.begin(), far_.end(), FarLater{});
     ++far_scheduled_;
-    return n;
+    return;
   }
   if (t < base_ || ((t - base_) >> kWidthLog2) <= cur_bucket_) {
     // At or before the bucket currently being drained: merge into the
@@ -73,10 +67,14 @@ Engine::Node* Engine::insert_node(Tick t, Event fn) {
     const auto it = std::lower_bound(run_.begin() + static_cast<std::ptrdiff_t>(run_pos_),
                                      run_.end(), n, node_less);
     run_.insert(it, n);
-    return n;
+    return;
   }
+  // Only here does a node wait in a bucket: base_ <= at < base_ + kSpan
+  // and its bucket lies past cur_bucket_. rewindow() spills by the same
+  // rule (ensure_run() loads its bucket 0 into the run before anything
+  // else runs), and a bucket leaves the wheel only as cur_bucket_ moves
+  // onto it, so cancel() can tell a bucketed node by its tick alone.
   bucket_append((t - base_) >> kWidthLog2, n);
-  return n;
 }
 
 std::size_t Engine::next_occupied(std::size_t from) const {
@@ -103,7 +101,6 @@ void Engine::rewindow() {
     std::pop_heap(far_.begin(), far_.end(), FarLater{});
     Node* n = far_.back();
     far_.pop_back();
-    n->next = nullptr;
     bucket_append((n->at - base_) >> kWidthLog2, n);
     ++spills_;
   }
@@ -126,7 +123,7 @@ bool Engine::ensure_run() {
       occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
       // A bucket mixes direct appends with far-heap spills, so the chain
       // is not globally ordered; one sort per bucket restores (at, seq).
-      std::sort(run_.begin(), run_.end(), node_less);
+      if (run_.size() > 1) std::sort(run_.begin(), run_.end(), node_less);
       cur_bucket_ = idx;
       scan_from_ = idx + 1;
       return true;
@@ -136,7 +133,7 @@ bool Engine::ensure_run() {
   }
 }
 
-Engine::Node* Engine::peek_live() {
+Engine::Node* Engine::purge_to_live() {
   while (ensure_run()) {
     Node* n = run_[run_pos_];
     if (n->ev) return n;
@@ -151,9 +148,16 @@ void Engine::dispatch_front() {
   now_ = n->at;
   ++dispatched_;
   --size_;
-  Event ev = std::move(n->ev);
+  n->seq = 0;  // handles to the running event are stale from here on
+  // The node leaves the queue but reaches the freelist only after the call,
+  // so nothing the callable schedules is built over it.
+  try {
+    n->ev.invoke();
+  } catch (...) {
+    recycle(n);
+    throw;
+  }
   recycle(n);
-  ev();
 }
 
 bool Engine::cancel(TimerHandle& h) {
@@ -161,13 +165,21 @@ bool Engine::cancel(TimerHandle& h) {
   const std::uint64_t seq = h.seq_;
   h = TimerHandle{};
   if (n == nullptr || seq == 0 || n->seq != seq || !n->ev) return false;
-  // The node stays queued as a tombstone (removing it from the middle of a
-  // bucket chain or the heap would cost more than skipping it at dispatch);
-  // only the callable is destroyed, and seq stays intact so the comparators
-  // keep their strict order.
-  n->ev = Event();
+  n->ev.reset();
   --size_;
   ++cancelled_;
+  // A node in a future bucket (insert_node() says when) leaves its chain at
+  // once. One already in the run or in the far heap stays queued as a
+  // tombstone, seq intact so the comparators keep their strict order, and
+  // the drain recycles it.
+  if (n->at < base_ || n->at - base_ >= kSpan) return true;
+  const std::size_t idx = (n->at - base_) >> kWidthLog2;
+  if (idx <= cur_bucket_) return true;
+  Bucket& b = wheel_[idx];
+  (n->prev != nullptr ? n->prev->next : b.head) = n->next;
+  (n->next != nullptr ? n->next->prev : b.tail) = n->prev;
+  if (b.head == nullptr) occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+  recycle(n);
   return true;
 }
 

@@ -10,7 +10,8 @@
 // internals are built for throughput (see DESIGN.md §8):
 //   * Event is a one-shot type-erased callable with inline small-buffer
 //     storage — the common capture ("this" plus a couple of scalars) never
-//     touches the heap;
+//     touches the heap. Each callable is built in its queue node and runs
+//     there, so an event costs one construction and one call;
 //   * event nodes live in a freelist-backed arena, so steady-state
 //     scheduling allocates nothing;
 //   * the queue is a calendar: a wheel of fixed-width tick buckets covering
@@ -19,7 +20,9 @@
 //     (tick, schedule-sequence) — identical to the old priority queue.
 //   * timers scheduled through schedule_timer() return a TimerHandle and
 //     can be cancelled, so retransmit/watchdog timers stop firing dead
-//     generations.
+//     generations. A timer cancelled in a future wheel bucket is unlinked
+//     and its node recycled at once; only one in the bucket being drained
+//     or in the far heap stays behind as a tombstone.
 #pragma once
 
 #include <array>
@@ -36,9 +39,10 @@
 
 namespace osiris::sim {
 
-/// One-shot type-erased callable with small-buffer optimization. Unlike
-/// std::function, captures up to kInlineBytes are stored inline (no heap
-/// allocation) and invocation destroys the callable — an event fires once.
+/// One-shot type-erased callable with small-buffer optimization, built and
+/// run in place. Unlike std::function, captures up to kInlineBytes are
+/// stored inline (no heap allocation), a stored callable is never moved, and
+/// invocation destroys it — an event fires once.
 class Event {
  public:
   /// Inline capture budget, sized for the engine's common case: a `this`
@@ -48,14 +52,22 @@ class Event {
   static constexpr std::size_t kInlineBytes = 48;
 
   Event() noexcept = default;
+  Event(const Event&) = delete;
+  Event& operator=(const Event&) = delete;
+  ~Event() { reset(); }
 
-  template <typename F, typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, Event> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  Event(F&& f) {  // NOLINT(google-explicit-constructor): callable adapter
+  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
+
+  /// Builds a callable from `f` in this empty event: inline when it fits
+  /// the buffer, else boxed on the heap. If that throws, the event stays
+  /// empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using D = std::decay_t<F>;
+    static_assert(std::is_invocable_r_v<void, D&>,
+                  "an event is a callable taking no arguments");
     if constexpr (sizeof(D) <= kInlineBytes &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+                  alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {
@@ -65,38 +77,21 @@ class Event {
     }
   }
 
-  Event(Event&& o) noexcept : ops_(o.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(buf_, o.buf_);
-      o.ops_ = nullptr;
-    }
-  }
-
-  Event& operator=(Event&& o) noexcept {
-    if (this != &o) {
-      reset();
-      ops_ = o.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(buf_, o.buf_);
-        o.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  Event(const Event&) = delete;
-  Event& operator=(const Event&) = delete;
-
-  ~Event() { reset(); }
-
-  [[nodiscard]] explicit operator bool() const noexcept { return ops_ != nullptr; }
-
-  /// Invokes and destroys the callable. One-shot: the event is empty
-  /// afterwards (and stays valid even if the callable throws).
-  void operator()() {
+  /// Invokes the callable where it is stored, then destroys it. One-shot:
+  /// the event is empty from the start of the call, and the callable is
+  /// destroyed even if it throws.
+  void invoke() {
     const Ops* o = ops_;
     ops_ = nullptr;
     o->invoke_destroy(buf_);
+  }
+
+  /// Destroys the callable without invoking it; a no-op on an empty event.
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      ops_->destroy(buf_);
+      ops_ = nullptr;
+    }
   }
 
   /// Process-wide count of events whose captures were too large for the
@@ -109,46 +104,31 @@ class Event {
  private:
   struct Ops {
     void (*invoke_destroy)(void* self);
-    void (*relocate)(void* dst, void* src);  // move into dst, destroy src
     void (*destroy)(void* self);
   };
-
-  void reset() noexcept {
-    if (ops_ != nullptr) {
-      ops_->destroy(buf_);
-      ops_ = nullptr;
-    }
-  }
-
-  template <typename D>
-  static D* stored(void* p) noexcept {
-    return std::launder(reinterpret_cast<D*>(p));
-  }
 
   template <typename D>
   static constexpr Ops kInlineOps = {
       [](void* self) {
-        D* d = stored<D>(self);
-        D local(std::move(*d));
+        D* d = std::launder(static_cast<D*>(self));
+        try {
+          (*d)();
+        } catch (...) {
+          d->~D();
+          throw;
+        }
         d->~D();
-        local();
       },
-      [](void* dst, void* src) {
-        D* s = stored<D>(src);
-        ::new (dst) D(std::move(*s));
-        s->~D();
-      },
-      [](void* self) { stored<D>(self)->~D(); },
+      [](void* self) { std::launder(static_cast<D*>(self))->~D(); },
   };
 
   template <typename D>
   static constexpr Ops kBoxedOps = {
       [](void* self) {
-        std::unique_ptr<D> d(*stored<D*>(self));
+        std::unique_ptr<D> d(*std::launder(static_cast<D**>(self)));
         (*d)();
       },
-      [](void* dst, void* src) { ::new (dst) D*(*stored<D*>(src)); },
-      [](void* self) { delete *stored<D*>(self); },
+      [](void* self) { delete *std::launder(static_cast<D**>(self)); },
   };
 
   static inline std::uint64_t boxed_allocs_ = 0;
@@ -158,19 +138,24 @@ class Event {
 };
 
 namespace detail {
-/// Arena-backed queue node. Nodes are never freed individually; fired and
-/// cancelled nodes return to the engine's freelist for reuse.
+/// Arena-backed queue node; its event is built and run in place. Nodes are
+/// never freed individually: fired and cancelled nodes return to the
+/// engine's freelist for reuse.
 struct EventNode {
   Tick at = 0;
-  std::uint64_t seq = 0;  // unique per scheduling; 0 = recycled
-  EventNode* next = nullptr;
+  std::uint64_t seq = 0;      // unique per scheduling; 0 = fired or recycled
+  EventNode* next = nullptr;  // bucket chain, or freelist
+  EventNode* prev = nullptr;  // bucket chain only
   Event ev;
 };
 }  // namespace detail
 
 /// Handle to a cancellable scheduled event (see Engine::schedule_timer).
 /// Valid only against the engine that issued it. Cheap to copy; stale
-/// handles (fired or already-cancelled events) are safe no-ops to cancel.
+/// handles (fired or already-cancelled events) are safe no-ops to cancel:
+/// a node's sequence number is zeroed when its event starts to run or the
+/// node is recycled, and a reused node takes a fresh one, so a handle never
+/// matches a node's later life.
 class TimerHandle {
  public:
   TimerHandle() noexcept = default;
@@ -185,8 +170,6 @@ class TimerHandle {
 
 class Engine {
  public:
-  using Event = sim::Event;
-
   /// Self-metering snapshot (see stats()).
   struct Stats {
     std::uint64_t dispatched = 0;      ///< events fired
@@ -208,25 +191,46 @@ class Engine {
   /// Current simulated time.
   [[nodiscard]] Tick now() const { return now_; }
 
-  /// Schedules `fn` to run `delay` ticks from now.
-  void schedule(Duration delay, Event fn) { schedule_at(now_ + delay, std::move(fn)); }
+  /// Schedules `fn`, a callable taking no arguments, to run `delay` ticks
+  /// from now. The callable is built in its queue node and runs there.
+  template <typename F>
+  void schedule(Duration delay, F&& fn) {
+    Node* n = free_node();
+    n->ev.emplace(std::forward<F>(fn));
+    insert_node(n, now_ + delay);
+  }
 
   /// Schedules `fn` at absolute time `t`. `t` must not be in the past.
-  void schedule_at(Tick t, Event fn) { insert_node(t, std::move(fn)); }
+  template <typename F>
+  void schedule_at(Tick t, F&& fn) {
+    Node* n = free_node();
+    n->ev.emplace(std::forward<F>(fn));
+    insert_node(n, t);
+  }
 
   /// Like schedule()/schedule_at(), but returns a handle the caller can
   /// pass to cancel() to stop the event from firing.
-  TimerHandle schedule_timer(Duration delay, Event fn) {
-    return schedule_timer_at(now_ + delay, std::move(fn));
+  template <typename F>
+  TimerHandle schedule_timer(Duration delay, F&& fn) {
+    Node* n = free_node();
+    n->ev.emplace(std::forward<F>(fn));
+    insert_node(n, now_ + delay);
+    return TimerHandle{n, n->seq};
   }
-  TimerHandle schedule_timer_at(Tick t, Event fn) {
-    detail::EventNode* n = insert_node(t, std::move(fn));
+  template <typename F>
+  TimerHandle schedule_timer_at(Tick t, F&& fn) {
+    Node* n = free_node();
+    n->ev.emplace(std::forward<F>(fn));
+    insert_node(n, t);
     return TimerHandle{n, n->seq};
   }
 
   /// Cancels a timer if it has not fired yet. Returns true if this call
   /// cancelled it; false for stale handles (already fired or cancelled).
-  /// Clears the handle either way.
+  /// Clears the handle either way. The callable is destroyed at once. A
+  /// timer still waiting in a future wheel bucket is unlinked and its node
+  /// recycled; one already in the bucket being drained, or in the far heap,
+  /// stays queued as a tombstone that the drain discards.
   bool cancel(TimerHandle& h);
 
   /// Runs events until the queue drains. Returns the final time.
@@ -275,9 +279,12 @@ class Engine {
  private:
   // Calendar geometry: 4096 buckets of 2^16 ticks (65.536 ns) cover a
   // ~268 µs sliding window — wide enough that cell times (~682 ns),
-  // firmware costs (tens of ns) and DMA/bus bookings land in the wheel;
-  // millisecond-scale protocol timers take the far heap, which is rare by
-  // construction. Dispatch order is (at, seq) regardless of geometry.
+  // firmware costs (tens of ns) and DMA/bus bookings land in the wheel.
+  // Millisecond-scale protocol timers take the far heap, and in chaos runs
+  // they are the common case: the 1 s drain tail's 0.5 ms heartbeats and
+  // 1 ms watchdog ticks all lie beyond the window, so the drain re-bases
+  // it about twice per simulated millisecond (DESIGN.md §8). Dispatch
+  // order is (at, seq) regardless of geometry.
   static constexpr std::size_t kBucketBits = 12;
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
   static constexpr std::uint32_t kWidthLog2 = 16;
@@ -299,14 +306,33 @@ class Engine {
     bool operator()(const Node* a, const Node* b) const { return node_less(b, a); }
   };
 
-  Node* alloc_node();
+  // The freelist's head, for a callable to be built in before
+  // insert_node() takes the node: a build that throws leaves the arena as
+  // it was.
+  Node* free_node() {
+    if (free_ == nullptr) grow_arena();
+    return free_;
+  }
+  void grow_arena();
   void recycle(Node* n);
-  Node* insert_node(Tick t, Event fn);
+  // Pops `n`, the freelist's head, stamps it (t, seq) and links it. A `t`
+  // in the past throws std::logic_error and leaves `n` empty on the list.
+  void insert_node(Node* n, Tick t);
   void bucket_append(std::size_t idx, Node* n);
   [[nodiscard]] std::size_t next_occupied(std::size_t from) const;
   bool ensure_run();      // makes run_[run_pos_] valid; false if drained
-  Node* peek_live();      // next live node, purging cancelled ones
-  void dispatch_front();  // fires run_[run_pos_]
+
+  // Next live node. The common case, a live node next in the run, is
+  // inline; purge_to_live() discards tombstones and loads buckets.
+  Node* peek_live() {
+    if (run_pos_ < run_.size()) {
+      Node* n = run_[run_pos_];
+      if (n->ev) return n;
+    }
+    return purge_to_live();
+  }
+  Node* purge_to_live();
+  void dispatch_front();  // fires run_[run_pos_] in its node
   void rewindow();        // re-bases the wheel on the far heap's minimum
 
   Tick now_ = 0;
@@ -315,7 +341,6 @@ class Engine {
   std::uint64_t dispatched_ = 0;
   std::uint64_t cancelled_ = 0;
   std::size_t size_ = 0;        // live events queued
-  std::size_t nodes_queued_ = 0;  // live + cancelled tombstones
   std::size_t high_water_ = 0;
 
   // Current-bucket run: sorted by (at, seq), consumed from run_pos_.

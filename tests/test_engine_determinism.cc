@@ -4,8 +4,9 @@
 // order, cancelled timers never fire, and a whole-system run — tx, rx,
 // wire loss, injected faults, watchdog — replays bit-identically. The
 // calendar internals (bucket wrap, far-heap spill, window re-basing,
-// tombstoned cancellations) must be invisible through that contract; these
-// tests poke each mechanism and check the contract held.
+// cancelled timers unlinked at once or left as tombstones) must be
+// invisible through that contract; these tests poke each mechanism and
+// check the contract held.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -129,12 +130,50 @@ TEST(EngineCalendar, CancelledHeadDoesNotBlockRunUntil) {
   sim::TimerHandle head = eng.schedule_timer_at(sim::us(1), [&] { ++fired; });
   eng.schedule_at(sim::us(2), [&] { fired += 10; });
   EXPECT_TRUE(eng.cancel(head));
-  EXPECT_EQ(eng.pending(), 1u);  // tombstone not counted
+  EXPECT_EQ(eng.pending(), 1u);  // the cancelled head is not counted
   eng.run_until(sim::us(1));
   EXPECT_EQ(fired, 0);
   eng.run_until(sim::us(2));
   EXPECT_EQ(fired, 10);
   EXPECT_EQ(eng.now(), sim::us(2));
+}
+
+TEST(EngineCalendar, CancelledTimerFreesItsNodeAtOnce) {
+  // A timer cancelled while it waits in a future bucket leaves the wheel at
+  // once, so arming and cancelling one over and over reuses a single node
+  // instead of queueing a tombstone per cancel.
+  sim::Engine eng;
+  for (int i = 0; i < 100000; ++i) {
+    sim::TimerHandle h = eng.schedule_timer(sim::us(1), [] {});
+    ASSERT_TRUE(eng.cancel(h));
+  }
+  const sim::Engine::Stats st = eng.stats();
+  EXPECT_EQ(st.arena_chunks, 1u);
+  EXPECT_EQ(st.cancelled, 100000u);
+  EXPECT_EQ(eng.pending(), 0u);
+  EXPECT_EQ(eng.run(), 0u);  // the emptied bucket is not visited
+  EXPECT_EQ(eng.dispatched(), 0u);
+}
+
+TEST(EngineCalendar, CancelUnlinksAnywhereInABucketChain) {
+  // Four timers share one bucket. Cancelling the middle, then the head,
+  // then the tail leaves a chain that still fires in (tick, seq) order and
+  // still takes appends.
+  sim::Engine eng;
+  std::vector<int> order;
+  std::vector<sim::TimerHandle> h;
+  for (int i = 0; i < 4; ++i) {
+    h.push_back(eng.schedule_timer_at(sim::us(1) + 4 - i,
+                                      [&order, i] { order.push_back(i); }));
+  }
+  EXPECT_TRUE(eng.cancel(h[1]));
+  EXPECT_TRUE(eng.cancel(h[0]));
+  EXPECT_TRUE(eng.cancel(h[3]));
+  eng.schedule_at(sim::us(1), [&order] { order.push_back(4); });
+  EXPECT_EQ(eng.pending(), 2u);
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{4, 2}));
+  EXPECT_EQ(eng.stats().cancelled, 3u);
 }
 
 TEST(EngineCalendar, CancelFarFutureTimer) {

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <map>
 #include <stdexcept>
@@ -15,6 +16,16 @@
 
 namespace osiris::sim {
 namespace {
+
+// Counts its live copies in `*live`, so a test can see whether an event's
+// callable was destroyed, and how often.
+struct Tally {
+  explicit Tally(int* live) : live(live) { ++*live; }
+  Tally(const Tally& o) : live(o.live) { ++*live; }
+  Tally& operator=(const Tally&) = delete;
+  ~Tally() { --*live; }
+  int* live;
+};
 
 TEST(Time, Conversions) {
   EXPECT_EQ(ns(1), 1000u);
@@ -83,6 +94,62 @@ TEST(Engine, RunUntilLeavesLaterEvents) {
   EXPECT_EQ(eng.pending(), 1u);
   eng.run();
   EXPECT_EQ(fired, 2);
+}
+
+TEST(Engine, ThrowingEventLeavesTheEngineUsable) {
+  // The throw propagates out of run(); the thrower's callable is destroyed
+  // and its node recycled, and a second run() fires what was queued behind
+  // it and what came after.
+  Engine eng;
+  int live = 0;
+  const Tally tally(&live);
+  std::vector<int> order;
+  eng.schedule_at(us(1), [tally] { throw std::runtime_error("event failed"); });
+  eng.schedule_at(us(1), [&] { order.push_back(1); });
+  eng.schedule_at(us(2), [&] { order.push_back(2); });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(eng.now(), us(1));
+  EXPECT_EQ(eng.dispatched(), 1u);
+  EXPECT_EQ(eng.pending(), 2u);
+
+  eng.schedule_at(us(3), [&] { order.push_back(3); });
+  eng.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(eng.dispatched(), 4u);
+  EXPECT_EQ(eng.pending(), 0u);
+
+  // Throwing again and again reuses one node: none is lost to the throws.
+  for (int i = 0; i < 1000; ++i) {
+    eng.schedule(us(1), [] { throw std::runtime_error("event failed"); });
+    EXPECT_THROW(eng.run(), std::runtime_error);
+  }
+  EXPECT_EQ(eng.stats().arena_chunks, 1u);
+  EXPECT_EQ(eng.dispatched(), 1004u);
+  EXPECT_EQ(eng.pending(), 0u);
+}
+
+TEST(Engine, BoxedCaptureRunsOnceAndIsDestroyedOnce) {
+  // A capture larger than the inline buffer is boxed on the heap. The
+  // scheduled one runs once, the cancelled one never, and the engine
+  // destroys each exactly once.
+  Engine eng;
+  int live = 0;
+  int runs = 0;
+  const Tally tally(&live);
+  const std::array<char, Event::kInlineBytes> pad{};
+  eng.schedule(us(1), [&runs, pad, tally] { runs += 1 + pad[0]; });
+  TimerHandle h =
+      eng.schedule_timer(us(2), [&runs, pad, tally] { runs += 100 + pad[0]; });
+  EXPECT_EQ(eng.stats().boxed_events, 2u);
+  EXPECT_EQ(live, 3);  // `tally` and the two boxed copies
+
+  EXPECT_TRUE(eng.cancel(h));
+  EXPECT_EQ(live, 2);
+  eng.run();
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(live, 1);
+  EXPECT_EQ(eng.dispatched(), 1u);
 }
 
 TEST(StepTick, FiresWholeTickIncludingSameTickFollowups) {

@@ -9,7 +9,7 @@ sweeps one or more directories (or explicit files) for BENCH_*.json and
 prints an aligned table of those fields.
 
 Usage:
-    tools/bench_trend.py [paths...] [--floors FILE]
+    tools/bench_trend.py [paths...] [--floors FILE] [--same-as DIR]
 
 Paths default to build/bench and build.  Files without the perf fields
 are listed with dashes, not errors.
@@ -26,6 +26,14 @@ absorbs machine-to-machine noise).  The one kind is perf, and perf rows
 are skipped when OSIRIS_SANITIZE is set (sanitized binaries are
 legitimately slower).  Any violated or uncheckable floor makes the script
 exit nonzero.
+
+--same-as names a directory of BENCH_*.json from another tree (say, the
+parent commit's bench_paper run).  Every field of each bench, rows and
+engine_events included, must equal the same bench's field there; only the
+timing fields (TIMING_FIELDS) are skipped.  The script names each bench
+and field that differs, or a bench found on one side only, and exits
+nonzero if there is any.  A change that claims to move no simulated number
+shows it with this check.
 """
 
 import argparse
@@ -33,6 +41,10 @@ import glob
 import json
 import os
 import sys
+
+# The fields that measure the host, not the simulation; --same-as skips them.
+TIMING_FIELDS = ("setup_seconds", "run_seconds", "wall_seconds",
+                 "sim_us_per_sec")
 
 
 def find_bench_files(paths):
@@ -144,6 +156,53 @@ def check_floors(benches, floors):
     return failures
 
 
+def diff_fields(a, b, path):
+    """Yields (path, a value, b value) for every leaf where the parsed JSON
+    values a and b differ; a field missing on one side reads as None."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            sub = "%s.%s" % (path, key) if path else key
+            if key not in a or key not in b:
+                yield sub, a.get(key), b.get(key)
+            else:
+                yield from diff_fields(a[key], b[key], sub)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diff_fields(x, y, "%s[%d]" % (path, i))
+    elif a != b:
+        yield path, a, b
+
+
+def check_same(benches, ref_dir):
+    """Compares each bench with the same bench under ref_dir, skipping
+    TIMING_FIELDS.  Returns the number of differences (a bench on one side
+    only, or unreadable on either, counts as one)."""
+    ref = load_benches(find_bench_files([ref_dir]))
+    failures = 0
+    for bench in sorted(set(benches) | set(ref)):
+        mine, theirs = benches.get(bench), ref.get(bench)
+        if mine is None or theirs is None:
+            print("same-as DIFF %s: only in %s"
+                  % (bench, ref_dir if mine is None else "this run"))
+            failures += 1
+            continue
+        if not isinstance(mine, dict) or not isinstance(theirs, dict):
+            print("same-as DIFF %s: unreadable" % bench)
+            failures += 1
+            continue
+        diffs = list(diff_fields(
+            {k: v for k, v in mine.items() if k not in TIMING_FIELDS},
+            {k: v for k, v in theirs.items() if k not in TIMING_FIELDS}, ""))
+        for field, a, b in diffs:
+            print("same-as DIFF %s %s: %s here, %s in %s"
+                  % (bench, field, json.dumps(a), json.dumps(b), ref_dir))
+        failures += len(diffs)
+    if not failures:
+        print("same-as: %d benches equal %s on every field but %s"
+              % (len(benches), ref_dir, ", ".join(TIMING_FIELDS)))
+    return failures
+
+
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("paths", nargs="*", default=None,
@@ -151,6 +210,9 @@ def main(argv):
     ap.add_argument("--floors", metavar="FILE",
                     help="TSV of per-bench floors to enforce "
                          "(bench/field/floor/slack/kind)")
+    ap.add_argument("--same-as", metavar="DIR",
+                    help="directory of BENCH_*.json whose every field but "
+                         "the timing ones each bench must equal")
     args = ap.parse_args(argv)
 
     paths = args.paths or ["build/bench", "build"]
@@ -171,6 +233,12 @@ def main(argv):
         print()
         if check_floors(benches, floors):
             print("bench_trend: floor violations", file=sys.stderr)
+            return 1
+    if args.same_as:
+        print()
+        if check_same(benches, args.same_as):
+            print("bench_trend: benches differ from %s" % args.same_as,
+                  file=sys.stderr)
             return 1
     return 0
 
