@@ -37,7 +37,7 @@ void SeqRouter::on_cell(int /*lane*/, const Cell& c, std::vector<Placement>& pla
     p.wire_bytes = static_cast<std::uint32_t>(c.seq) * kCellPayload + c.len;
   }
 
-  place.push_back({p.key, static_cast<std::uint32_t>(c.seq) * kCellPayload, c});
+  place.push_back({p.key, static_cast<std::uint32_t>(c.seq) * kCellPayload, &c});
 
   if (p.ncells != 0 && p.received == p.ncells) {
     done.push_back({p.key, p.wire_bytes});
@@ -111,7 +111,7 @@ void QuadRouter::place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
     p.min_cells = std::max(p.min_cells, seq + kLanes + 1);
   }
 
-  place.push_back({pdu_idx, seq * kCellPayload, c});
+  place.push_back({pdu_idx, seq * kCellPayload, &c});
 
   if (p.ncells != 0 && p.received == p.ncells) {
     done.push_back({pdu_idx, p.wire_bytes});
@@ -166,8 +166,9 @@ void QuadRouter::drain(std::vector<Placement>& place, std::vector<Completion>& d
       while (!l.queue.empty()) {
         const std::uint32_t seq = head_seq(lane);
         if (seq == kWait) break;
-        place_cell(lane, l.queue.front(), l.pdu, seq, place, done);
+        drained_.push_back(l.queue.front());
         l.queue.pop_front();
+        place_cell(lane, drained_.back(), l.pdu, seq, place, done);
         progress = true;
       }
     }
@@ -196,6 +197,7 @@ std::uint64_t QuadRouter::purge() {
   }
   ring_.clear();
   base_ = next;
+  drained_.clear();
   return abandoned;
 }
 
@@ -204,6 +206,7 @@ void QuadRouter::on_cell(int lane, const Cell& c, std::vector<Placement>& place,
   if (lane < 0 || lane >= kLanes) {
     throw std::invalid_argument("QuadRouter: bad lane " + std::to_string(lane));
   }
+  drained_.clear();  // the last call's placements are consumed by now
   // Every call leaves the queues at drain()'s fixed point: each nonempty
   // lane's head waits. A cell behind a waiting head waits too, and changes
   // nothing for the other lanes.

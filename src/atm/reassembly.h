@@ -36,11 +36,13 @@
 
 namespace osiris::atm {
 
-/// Directive: store `cell`'s payload at byte `offset` of PDU `pdu`.
+/// Directive: store `*cell`'s payload at byte `offset` of PDU `pdu`. The
+/// placement points at its cell rather than holding a copy; see
+/// CellRouter::on_cell() for how long the cell lives.
 struct Placement {
   std::uint64_t pdu = 0;  // router-local, monotonically increasing PDU key
   std::uint32_t offset = 0;
-  Cell cell;
+  const Cell* cell = nullptr;
 };
 
 /// Event: PDU `pdu` is fully received; its wire length (user bytes +
@@ -58,6 +60,9 @@ class CellRouter {
   /// Feeds one cell arriving on `lane`. Appends any placements that become
   /// determinable and any completions to the output vectors. (Strategy B
   /// may emit placements for previously queued cells of other lanes.)
+  /// A placement points either at `c`, which the caller keeps, or at a
+  /// cell the router queued earlier, which stays alive until the router's
+  /// next on_cell() or purge(): consume placements before either.
   virtual void on_cell(int lane, const Cell& c, std::vector<Placement>& place,
                        std::vector<Completion>& done) = 0;
 
@@ -144,6 +149,7 @@ class QuadRouter final : public CellRouter {
                   std::uint32_t seq, std::vector<Placement>& place,
                   std::vector<Completion>& done);
   /// Attempts to drain lane queues until no further attribution is possible.
+  /// A placed cell leaves its lane queue for drained_.
   void drain(std::vector<Placement>& place, std::vector<Completion>& done);
 
   // PDU states live in a contiguous ring indexed by (idx - base_): PDU
@@ -153,6 +159,10 @@ class QuadRouter final : public CellRouter {
   std::deque<Pdu> ring_;
   std::uint64_t base_ = 0;  // PDU index of ring_.front()
   Lane lanes_[kLanes];
+  // The cells drain() placed in the current on_cell() call, which its
+  // placements point at; a deque, so appending moves none of them. Cleared
+  // by the next on_cell() or purge().
+  std::deque<Cell> drained_;
 };
 
 /// Factory by strategy name used in configs ("seq" | "quad").

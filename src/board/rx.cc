@@ -75,9 +75,9 @@ void RxProcessor::set_vci_quota(atm::Vci vci, std::uint32_t max_buffers) {
   }
 }
 
-std::uint32_t RxProcessor::quota_for(atm::Vci vci) const {
+bool RxProcessor::at_quota(atm::Vci vci) const {
   const VciState* st = flows_.find(vci);
-  return st != nullptr ? st->quota : 0;
+  return st != nullptr && st->quota > 0 && st->held >= st->quota;
 }
 
 void RxProcessor::release_quota(atm::Vci vci, std::size_t held) {
@@ -175,7 +175,7 @@ std::size_t RxProcessor::fifo_occupancy() {
   while (!inflight_.empty() && inflight_.front() <= now) inflight_.pop_front();
   std::size_t n = inflight_.size();
   if (pending_.valid) {
-    n += (pending_.bytes.size() + atm::kCellPayload - 1) / atm::kCellPayload;
+    n += (pending_.len + atm::kCellPayload - 1) / atm::kCellPayload;
   }
   return n;
 }
@@ -192,7 +192,6 @@ void RxProcessor::reset() {
   stalled_ = false;
   pdus_.clear();
   pending_.valid = false;
-  pending_.bytes.clear();
   eng_->cancel(flush_timer_);
   inflight_.clear();
   gen_active_ = false;
@@ -324,9 +323,8 @@ RxProcessor::RxPdu* RxProcessor::pdu_for(atm::Vci vci, std::uint64_t pdu,
 
 bool RxProcessor::ensure_capacity(RxPdu& p, std::uint64_t need) {
   alloc_fail_quota_ = false;
-  const std::uint32_t quota = quota_for(p.vci);
   while (p.alloc_cap < need) {
-    if (quota > 0 && vci_buffers_held(p.vci) >= quota) {
+    if (at_quota(p.vci)) {
       // The VCI, not the pool, is the limit: overload isolation drops this
       // PDU rather than letting one hot VCI drain shared buffers.
       alloc_fail_quota_ = true;
@@ -442,14 +440,16 @@ void RxProcessor::handle_placement(atm::Vci vci, const atm::Placement& pl) {
 
   // Try to combine with the pending payload (§2.5.1): contiguous offsets
   // of the same PDU, up to two cell payloads per DMA.
+  const atm::Cell& cell = *pl.cell;
   if (pending_.valid) {
     const bool mergeable =
         cfg_.double_cell_dma_rx && pending_.key == key &&
-        pl.offset == pending_.offset + pending_.bytes.size() &&
-        pending_.bytes.size() + pl.cell.len <= 2 * atm::kCellPayload;
+        pl.offset == pending_.offset + pending_.len &&
+        pending_.len + cell.len <= pending_.bytes.size();
     if (mergeable) {
-      pending_.bytes.insert(pending_.bytes.end(), pl.cell.payload.begin(),
-                            pl.cell.payload.begin() + pl.cell.len);
+      std::copy_n(cell.payload.begin(), cell.len,
+                  pending_.bytes.begin() + pending_.len);
+      pending_.len += cell.len;
       flush_pending();  // two payloads: issue the double-length DMA now
       return;
     }
@@ -459,9 +459,9 @@ void RxProcessor::handle_placement(atm::Vci vci, const atm::Placement& pl) {
   pending_.valid = true;
   pending_.key = key;
   pending_.offset = pl.offset;
-  pending_.bytes.assign(pl.cell.payload.begin(),
-                        pl.cell.payload.begin() + pl.cell.len);
-  pending_.t_origin = pl.cell.t_origin;
+  std::copy_n(cell.payload.begin(), cell.len, pending_.bytes.begin());
+  pending_.len = cell.len;
+  pending_.t_origin = cell.t_origin;
   if (!cfg_.double_cell_dma_rx) {
     flush_pending();
   } else {
@@ -491,12 +491,12 @@ void RxProcessor::flush_pending() {
   RxPdu* p = pdu_for(vci, local, nullptr);
   if (p == nullptr || p->dropped) return;
   if (p->t_origin == 0) p->t_origin = pending_.t_origin;
-  issue_dma(*p, pending_.offset, pending_.bytes);
+  issue_dma(*p, pending_.offset, pending_.held());
   if (!p->dropped) try_push(pending_.key, *p);
 }
 
 void RxProcessor::issue_dma(RxPdu& p, std::uint32_t offset,
-                            const std::vector<std::uint8_t>& bytes) {
+                            std::span<const std::uint8_t> bytes) {
   const std::uint64_t need = static_cast<std::uint64_t>(offset) + bytes.size();
   if (!ensure_capacity(p, need)) {
     p.dropped = true;
@@ -541,8 +541,7 @@ void RxProcessor::issue_dma(RxPdu& p, std::uint32_t offset,
     cursor += n;
     done += n;
   }
-  const std::size_t okn =
-      cache_->dma_scatter(scratch_segs_, {bytes.data(), bytes.size()});
+  const std::size_t okn = cache_->dma_scatter(scratch_segs_, bytes);
   if (okn < scratch_segs_.size()) {
     // Failed segments (injected DMA error, or a buffer address from a
     // corrupted descriptor): the firmware doesn't notice — those buffer

@@ -23,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "atm/cell.h"
@@ -250,12 +251,18 @@ class RxProcessor {
     sim::Tick last_dma = 0;
     sim::Tick t_origin = 0;  // sender driver-enqueue stamp (0 = unstamped)
   };
+  /// The payloads held for a combined DMA: at most two cells' worth.
   struct PendingDma {
     bool valid = false;
+    std::uint32_t len = 0;  // bytes held in `bytes`
     std::uint64_t key = 0;  // (vci, pdu) key
     std::uint32_t offset = 0;
-    std::vector<std::uint8_t> bytes;
+    std::array<std::uint8_t, 2 * atm::kCellPayload> bytes{};
     sim::Tick t_origin = 0;  // origin stamp of the cell that opened this DMA
+
+    [[nodiscard]] std::span<const std::uint8_t> held() const {
+      return {bytes.data(), len};
+    }
   };
   /// A scheduled receive-queue push, parked in a pooled slot so the event
   /// captures only {this, slot} and stays inside Event's inline buffer (a
@@ -287,8 +294,8 @@ class RxProcessor {
   /// On failure sets alloc_fail_quota_ when the VCI's quota (not the pool)
   /// was the limit, so the caller counts the right drop statistic.
   bool ensure_capacity(RxPdu& p, std::uint64_t need);
-  /// Buffer quota for `vci` (0 = unlimited).
-  [[nodiscard]] std::uint32_t quota_for(atm::Vci vci) const;
+  /// True when `vci` has a buffer quota and holds that many buffers.
+  [[nodiscard]] bool at_quota(atm::Vci vci) const;
   /// Drops `held` buffers from `vci`'s quota count.
   void release_quota(atm::Vci vci, std::size_t held);
   /// kDropIncompleteFirst: evicts the oldest incomplete reassembly sharing
@@ -304,7 +311,7 @@ class RxProcessor {
   void schedule_flush_timer();
   /// DMA-writes `bytes` at PDU offset `offset`; updates fill counts.
   void issue_dma(RxPdu& p, std::uint32_t offset,
-                 const std::vector<std::uint8_t>& bytes);
+                 std::span<const std::uint8_t> bytes);
   void try_push(std::uint64_t key, RxPdu& p);
   void push_buffer(RxPdu& p, std::uint32_t idx, bool eop, std::uint64_t pdu_tag,
                    atm::Vci vci, sim::Tick at,

@@ -1,16 +1,25 @@
 #include "mem/cache.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
 
 namespace osiris::mem {
 
 DataCache::DataCache(PhysicalMemory& pm, CacheConfig cfg) : pm_(&pm), cfg_(cfg) {
-  if (cfg_.size_bytes % cfg_.line_bytes != 0) {
-    throw std::invalid_argument("DataCache: size not a multiple of line size");
+  // The line size first: the line count divides by it.
+  if (!std::has_single_bit(cfg_.line_bytes) ||
+      cfg_.size_bytes % cfg_.line_bytes != 0 ||
+      !std::has_single_bit(cfg_.size_bytes / cfg_.line_bytes)) {
+    throw std::invalid_argument(
+        "DataCache: line size and line count must be nonzero powers of two");
   }
-  lines_.resize(cfg_.size_bytes / cfg_.line_bytes);
+  const std::uint32_t n_lines = cfg_.size_bytes / cfg_.line_bytes;
+  line_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.line_bytes));
+  index_mask_ = n_lines - 1;
+  tag_shift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.size_bytes));
+  lines_.resize(n_lines);
   data_ = std::make_unique_for_overwrite<std::uint8_t[]>(cfg_.size_bytes);
 }
 
@@ -19,8 +28,8 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
   std::size_t done = 0;
   while (done < dst.size()) {
     const PhysAddr a = addr + static_cast<PhysAddr>(done);
-    const PhysAddr line_base = a - (a % cfg_.line_bytes);
-    const std::uint32_t off = a - line_base;
+    const PhysAddr base = line_base(a);
+    const std::uint32_t off = a - base;
     const std::uint32_t n = std::min<std::uint32_t>(
         cfg_.line_bytes - off, static_cast<std::uint32_t>(dst.size() - done));
     const std::uint32_t index = index_of(a);
@@ -31,7 +40,7 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
       ++cost.hits;
       // Possibly stale: compare with memory for statistics only; the data
       // we return is the cached copy, as the real hardware would.
-      const auto truth = pm_->view(line_base, cfg_.line_bytes);
+      const auto truth = pm_->view(base, cfg_.line_bytes);
       if (!std::equal(data.begin(), data.end(), truth.begin())) {
         ++stale_reads_;
       }
@@ -39,7 +48,7 @@ AccessCost DataCache::cpu_read(PhysAddr addr, std::span<std::uint8_t> dst) {
       ++cost.misses;
       cost.mem_words += cfg_.line_bytes / 4;
       // Fill first: a fill that throws leaves the line as it was.
-      pm_->read(line_base, data);
+      pm_->read(base, data);
       line.valid = true;
       line.tag = tag;
     }
@@ -57,8 +66,8 @@ AccessCost DataCache::cpu_write(PhysAddr addr, std::span<const std::uint8_t> src
   std::size_t done = 0;
   while (done < src.size()) {
     const PhysAddr a = addr + static_cast<PhysAddr>(done);
-    const PhysAddr line_base = a - (a % cfg_.line_bytes);
-    const std::uint32_t off = a - line_base;
+    const PhysAddr base = line_base(a);
+    const std::uint32_t off = a - base;
     const std::uint32_t n = std::min<std::uint32_t>(
         cfg_.line_bytes - off, static_cast<std::uint32_t>(src.size() - done));
     const std::uint32_t index = index_of(a);
@@ -75,7 +84,7 @@ AccessCost DataCache::cpu_write(PhysAddr addr, std::span<const std::uint8_t> src
 bool DataCache::dma_write(PhysAddr addr, std::span<const std::uint8_t> src) {
   if (!pm_->dma_write(addr, src)) return false;
   // Walk the lines the transfer overlaps.
-  const PhysAddr first = addr - (addr % cfg_.line_bytes);
+  const PhysAddr first = line_base(addr);
   const PhysAddr end = addr + static_cast<PhysAddr>(src.size());
   for (PhysAddr base = first; base < end; base += cfg_.line_bytes) {
     const std::uint32_t index = index_of(base);
@@ -107,7 +116,7 @@ std::size_t DataCache::dma_scatter(std::span<const PhysBuffer> segs,
 }
 
 std::uint64_t DataCache::invalidate(PhysAddr addr, std::uint32_t len) {
-  const PhysAddr first = addr - (addr % cfg_.line_bytes);
+  const PhysAddr first = line_base(addr);
   const PhysAddr end = addr + len;
   for (PhysAddr base = first; base < end; base += cfg_.line_bytes) {
     Line& line = lines_[index_of(base)];
@@ -121,7 +130,7 @@ void DataCache::invalidate_all() {
 }
 
 bool DataCache::is_stale(PhysAddr addr, std::uint32_t len) const {
-  const PhysAddr first = addr - (addr % cfg_.line_bytes);
+  const PhysAddr first = line_base(addr);
   const PhysAddr end = addr + len;
   for (PhysAddr base = first; base < end; base += cfg_.line_bytes) {
     const std::uint32_t index = index_of(base);

@@ -26,6 +26,9 @@ enum class DmaCoherence {
   kUpdate,       // DEC 3000/600: DMA writes update the cache
 };
 
+/// The line size and the line count (size_bytes / line_bytes) must be
+/// nonzero powers of two, as on both machines of the paper: a line's
+/// index and tag are then a shift and a mask of its address.
 struct CacheConfig {
   std::uint32_t size_bytes = 64 * 1024;  // 5000/200 D-cache
   std::uint32_t line_bytes = 16;
@@ -50,6 +53,8 @@ struct AccessCost {
 
 class DataCache {
  public:
+  /// Throws std::invalid_argument unless the line size and the line count
+  /// are nonzero powers of two.
   DataCache(PhysicalMemory& pm, CacheConfig cfg);
 
   /// CPU read of [addr, addr+dst.size()): returns cached bytes where lines
@@ -101,10 +106,14 @@ class DataCache {
   };
 
   [[nodiscard]] std::uint32_t index_of(PhysAddr addr) const {
-    return (addr / cfg_.line_bytes) % static_cast<std::uint32_t>(lines_.size());
+    return (addr >> line_shift_) & index_mask_;
   }
   [[nodiscard]] std::uint32_t tag_of(PhysAddr addr) const {
-    return addr / cfg_.line_bytes / static_cast<std::uint32_t>(lines_.size());
+    return addr >> tag_shift_;
+  }
+  /// The address of the first byte of `addr`'s line.
+  [[nodiscard]] PhysAddr line_base(PhysAddr addr) const {
+    return addr & ~(cfg_.line_bytes - 1);
   }
 
   /// The cached bytes of line `index`.
@@ -117,6 +126,9 @@ class DataCache {
 
   PhysicalMemory* pm_;
   CacheConfig cfg_;
+  std::uint32_t line_shift_ = 0;  // log2(line_bytes)
+  std::uint32_t index_mask_ = 0;  // line count - 1
+  std::uint32_t tag_shift_ = 0;   // log2(size_bytes)
   std::vector<Line> lines_;  // zeroed: every line starts invalid
   // size_bytes: every line's bytes, by index, left unwritten at
   // construction. A line's bytes are read only while the line is valid, and

@@ -32,6 +32,17 @@ IpFields parse_ip_header(std::span<const std::uint8_t> h) {
 
 }  // namespace
 
+std::uint16_t udp_checksum(std::span<const std::uint8_t, kUdpHeader> header,
+                           std::span<const std::uint8_t> payload) {
+  std::array<std::uint8_t, kUdpHeader> h{};
+  std::copy(header.begin(), header.end(), h.begin());
+  h[4] = h[5] = 0;  // the checksum field itself counts as zero
+  atm::InternetChecksum c;
+  c.update(h);
+  c.update(payload);
+  return c.value();
+}
+
 std::array<std::uint8_t, kIpHeader> make_ip_header(std::uint32_t frag_total,
                                                    std::uint16_t id,
                                                    std::uint32_t frag_off,
@@ -152,7 +163,7 @@ sim::Tick ProtoStack::send(sim::Tick at, atm::Vci vci, const Message& payload) {
       cost += cache_->cpu_read(pb.addr, {data.data() + done, pb.len});
       done += pb.len;
     }
-    const std::uint16_t ck = atm::InternetChecksum::of(data);
+    const std::uint16_t ck = udp_checksum(udph, data);
     udph[4] = static_cast<std::uint8_t>(ck >> 8);
     udph[5] = static_cast<std::uint8_t>(ck);
     t = checksum_cost(t, cost, data.size());
@@ -238,33 +249,40 @@ sim::Tick ProtoStack::on_pdu(sim::Tick at, host::RxPduView& pdu) {
 
 sim::Tick ProtoStack::deliver_udp(sim::Tick at, atm::Vci vci, Reassembly&& r) {
   sim::Tick t = cpu_->exec(at, host::Work{mc_->proto_udp, 0});
-
-  auto assemble = [&r]() {
-    std::vector<std::uint8_t> stream;
-    for (const auto& [off, f] : r.frags) {
-      stream.insert(stream.end(), f.data.begin(), f.data.end());
-    }
-    return stream;
-  };
-  std::vector<std::uint8_t> stream = assemble();
-  if (stream.size() < kUdpHeader) {
-    ++reassembly_drops_;
+  const auto release_all = [&] {
     for (auto& [off, f] : r.frags) {
       if (!f.retained.empty()) t = drv_->release(t, f.retained);
     }
+  };
+  if (r.have < kUdpHeader) {
+    ++reassembly_drops_;
+    release_all();
     return t;
   }
 
+  // The datagram's fragments, in offset order, are its UDP header and then
+  // its payload. The header is kept apart and the payload copied once, into
+  // the vector the sink takes.
+  std::array<std::uint8_t, kUdpHeader> header{};
+  std::vector<std::uint8_t> payload;
+  payload.reserve(r.have - kUdpHeader);
+  const auto gather = [&] {
+    payload.clear();
+    std::size_t in_header = 0;
+    for (const auto& [off, f] : r.frags) {
+      const std::size_t n = std::min(f.data.size(), header.size() - in_header);
+      std::copy_n(f.data.begin(), n, header.begin() + in_header);
+      in_header += n;
+      payload.insert(payload.end(), f.data.begin() + static_cast<std::ptrdiff_t>(n),
+                     f.data.end());
+    }
+  };
+  gather();
+
   bool ok = true;
   if (cfg_.udp_checksum) {
-    const std::uint16_t want =
-        static_cast<std::uint16_t>((stream[4] << 8) | stream[5]);
-    auto compute = [&stream] {
-      std::vector<std::uint8_t> tmp = stream;
-      tmp[4] = tmp[5] = 0;
-      return atm::InternetChecksum::of(tmp);
-    };
-    if (compute() != want) {
+    const auto want = static_cast<std::uint16_t>((header[4] << 8) | header[5]);
+    if (udp_checksum(header, payload) != want) {
       // Lazy cache invalidation recovery (§2.3): invalidate the buffers,
       // re-read from main memory, and re-evaluate before declaring error.
       for (auto& [off, f] : r.frags) {
@@ -279,8 +297,8 @@ sim::Tick ProtoStack::deliver_udp(sim::Tick at, atm::Vci vci, Reassembly&& r) {
         v2.read_cached(*cache_, kIpHeader, f.data, cost);
         t = checksum_cost(t, cost, f.data.size());
       }
-      stream = assemble();
-      if (compute() == want) {
+      gather();
+      if (udp_checksum(header, payload) == want) {
         ++stale_recoveries_;
       } else {
         ok = false;  // genuine corruption (e.g. wire bit error)
@@ -289,14 +307,11 @@ sim::Tick ProtoStack::deliver_udp(sim::Tick at, atm::Vci vci, Reassembly&& r) {
     }
   }
 
-  for (auto& [off, f] : r.frags) {
-    if (!f.retained.empty()) t = drv_->release(t, f.retained);
-  }
+  release_all();
   if (!ok) return t;
 
-  stream.erase(stream.begin(), stream.begin() + kUdpHeader);
   ++delivered_;
-  if (sink_) sink_(t, vci, std::move(stream));
+  if (sink_) sink_(t, vci, std::move(payload));
   return t;
 }
 

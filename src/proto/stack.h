@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "atm/checksum.h"
@@ -40,6 +41,13 @@ struct StackConfig {
 
 constexpr std::uint32_t kIpHeader = 20;
 constexpr std::uint32_t kUdpHeader = 8;
+
+/// The UDP checksum of a datagram given as its 8-byte header and its
+/// payload: the Internet checksum of the header, with its checksum field
+/// (bytes 4 and 5) taken as zero, followed by the payload. The sender
+/// writes it into that field; a receiver compares the field against it.
+std::uint16_t udp_checksum(std::span<const std::uint8_t, kUdpHeader> header,
+                           std::span<const std::uint8_t> payload);
 
 /// The IP-like header of one fragment, as ProtoStack::send writes it: the
 /// fragment's length (header included), the datagram id, the fragment's

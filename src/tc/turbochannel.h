@@ -31,6 +31,11 @@ namespace osiris::tc {
 /// Bus clock and width: 25 MHz, 32-bit words.
 constexpr double kClockHz = 25e6;
 constexpr std::uint32_t kWordBytes = 4;
+/// One bus cycle, 40 ns: a whole number of ticks, so a DMA's cost is an
+/// integer product. It equals sim::cycles(n, kClockHz) for every n below
+/// about 36.9M cycles, past which the double form starts to round.
+constexpr sim::Duration kCycleTicks = 40'000;
+static_assert(kCycleTicks == sim::cycle(kClockHz));
 /// Fixed cycles per DMA transaction: reads (transmit) and writes (receive).
 constexpr std::uint32_t kDmaReadOverheadCycles = 13;
 constexpr std::uint32_t kDmaWriteOverheadCycles = 8;
@@ -52,10 +57,10 @@ class TurboChannel {
 
   /// Pure cost (no arbitration) of a DMA transaction moving `bytes`.
   [[nodiscard]] sim::Duration dma_read_cost(std::uint32_t bytes) const {
-    return sim::cycles(kDmaReadOverheadCycles + words(bytes), kClockHz);
+    return (sim::Duration{kDmaReadOverheadCycles} + words(bytes)) * kCycleTicks;
   }
   [[nodiscard]] sim::Duration dma_write_cost(std::uint32_t bytes) const {
-    return sim::cycles(kDmaWriteOverheadCycles + words(bytes), kClockHz);
+    return (sim::Duration{kDmaWriteOverheadCycles} + words(bytes)) * kCycleTicks;
   }
 
   /// Reserves the bus for a DMA read of `bytes` starting no earlier than

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "atm/cell.h"
@@ -60,6 +61,42 @@ TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthAndSplit) {
       c.update(whole.first(split));
       c.update(whole.subspan(split));
       ASSERT_EQ(c.value(), want) << "len " << len << " split " << split;
+    }
+  }
+}
+
+/// Byte-at-a-time CRC-32 over the classic 256-entry table: the form the
+/// sliced kernel's table 0 and its byte tail use.
+std::uint32_t crc32_bytewise(std::span<const std::uint8_t> data) {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t b : data) c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBytewiseReferenceAtEveryOffsetAndInCellChunks) {
+  // Start offsets 0..15 put the 16-byte loop's loads at every alignment,
+  // lengths 0..300 give every block count with every 8-byte, 4-byte and
+  // byte tail, and feeding 44 bytes at a time is how the transmit
+  // firmware runs it, one cell payload per call.
+  sim::Rng rng(17);
+  std::vector<std::uint8_t> data(316);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.next());
+  for (std::size_t start = 0; start < 16; ++start) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::span<const std::uint8_t> whole(data.data() + start, len);
+      const std::uint32_t want = crc32_bytewise(whole);
+      ASSERT_EQ(Crc32::of(whole), want) << "start " << start << " len " << len;
+      Crc32 cells;
+      for (std::size_t off = 0; off < len; off += kCellPayload) {
+        cells.update(whole.subspan(off, std::min<std::size_t>(kCellPayload, len - off)));
+      }
+      ASSERT_EQ(cells.value(), want) << "start " << start << " len " << len;
     }
   }
 }

@@ -276,21 +276,25 @@ TEST(ReassemblyGc, QuadRouterPurgeReclaimsLostEom) {
   EXPECT_EQ(r.queued(), 0u);
   EXPECT_GT(r.dropped(), 0u);
 
-  // A complete PDU after the purge reassembles byte-exactly.
+  // A complete PDU after the purge reassembles byte-exactly. Each call's
+  // placements are read before the next call, while their cells live.
   const auto p2 = pattern(100, 6);
   const auto cells2 = atm::segment(p2, 7, 1);
-  place.clear();
   done.clear();
+  std::map<std::uint64_t, std::vector<std::uint8_t>> wires;
   for (const atm::Cell& c : cells2) {
+    place.clear();
     r.on_cell(static_cast<int>(c.seq % atm::kLanes), c, place, done);
+    for (const atm::Placement& pl : place) {
+      auto& wire = wires[pl.pdu];
+      wire.resize(std::max<std::size_t>(wire.size(), pl.offset + pl.cell->len));
+      std::copy_n(pl.cell->payload.begin(), pl.cell->len, wire.begin() + pl.offset);
+    }
   }
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0].wire_bytes, atm::wire_len(100));
-  std::vector<std::uint8_t> wire(done[0].wire_bytes);
-  for (const atm::Placement& pl : place) {
-    if (pl.pdu != done[0].pdu) continue;
-    std::copy_n(pl.cell.payload.begin(), pl.cell.len, wire.begin() + pl.offset);
-  }
+  const std::vector<std::uint8_t>& wire = wires[done[0].pdu];
+  ASSERT_EQ(wire.size(), done[0].wire_bytes);
   EXPECT_TRUE(std::equal(p2.begin(), p2.end(), wire.begin()));
 }
 

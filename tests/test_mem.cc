@@ -476,6 +476,24 @@ TEST(DataCache, ReadSpanningLines) {
   EXPECT_EQ(c.misses, 7u);
 }
 
+TEST(DataCache, RejectsGeometryThatIsNotAPowerOfTwo) {
+  // A zero line size is refused before anything divides by it; a line
+  // size or line count that is not a power of two has no shift-and-mask
+  // index and tag.
+  PhysicalMemory pm(1 << 16);
+  const auto make = [&pm](std::uint32_t size, std::uint32_t line) {
+    return DataCache(pm, {size, line, DmaCoherence::kNonCoherent});
+  };
+  EXPECT_THROW(make(1024, 0), std::invalid_argument);
+  EXPECT_THROW(make(1024, 24), std::invalid_argument);
+  EXPECT_THROW(make(3 * 1024, 16), std::invalid_argument);  // 192 lines
+  EXPECT_THROW(make(1000, 16), std::invalid_argument);
+  EXPECT_THROW(make(8, 16), std::invalid_argument);  // no line at all
+  EXPECT_THROW(make(0, 16), std::invalid_argument);
+  EXPECT_NO_THROW(make(1024, 1024));  // one line
+  EXPECT_EQ(make(512 * 1024, 32).lines(), 16384u);
+}
+
 // --------------------------------------------------------------- wiring
 
 TEST(PageWiring, WireUnwireCounts) {

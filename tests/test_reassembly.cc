@@ -77,8 +77,8 @@ std::vector<std::vector<std::uint8_t>> run_router(CellRouter& r,
     r.on_cell(lc.lane, lc.cell, places, dones);
     for (const Placement& p : places) {
       auto& buf = bytes[p.pdu];
-      if (buf.size() < p.offset + p.cell.len) buf.resize(p.offset + p.cell.len);
-      std::copy_n(p.cell.payload.begin(), p.cell.len, buf.begin() + p.offset);
+      if (buf.size() < p.offset + p.cell->len) buf.resize(p.offset + p.cell->len);
+      std::copy_n(p.cell->payload.begin(), p.cell->len, buf.begin() + p.offset);
     }
     for (const Completion& d : dones) {
       auto it = bytes.find(d.pdu);
@@ -339,8 +339,16 @@ TEST(QuadRouter, QueuedCellsAwaitAttribution) {
 /// QuadRouter as it was before a cell arriving on an empty lane was placed
 /// unqueued: every cell joins its lane's queue, then drain() runs to a
 /// fixed point. It counts the cases a comparison against it must cover.
+/// Its placements hold a copy of their cell, so they stay readable however
+/// long the router under test keeps its own cells.
 class QueueEverythingQuadRouter {
  public:
+  struct Placed {
+    std::uint64_t pdu = 0;
+    std::uint32_t offset = 0;
+    Cell cell;
+  };
+
   struct Counts {
     std::uint64_t placed_at_once = 0;  // empty lane, placed in its own call
     std::uint64_t waited = 0;          // empty lane, ambiguous: stays queued
@@ -349,7 +357,7 @@ class QueueEverythingQuadRouter {
     std::uint64_t skips = 0;           // lane moved past a PDU it lacks
   };
 
-  void on_cell(int lane, const Cell& c, std::vector<Placement>& place,
+  void on_cell(int lane, const Cell& c, std::vector<Placed>& place,
                std::vector<Completion>& done) {
     const bool was_empty = lanes_[lane].queue.empty();
     const std::size_t placed = place.size();
@@ -425,7 +433,7 @@ class QueueEverythingQuadRouter {
   }
 
   void place_cell(int lane, const Cell& c, std::uint64_t pdu_idx,
-                  std::uint32_t seq, std::vector<Placement>& place,
+                  std::uint32_t seq, std::vector<Placed>& place,
                   std::vector<Completion>& done) {
     Pdu& p = pdu_state(pdu_idx);
     ++p.received;
@@ -467,7 +475,7 @@ class QueueEverythingQuadRouter {
     }
   }
 
-  void drain(std::vector<Placement>& place, std::vector<Completion>& done) {
+  void drain(std::vector<Placed>& place, std::vector<Completion>& done) {
     bool progress = true;
     while (progress) {
       progress = false;
@@ -519,10 +527,13 @@ TEST(QuadRouter, MatchesQueueEverythingReferenceUnderRandomSkew) {
   // with per-seed lane weights so that some lanes run far ahead. Now and
   // then both routers purge mid-run, so their PDU keys afterwards depend
   // on the whole ring. Every placement and completion must match, in
-  // order.
-  const auto same_placement = [](const Placement& a, const Placement& b) {
-    return a.pdu == b.pdu && a.offset == b.offset && a.cell.seq == b.cell.seq &&
-           a.cell.len == b.cell.len && a.cell.payload == b.cell.payload;
+  // order. The payload bytes are compared through each placement's cell
+  // pointer after on_cell() has returned, so a sanitized build catches a
+  // drained cell the router freed too early.
+  const auto same_placement = [](const Placement& a,
+                                 const QueueEverythingQuadRouter::Placed& b) {
+    return a.pdu == b.pdu && a.offset == b.offset && a.cell->seq == b.cell.seq &&
+           a.cell->len == b.cell.len && a.cell->payload == b.cell.payload;
   };
   const auto same_completion = [](const Completion& a, const Completion& b) {
     return a.pdu == b.pdu && a.wire_bytes == b.wire_bytes;
@@ -553,7 +564,8 @@ TEST(QuadRouter, MatchesQueueEverythingReferenceUnderRandomSkew) {
     for (const auto& l : lanes) left += l.size();
     const bool purge_midway = rng.chance(0.1);
     const std::size_t purge_at = rng.below(left);
-    std::vector<Placement> got_pl, want_pl;
+    std::vector<Placement> got_pl;
+    std::vector<QueueEverythingQuadRouter::Placed> want_pl;
     std::vector<Completion> got_dn, want_dn;
     for (std::size_t step = 0; left > 0; ++step) {
       if (purge_midway && step == purge_at) {

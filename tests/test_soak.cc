@@ -61,8 +61,8 @@ TEST(Soak, QuadRouterThousandsOfMixedPdusUnderRandomSkew) {
     --remaining;
     for (const auto& pl : places) {
       auto& buf = bytes[pl.pdu];
-      if (buf.size() < pl.offset + pl.cell.len) buf.resize(pl.offset + pl.cell.len);
-      std::copy_n(pl.cell.payload.begin(), pl.cell.len, buf.begin() + pl.offset);
+      if (buf.size() < pl.offset + pl.cell->len) buf.resize(pl.offset + pl.cell->len);
+      std::copy_n(pl.cell->payload.begin(), pl.cell->len, buf.begin() + pl.offset);
     }
     for (const auto& d : dones) {
       const auto it = bytes.find(d.pdu);

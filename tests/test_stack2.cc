@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <span>
 
 #include "osiris/node.h"
 #include "proto/message.h"
@@ -64,6 +65,25 @@ INSTANTIATE_TEST_SUITE_P(
                       MtuCase{4096 + 28, 16 * 1024, true},
                       MtuCase{16 * 1024 + 28, 64 * 1024, true},
                       MtuCase{64 * 1024, 200000, false}));
+
+TEST(Stack2, UdpChecksumEqualsTheChecksumOfTheZeroedStream) {
+  // The receiver checksums a datagram as its header, checksum field taken
+  // as zero, then its payload, without building the whole stream. That
+  // must equal the checksum of the stream copied out with bytes 4 and 5
+  // zeroed, for payloads of odd and even length and any header.
+  for (std::uint32_t len = 0; len <= 200; ++len) {
+    const auto payload = pattern(len, static_cast<std::uint8_t>(len));
+    const auto header = pattern(proto::kUdpHeader, static_cast<std::uint8_t>(len * 7 + 3));
+    std::vector<std::uint8_t> stream(header);
+    stream.insert(stream.end(), payload.begin(), payload.end());
+    stream[4] = stream[5] = 0;
+    ASSERT_EQ(proto::udp_checksum(std::span<const std::uint8_t, proto::kUdpHeader>(
+                                      header.data(), proto::kUdpHeader),
+                                  payload),
+              atm::InternetChecksum::of(stream))
+        << "len " << len;
+  }
+}
 
 TEST(Stack2, ExtremeFragmentationOverloadShedsAtTheBoard) {
   // A large message at a 1-byte MTU floods the receiver with hundreds of

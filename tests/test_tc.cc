@@ -29,6 +29,22 @@ TEST(TurboChannel, DmaCostsMatchCycleArithmetic) {
   EXPECT_EQ(bus.dma_write_cost(88), sim::cycles(30, 25e6));
 }
 
+TEST(TurboChannel, IntegerDmaCostsEqualTheCycleFormulaUpToAMebibyte) {
+  // The costs multiply whole cycles by 40,000 ticks; the double formula
+  // they replace gives the same tick for every transfer up to 1 MiB.
+  sim::Engine eng;
+  TurboChannel bus(eng);
+  for (std::uint32_t bytes = 0; bytes <= (1u << 20); ++bytes) {
+    const double w = bus.words(bytes);
+    ASSERT_EQ(bus.dma_read_cost(bytes),
+              sim::cycles(kDmaReadOverheadCycles + w, kClockHz))
+        << bytes;
+    ASSERT_EQ(bus.dma_write_cost(bytes),
+              sim::cycles(kDmaWriteOverheadCycles + w, kClockHz))
+        << bytes;
+  }
+}
+
 TEST(TurboChannel, PaperBandwidthBounds) {
   sim::Engine eng;
   TurboChannel bus(eng);
